@@ -1,10 +1,9 @@
-"""Width 6 with the component-splitting engine.
+"""Width 6 with the component-caching search.
 
-At n = 6 the instance has 64 predicates and 1351 ternary clauses, and
-plain dpll stops being fun.  The component engine decomposes residual
-subproblems into independent parts and caches repeated ones; that is
-enough to finish h1(6) = 75,973,751,474 in about 11 minutes on one
-ordinary core, using well under a gigabyte.
+At n = 6 the instance has 64 predicates and 1351 ternary clauses.  The
+search decomposes residual subproblems into independent parts and
+caches repeated ones; that is enough to finish h1(6) = 75,973,751,474
+in about 11 minutes on one ordinary core, using well under a gigabyte.
 
 Run with a finite budget first to see the partial statistics report.
 """
@@ -24,7 +23,7 @@ def main():
 
     try:
         report = count_variant(6, Variant.from_name(args.variant), "dpll",
-                               components=True, budget_seconds=budget)
+                               budget_seconds=budget)
     except ResourceLimitError as exc:
         print(f"stopped by the {args.budget_seconds}s budget, as expected "
               "for a short run")

@@ -54,7 +54,7 @@ def cmd_count(args: argparse.Namespace) -> int:
     report = count_variant(
         args.n, Variant.from_name(args.variant), args.method,
         threads=args.threads, budget_seconds=_budget(args.budget_seconds),
-        components=args.components, encode_cap=args.encode_cap,
+        encode_cap=args.encode_cap,
         external_cmd=args.external_cmd, external_pattern=args.external_pattern)
     if args.json:
         payload = report.to_dict()
@@ -171,7 +171,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
             print(line, flush=True)
     run = verify_matrix(args.n_max, threads=args.threads,
                         budget_seconds=_budget(args.budget_seconds),
-                        components=args.components,
                         include_nonisomorphic=not args.skip_orbits,
                         progress=progress)
     if args.json:
@@ -205,8 +204,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_count.add_argument("--threads", type=int, default=1)
     p_count.add_argument("--budget-seconds", type=float, default=DEFAULT_BUDGET_SECONDS,
                          help="wall-clock budget; 0 disables")
-    p_count.add_argument("--components", action="store_true",
-                         help="component-splitting cached engine (stretch widths)")
     p_count.add_argument("--encode-cap", type=int, default=ENCODE_CAP,
                          help=argparse.SUPPRESS)
     p_count.add_argument("--external-cmd", default=None,
@@ -243,7 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--n-max", type=int, default=4)
     p_verify.add_argument("--threads", type=int, default=1)
     p_verify.add_argument("--budget-seconds", type=float, default=DEFAULT_BUDGET_SECONDS)
-    p_verify.add_argument("--components", action="store_true")
     p_verify.add_argument("--skip-orbits", action="store_true",
                           help="skip the isomorphism census")
     p_verify.add_argument("--json", action="store_true")

@@ -1,19 +1,17 @@
 """Exact CNF model counting with DPLL-style search, in exact integers.
 
-Two engines share one preprocessing step and must agree on every count:
-
-* DpllCounter: backtracking search over mutable trail state with unit
-  propagation, occurrence lists, and a 2^k shortcut once no clause is
-  open.  Default engine, comfortably sufficient for the width-5 instances.
-
-* ComponentCounter: functional recursion that splits the residual clause
-  set into connected components, multiplies their counts, and memoizes
-  residual subproblems under a bounded cache.  Behind a flag; the
-  width-6 runs are the reason it exists.
+One engine, ComponentCounter, does every count: a DPLL search with unit
+propagation that splits the residual clause set into connected
+components, multiplies their counts, and memoizes residual subproblems
+under a bounded cache (the component-caching design of sharpSAT).  The
+`dpll` method name refers to this search.
 
 Counts are over ALL declared variables, so a variable appearing in no
 clause doubles the count.  There is deliberately no pure-literal rule:
 fixing a pure literal preserves satisfiability but loses models.
+
+A budget is one absolute deadline for the whole count, shared by every
+pool worker and every sub-count of an identity derivation.
 """
 
 from __future__ import annotations
@@ -22,6 +20,7 @@ import os
 import re
 import shlex
 import subprocess
+import sys
 import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -47,8 +46,6 @@ EXTERNAL_CMD_ENV = "HORNENUM_EXTERNAL_CMD"
 DEFAULT_EXTERNAL_PATTERN = r"^\s*(\d+)\s*$"
 
 METHODS = ("dpll", "bruteforce", "identity", "external")
-
-HEURISTICS = ("frequency", "lowest")
 
 Clauses = Sequence[Sequence[int]]
 
@@ -139,153 +136,6 @@ def _simplify(clauses: frozenset, lit: int) -> Optional[frozenset]:
     return frozenset(out)
 
 
-class DpllCounter:
-    """Trail-based counting search over a fixed clause list.
-
-    State is index-addressed: sat_by[ci] holds the 1-based trail position
-    that satisfied clause ci (0 = open), unassigned_lits[ci] the number of
-    its literals still free.  Undo walks the trail backwards, so the two
-    arrays are exact at every node.
-    """
-
-    def __init__(self, num_vars: int, clauses: list[tuple[int, ...]],
-                 heuristic: str = "frequency", deadline: Optional[float] = None):
-        if heuristic not in HEURISTICS:
-            raise ValueError(f"unknown heuristic {heuristic!r}")
-        self.num_vars = num_vars
-        self.clauses = clauses
-        self.heuristic = heuristic
-        self.deadline = deadline
-        self.stats = CounterStats()
-        m = len(clauses)
-        self.pos_occ = [[] for _ in range(num_vars + 1)]
-        self.neg_occ = [[] for _ in range(num_vars + 1)]
-        for ci, clause in enumerate(clauses):
-            for lit in clause:
-                (self.pos_occ if lit > 0 else self.neg_occ)[abs(lit)].append(ci)
-        self.assign = [0] * (num_vars + 1)
-        self.sat_by = [0] * m
-        self.unassigned_lits = [len(c) for c in clauses]
-        self.open_count = m
-        self.trail: list[int] = []
-        self.unit_queue: list[int] = []
-
-    def _assign_lit(self, lit: int) -> bool:
-        v = abs(lit)
-        val = 1 if lit > 0 else -1
-        self.assign[v] = val
-        tidx = len(self.trail) + 1
-        self.trail.append(v)
-        sat_occ = self.pos_occ[v] if val > 0 else self.neg_occ[v]
-        fal_occ = self.neg_occ[v] if val > 0 else self.pos_occ[v]
-        sat_by = self.sat_by
-        remaining = self.unassigned_lits
-        conflict = False
-        for ci in sat_occ:
-            if sat_by[ci] == 0:
-                sat_by[ci] = tidx
-                self.open_count -= 1
-        for ci in fal_occ:
-            remaining[ci] -= 1
-            if sat_by[ci] == 0:
-                if remaining[ci] == 0:
-                    conflict = True
-                elif remaining[ci] == 1:
-                    self.unit_queue.append(ci)
-        return not conflict
-
-    def _undo_to(self, mark: int) -> None:
-        assign = self.assign
-        sat_by = self.sat_by
-        remaining = self.unassigned_lits
-        while len(self.trail) > mark:
-            tidx = len(self.trail)
-            v = self.trail.pop()
-            val = assign[v]
-            assign[v] = 0
-            sat_occ = self.pos_occ[v] if val > 0 else self.neg_occ[v]
-            fal_occ = self.neg_occ[v] if val > 0 else self.pos_occ[v]
-            for ci in sat_occ:
-                if sat_by[ci] == tidx:
-                    sat_by[ci] = 0
-                    self.open_count += 1
-            for ci in fal_occ:
-                remaining[ci] += 1
-
-    def _propagate(self) -> bool:
-        queue = self.unit_queue
-        while queue:
-            ci = queue.pop()
-            if self.sat_by[ci] != 0:
-                continue
-            forced = 0
-            for lit in self.clauses[ci]:
-                if self.assign[abs(lit)] == 0:
-                    forced = lit
-                    break
-            if forced == 0:
-                # already handled: falsification is caught inside _assign_lit
-                continue
-            self.stats.propagations += 1
-            if not self._assign_lit(forced):
-                return False
-        return True
-
-    def _pick_variable(self) -> int:
-        assign = self.assign
-        sat_by = self.sat_by
-        if self.heuristic == "lowest":
-            best = 0
-            for ci, clause in enumerate(self.clauses):
-                if sat_by[ci] == 0:
-                    for lit in clause:
-                        v = abs(lit)
-                        if assign[v] == 0 and (best == 0 or v < best):
-                            best = v
-            return best
-        counts = [0] * (self.num_vars + 1)
-        for ci, clause in enumerate(self.clauses):
-            if sat_by[ci] == 0:
-                for lit in clause:
-                    if assign[abs(lit)] == 0:
-                        counts[abs(lit)] += 1
-        best, best_count = 0, 0
-        for v in range(1, self.num_vars + 1):
-            if counts[v] > best_count:
-                best, best_count = v, counts[v]
-        return best
-
-    def _check_budget(self) -> None:
-        if self.deadline is not None and self.stats.nodes % 4096 == 0:
-            if time.monotonic() > self.deadline:
-                raise ResourceLimitError("count budget exceeded", stats=self.stats.to_dict())
-
-    def count(self) -> int:
-        self.unit_queue = [ci for ci, c in enumerate(self.clauses)
-                           if len(c) == 1 and self.sat_by[ci] == 0]
-        if not self._propagate():
-            return 0
-        return self._search()
-
-    def _search(self) -> int:
-        self.stats.nodes += 1
-        self._check_budget()
-        if self.open_count == 0:
-            return 1 << (self.num_vars - len(self.trail))
-        v = self._pick_variable()
-        # open_count > 0 guarantees an open clause with a free literal
-        assert v != 0
-        self.stats.decisions += 1
-        total = 0
-        for lit in (v, -v):
-            mark = len(self.trail)
-            self.unit_queue = []
-            if self._assign_lit(lit) and self._propagate():
-                total += self._search()
-            self._undo_to(mark)
-        return total
-
-
 class ComponentCounter:
     """Cached functional counting: count(clauses) is the number of
     assignments of exactly the variables occurring in `clauses` that
@@ -298,19 +148,15 @@ class ComponentCounter:
     """
 
     def __init__(self, num_vars: int, clauses: list[tuple[int, ...]],
-                 heuristic: str = "frequency", deadline: Optional[float] = None,
+                 deadline: Optional[float] = None,
                  cache_limit: int = DEFAULT_CACHE_LIMIT):
-        if heuristic not in HEURISTICS:
-            raise ValueError(f"unknown heuristic {heuristic!r}")
         self.num_vars = num_vars
         self.clauses = frozenset(clauses)
-        self.heuristic = heuristic
         self.deadline = deadline
         self.cache_limit = cache_limit
         self.cache: dict = {}
         self.stats = CounterStats()
         self._bytes_keys = num_vars <= 120
-        self._calls = 0
 
     def count(self) -> int:
         used = _vars_of(self.clauses)
@@ -327,8 +173,9 @@ class ComponentCounter:
         return clauses
 
     def _check_budget(self) -> None:
-        self._calls += 1
-        if self.deadline is not None and self._calls % 2048 == 0:
+        # node 1 is checked too, so a count started after the deadline
+        # (a queued pool job, a later identity sub-count) stops at once
+        if self.deadline is not None and self.stats.nodes % 2048 == 1:
             if time.monotonic() > self.deadline:
                 self.stats.cache_entries = len(self.cache)
                 raise ResourceLimitError("count budget exceeded", stats=self.stats.to_dict())
@@ -384,17 +231,8 @@ class ComponentCounter:
         return self._branch(clauses)
 
     def _branch(self, clauses: frozenset) -> int:
-        freq: dict[int, int] = {}
-        for clause in clauses:
-            for lit in clause:
-                v = abs(lit)
-                freq[v] = freq.get(v, 0) + 1
-        if self.heuristic == "lowest":
-            v = min(freq)
-        else:
-            v = max(sorted(freq), key=freq.get)
+        v, before = _branch_variable(clauses)
         self.stats.decisions += 1
-        before = len(freq)
         total = 0
         for lit in (v, -v):
             reduced = _simplify(clauses, lit)
@@ -402,6 +240,17 @@ class ComponentCounter:
                 continue
             total += self._count(reduced) << (before - 1 - len(_vars_of(reduced)))
         return total
+
+
+def _branch_variable(clauses: frozenset) -> tuple[int, int]:
+    """The most frequent variable (lowest id on ties), and the number of
+    distinct variables in the clauses."""
+    freq: dict[int, int] = {}
+    for clause in clauses:
+        for lit in clause:
+            v = abs(lit)
+            freq[v] = freq.get(v, 0) + 1
+    return max(sorted(freq), key=freq.get), len(freq)
 
 
 def _components(clauses: frozenset) -> list[list[tuple[int, ...]]]:
@@ -429,22 +278,31 @@ def _components(clauses: frozenset) -> list[list[tuple[int, ...]]]:
     return list(groups.values())
 
 
-def _count_remapped(clauses: Iterable[tuple[int, ...]], engine: str, heuristic: str,
-                    time_left: Optional[float], cache_limit: int) -> tuple[int, dict]:
+def _search(num_vars: int, clauses: list[tuple[int, ...]],
+            deadline: Optional[float]) -> tuple[int, CounterStats]:
+    """Run the engine on prepared clauses.  The search recurses once per
+    decision level, so an instance deeper than the interpreter's stack
+    raises ResourceLimitError instead of RecursionError."""
+    counter = ComponentCounter(num_vars, clauses, deadline=deadline)
+    try:
+        value = counter.count()
+    except RecursionError:
+        raise ResourceLimitError(
+            f"search deeper than the recursion limit ({sys.getrecursionlimit()}) "
+            f"on {num_vars} variables", stats=counter.stats.to_dict()) from None
+    counter.stats.subproblems = 1
+    return value, counter.stats
+
+
+def _count_remapped(clauses: Iterable[tuple[int, ...]],
+                    deadline: Optional[float]) -> tuple[int, dict]:
     """Count a residual clause set over exactly its own variables."""
     clause_list = [tuple(c) for c in clauses]
     used = sorted(_vars_of(clause_list))
     remap = {v: i + 1 for i, v in enumerate(used)}
     mapped = [tuple((1 if lit > 0 else -1) * remap[abs(lit)] for lit in c) for c in clause_list]
-    deadline = time.monotonic() + time_left if time_left is not None else None
-    if engine == "components":
-        counter = ComponentCounter(len(used), mapped, heuristic=heuristic,
-                                   deadline=deadline, cache_limit=cache_limit)
-    else:
-        counter = DpllCounter(len(used), mapped, heuristic=heuristic, deadline=deadline)
-    value = counter.count()
-    counter.stats.subproblems = 1
-    return value, counter.stats.to_dict()
+    value, stats = _search(len(used), mapped, deadline)
+    return value, stats.to_dict()
 
 
 def _split_subproblems(clauses: list[tuple[int, ...]], num_vars: int,
@@ -465,12 +323,7 @@ def _split_subproblems(clauses: list[tuple[int, ...]], num_vars: int,
         if split_at is None:
             break
         clauses_here, shift = entries.pop(split_at)
-        freq: dict[int, int] = {}
-        for clause in clauses_here:
-            for lit in clause:
-                freq[abs(lit)] = freq.get(abs(lit), 0) + 1
-        v = max(sorted(freq), key=freq.get)
-        before = len(_vars_of(clauses_here))
+        v, before = _branch_variable(clauses_here)
         for lit in (v, -v):
             reduced = _simplify(clauses_here, lit)
             if reduced is None:
@@ -483,10 +336,16 @@ def _split_subproblems(clauses: list[tuple[int, ...]], num_vars: int,
     return settled, entries
 
 
-def _count_clauses(clauses: Clauses, num_vars: int, *, components: bool = False,
-                   threads: int = 1, budget_seconds: Optional[float] = DEFAULT_BUDGET_SECONDS,
-                   heuristic: str = "frequency",
-                   cache_limit: int = DEFAULT_CACHE_LIMIT) -> tuple[int, CounterStats]:
+def _deadline(budget_seconds: Optional[float]) -> Optional[float]:
+    return None if budget_seconds is None else time.monotonic() + budget_seconds
+
+
+def _count_clauses(clauses: Clauses, num_vars: int, *, threads: int = 1,
+                   deadline: Optional[float] = None) -> tuple[int, CounterStats]:
+    """Count over all num_vars variables, stopping at the absolute
+    time.monotonic() deadline.  With threads > 1 the instance is split
+    into independent subproblems counted by a process pool; every worker
+    gets the same deadline (the monotonic clock is system-wide)."""
     if num_vars < 0:
         raise ValueError("variable count must be nonnegative")
     if threads < 1:
@@ -494,50 +353,31 @@ def _count_clauses(clauses: Clauses, num_vars: int, *, components: bool = False,
     prepared = preprocess(clauses, num_vars)
     if prepared is None:
         return 0, CounterStats()
-    engine = "components" if components else "dpll"
-    deadline = time.monotonic() + budget_seconds if budget_seconds is not None else None
-
     if threads == 1:
-        if components:
-            counter = ComponentCounter(num_vars, prepared, heuristic=heuristic,
-                                       deadline=deadline, cache_limit=cache_limit)
-        else:
-            counter = DpllCounter(num_vars, prepared, heuristic=heuristic, deadline=deadline)
-        value = counter.count()
-        counter.stats.subproblems = 1
-        if components:
-            counter.stats.cache_entries = len(counter.cache)
-        return value, counter.stats
+        return _search(num_vars, prepared, deadline)
 
     settled, open_entries = _split_subproblems(prepared, num_vars, target=4 * threads)
     stats = CounterStats()
     total = settled
-    time_left = None if budget_seconds is None else budget_seconds
-    jobs = [(tuple(entry), engine, heuristic, time_left, cache_limit)
-            for entry, _shift in open_entries]
-    shifts = [shift for _entry, shift in open_entries]
+    residuals = [tuple(entry) for entry, _shift in open_entries]
     with ProcessPoolExecutor(max_workers=threads) as pool:
-        for (value, stat_dict), shift in zip(
-                pool.map(_pool_worker, jobs), shifts):
+        results = pool.map(_count_remapped, residuals, [deadline] * len(residuals))
+        for (value, stat_dict), (_entry, shift) in zip(results, open_entries):
             total += value << shift
             stats.merge(CounterStats(**stat_dict))
     return total, stats
 
 
-def _pool_worker(args) -> tuple[int, dict]:
-    clauses, engine, heuristic, time_left, cache_limit = args
-    return _count_remapped(clauses, engine, heuristic, time_left, cache_limit)
-
-
 def count_models(instance: Union[CnfInstance, Clauses], num_vars: Optional[int] = None,
-                 *, components: bool = False, threads: int = 1,
+                 *, threads: int = 1,
                  budget_seconds: Optional[float] = DEFAULT_BUDGET_SECONDS,
-                 heuristic: str = "frequency",
-                 cache_limit: int = DEFAULT_CACHE_LIMIT) -> int:
+                 components: bool = False) -> int:
     """Exact number of satisfying assignments over all declared variables.
 
     Accepts a generated instance (variable count implied) or a raw clause
     list plus num_vars.  budget_seconds=None disables the time budget.
+    `components` is accepted and ignored: there is one engine, and the
+    keyword stays only because perfbench/workloads.py still passes it.
     """
     if isinstance(instance, CnfInstance):
         clauses: Clauses = instance.clauses
@@ -546,9 +386,8 @@ def count_models(instance: Union[CnfInstance, Clauses], num_vars: Optional[int] 
         clauses = instance
         if num_vars is None:
             raise ValueError("num_vars is required for raw clause lists")
-    value, _stats = _count_clauses(clauses, num_vars, components=components,
-                                   threads=threads, budget_seconds=budget_seconds,
-                                   heuristic=heuristic, cache_limit=cache_limit)
+    value, _stats = _count_clauses(clauses, num_vars, threads=threads,
+                                   deadline=_deadline(budget_seconds))
     return value
 
 
@@ -592,23 +431,18 @@ def run_external_counter(instance: CnfInstance, command: Optional[str] = None,
         os.unlink(path)
 
 
-def _dpll_report(n: int, variant: Variant, **kw) -> CountReport:
-    return count_variant(n, variant, "dpll", **kw)
-
-
 def count_variant(n: int, variant: Variant, method: str = "dpll", *,
                   threads: int = 1, budget_seconds: Optional[float] = DEFAULT_BUDGET_SECONDS,
-                  components: bool = False, heuristic: str = "frequency",
-                  cache_limit: int = DEFAULT_CACHE_LIMIT,
                   encode_cap: int = ENCODE_CAP,
                   external_cmd: Optional[str] = None,
                   external_pattern: Optional[str] = None) -> CountReport:
     """Count one variant at one width by the requested method.
 
-    dpll encodes and counts internally; bruteforce defers to the
-    exhaustive family enumeration; identity derives the value from dpll
-    counts of other variants; external shells out to a configured tool.
-    All four must agree wherever more than one applies.
+    dpll encodes and counts with the component-caching search; bruteforce
+    defers to the exhaustive family enumeration; identity derives the
+    value from dpll counts of other variants, all under one deadline;
+    external shells out to a configured tool.  All four must agree
+    wherever more than one applies.
     """
     if isinstance(variant, str):
         variant = Variant.from_name(variant)
@@ -618,17 +452,9 @@ def count_variant(n: int, variant: Variant, method: str = "dpll", *,
         raise ValueError(f"unknown method {method!r}; expected one of {', '.join(METHODS)}")
     start = time.monotonic()
 
-    if method == "dpll":
-        instance = encode(n, variant, cap=encode_cap)
-        value, stats = _count_clauses(instance.clauses, instance.predicate_count,
-                                      components=components, threads=threads,
-                                      budget_seconds=budget_seconds, heuristic=heuristic,
-                                      cache_limit=cache_limit)
-        return CountReport(variant, n, "dpll", value, time.monotonic() - start, stats)
-
     if method == "bruteforce":
         from .oracle import brute_count
-        value = brute_count(n, variant, threads=threads)
+        value = brute_count(n, variant)
         return CountReport(variant, n, "bruteforce", value,
                            time.monotonic() - start, CounterStats())
 
@@ -639,16 +465,21 @@ def count_variant(n: int, variant: Variant, method: str = "dpll", *,
         return CountReport(variant, n, "external", value,
                            time.monotonic() - start, CounterStats())
 
-    # identity: derive from dpll counts of the other variants
-    kw = dict(threads=threads, budget_seconds=budget_seconds, components=components,
-              heuristic=heuristic, cache_limit=cache_limit, encode_cap=encode_cap)
+    deadline = _deadline(budget_seconds)
     stats = CounterStats()
 
     def dpll_count(k: int, v: Variant) -> int:
-        report = _dpll_report(k, v, **kw)
-        stats.merge(report.stats)
-        return report.count
+        instance = encode(k, v, cap=encode_cap)
+        value, sub = _count_clauses(instance.clauses, instance.predicate_count,
+                                    threads=threads, deadline=deadline)
+        stats.merge(sub)
+        return value
 
+    if method == "dpll":
+        value = dpll_count(n, variant)
+        return CountReport(variant, n, "dpll", value, time.monotonic() - start, stats)
+
+    # identity: derive from dpll counts of the other variants
     if variant is Variant.H0:
         if n == 0:
             raise ValueError(

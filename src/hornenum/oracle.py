@@ -15,7 +15,6 @@ of its sorted member list.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
@@ -57,12 +56,11 @@ def _is_closed_mask(mask: int) -> bool:
     return True
 
 
-def _sweep_range(args: tuple[int, int, int]) -> tuple[int, int, int, int]:
-    """Tally (h, h0, h1, h01) over subset masks in [start, stop)."""
-    n, start, stop = args
+@lru_cache(maxsize=None)
+def _variant_counts_cached(n: int) -> dict:
     ones_bit = (1 << n) - 1
     h = h0 = h1 = h01 = 0
-    for mask in range(start, stop):
+    for mask in range(1 << (1 << n)):
         if not _is_closed_mask(mask):
             continue
         h01 += 1
@@ -74,35 +72,20 @@ def _sweep_range(args: tuple[int, int, int]) -> tuple[int, int, int, int]:
             h1 += 1
         if has_zero and has_ones:
             h += 1
-    return h, h0, h1, h01
-
-
-@lru_cache(maxsize=None)
-def _variant_counts_cached(n: int) -> dict:
-    h, h0, h1, h01 = _sweep_range((n, 0, 1 << (1 << n)))
     return {Variant.H: h, Variant.H0: h0, Variant.H1: h1, Variant.H01: h01}
 
 
-def variant_counts(n: int, threads: int = 1) -> dict:
+def variant_counts(n: int) -> dict:
     """All four variant counts from one pass over every subset."""
     _require_small(n)
-    if threads <= 1 or n < 4:
-        return dict(_variant_counts_cached(n))
-    total = 1 << (1 << n)
-    step = (total + threads - 1) // threads
-    chunks = [(n, lo, min(lo + step, total)) for lo in range(0, total, step)]
-    tallies = (0, 0, 0, 0)
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        for part in pool.map(_sweep_range, chunks):
-            tallies = tuple(a + b for a, b in zip(tallies, part))
-    return dict(zip((Variant.H, Variant.H0, Variant.H1, Variant.H01), tallies))
+    return dict(_variant_counts_cached(n))
 
 
-def brute_count(n: int, variant: Variant, threads: int = 1) -> int:
+def brute_count(n: int, variant: Variant) -> int:
     """Number of families of the variant, by visiting every subset."""
     if isinstance(variant, str):
         variant = Variant.from_name(variant)
-    return variant_counts(n, threads=threads)[variant]
+    return variant_counts(n)[variant]
 
 
 @lru_cache(maxsize=None)

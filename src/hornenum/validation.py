@@ -1,11 +1,12 @@
 """Cross-validation: reference values and the multi-method agreement matrix.
 
-Counts in this package can be produced four independent ways: the DPLL
-counter on the clause encoding, exhaustive family enumeration, algebraic
-derivation from other variants, and an external tool.  This module runs
-the agreement checks between those routes, compares against the published
-reference counts, and performs the isomorphism-class census, returning a
-flat list of check results for the CLI and the test suite to render.
+Counts in this package can be produced four independent ways: the
+component-caching search on the clause encoding (method `dpll`),
+exhaustive family enumeration, algebraic derivation from other variants,
+and an external tool.  This module runs the agreement checks between
+those routes, compares against the published reference counts, and
+performs the isomorphism-class census, returning a flat list of check
+results for the CLI and the test suite to render.
 
 The doubling check for h0 starts at n = 1: at width 0 the two lattice
 endpoints are the same vector, h0(0) = 1, and no doubling holds.  The
@@ -37,7 +38,7 @@ SEQUENCE_PREFIXES = {
     Variant.H01: ("A108799", (2, 4, 10, 38, 368)),
 }
 
-#: Plain DPLL handles n <= 5 comfortably; beyond that is stretch territory.
+#: The search handles n <= 5 in seconds; beyond that is stretch territory.
 VERIFY_DPLL_CAP = 5
 
 
@@ -109,7 +110,6 @@ class VerifyRun:
 
 def verify_matrix(n_max: int, *, threads: int = 1,
                   budget_seconds: Optional[float] = DEFAULT_BUDGET_SECONDS,
-                  components: bool = False,
                   include_nonisomorphic: bool = True,
                   progress: Optional[Callable[[CheckResult], None]] = None) -> VerifyRun:
     """Run every agreement check available up to n_max.
@@ -130,7 +130,7 @@ def verify_matrix(n_max: int, *, threads: int = 1,
         if key not in dpll_cache:
             dpll_cache[key] = count_variant(
                 n, variant, "dpll", threads=threads,
-                budget_seconds=budget_seconds, components=components).count
+                budget_seconds=budget_seconds).count
         return dpll_cache[key]
 
     def record(name: str, expected, actual, warning: bool = False,
@@ -146,7 +146,7 @@ def verify_matrix(n_max: int, *, threads: int = 1,
     for n in range(min(n_max, ORACLE_CAP) + 1):
         for variant in VARIANTS:
             t0 = time.monotonic()
-            expected = brute_count(n, variant, threads=threads)
+            expected = brute_count(n, variant)
             actual = dpll(variant, n)
             record(f"oracle vs dpll: {variant.value}({n})", expected, actual,
                    elapsed=time.monotonic() - t0)

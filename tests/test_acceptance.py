@@ -243,8 +243,7 @@ def test_criterion_6_counter_laws(announce):
         for trial in range(trials):
             num_vars, clauses = random_instance(rng)
             expected = brute_reference(clauses, num_vars)
-            for kwargs in ({"heuristic": "frequency"}, {"heuristic": "lowest"},
-                           {"components": True}, {"threads": 2}):
+            for kwargs in ({}, {"threads": 2}):
                 actual = count_models(clauses, num_vars, **kwargs)
                 assert actual == expected, (trial, kwargs, clauses)
             k = rng.randint(1, 3)
@@ -252,10 +251,9 @@ def test_criterion_6_counter_laws(announce):
             v = rng.randint(1, num_vars)
             assert (count_models(clauses + [(v,)], num_vars)
                     + count_models(clauses + [(-v,)], num_vars)) == expected
-        assert count_models(encode(4, Variant.H01), threads=3,
-                            components=True) == dpll(4, Variant.H01)
+        assert count_models(encode(4, Variant.H01), threads=3) == dpll(4, Variant.H01)
         record["detail"] = (f"{trials} instances: 2^k law, branch sum, "
-                            "heuristic, engine and thread independence")
+                            "thread independence")
 
 
 def test_criterion_7_golden_dimacs(announce):
@@ -280,8 +278,7 @@ def test_criterion_8_stretch_width_six(announce):
         for variant, expected in ((Variant.H1, STRETCH_H1_6),
                                   (Variant.H, STRETCH_H_6)):
             try:
-                report = count_variant(6, variant, "dpll", components=True,
-                                       budget_seconds=None)
+                report = count_variant(6, variant, "dpll", budget_seconds=None)
             except ResourceLimitError as exc:
                 announce(8, "SKIP", "stretch width 6",
                          f"{variant.value}(6) exceeded the budget: {exc}")

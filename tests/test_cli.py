@@ -33,11 +33,6 @@ class TestCount:
         assert payload["method"] == "identity-derived"
         assert payload["count"] == 90
 
-    def test_components_flag(self, capsys):
-        assert main(["count", "--n", "4", "--variant", "h1",
-                     "--components", "--json"]) == 0
-        assert json.loads(capsys.readouterr().out)["count"] == 2480
-
     def test_zero_budget_disables_limit(self, capsys):
         assert main(["count", "--n", "3", "--variant", "h",
                      "--budget-seconds", "0"]) == 0

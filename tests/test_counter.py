@@ -1,13 +1,15 @@
+import inspect
 import json
 import sys
+import time
 from pathlib import Path
 
 import pytest
-from conftest import brute_reference, random_instance
+from conftest import random_instance
 
-from hornenum.counter import (ComponentCounter, CounterStats, DpllCounter,
-                              count_models, count_variant, preprocess,
-                              run_external_counter)
+import hornenum.counter as counter_module
+from hornenum.counter import (ComponentCounter, CounterStats, count_models,
+                              count_variant, preprocess, run_external_counter)
 from hornenum.encoder import encode
 from hornenum.errors import ExternalToolError, ResourceLimitError
 from hornenum.families import Variant
@@ -87,38 +89,15 @@ class TestCounterLaws:
             assert total == (count_models(clauses + [(v,)], num_vars)
                              + count_models(clauses + [(-v,)], num_vars))
 
-    def test_heuristic_independence(self, rng):
-        for _ in range(50):
-            num_vars, clauses = random_instance(rng)
-            expected = brute_reference(clauses, num_vars)
-            assert count_models(clauses, num_vars, heuristic="frequency") == expected
-            assert count_models(clauses, num_vars, heuristic="lowest") == expected
-
-    def test_engine_independence(self, rng):
-        for _ in range(50):
-            num_vars, clauses = random_instance(rng)
-            expected = brute_reference(clauses, num_vars)
-            assert count_models(clauses, num_vars, components=False) == expected
-            assert count_models(clauses, num_vars, components=True) == expected
-
     def test_thread_independence(self):
         for n, variant in [(3, Variant.H), (4, Variant.H1), (4, Variant.H01)]:
             instance = encode(n, variant)
             single = count_models(instance, threads=1)
             assert count_models(instance, threads=2) == single
-            assert count_models(instance, threads=3, components=True) == single
-
-    def test_unknown_heuristic(self):
-        with pytest.raises(ValueError):
-            count_models([(1,)], 1, heuristic="vsids")
+            assert count_models(instance, threads=3) == single
 
 
 class TestEngines:
-    def test_dpll_direct(self):
-        counter = DpllCounter(3, [(1, 2), (-1, 3)])
-        assert counter.count() == brute_reference([(1, 2), (-1, 3)], 3)
-        assert counter.stats.nodes > 0
-
     def test_component_engine_multiplies_disjoint_parts(self):
         # two independent constraints: 3 models each over 2 vars
         clauses = [(1, 2), (3, 4)]
@@ -150,11 +129,54 @@ class TestBudget:
 
     def test_budget_exceeded_component_engine(self):
         instance = encode(5, Variant.H)
-        with pytest.raises(ResourceLimitError):
-            count_models(instance, budget_seconds=1e-9, components=True)
+        counter = ComponentCounter(instance.predicate_count,
+                                   preprocess(instance.clauses, instance.predicate_count),
+                                   deadline=time.monotonic() - 1)
+        with pytest.raises(ResourceLimitError) as err:
+            counter.count()
+        assert err.value.stats["nodes"] == 1
 
     def test_no_budget(self):
         assert count_models(encode(3, Variant.H), budget_seconds=None) == 45
+
+    def test_pooled_count_stops_at_one_deadline(self):
+        # one budget for the whole count: the eight pool jobs on two
+        # workers must not each get it anew from their own start
+        start = time.monotonic()
+        with pytest.raises(ResourceLimitError):
+            count_models(encode(6, Variant.H1), threads=2, budget_seconds=1.0)
+        assert time.monotonic() - start < 2.0
+
+    def test_identity_sub_counts_share_one_deadline(self, monkeypatch):
+        real_encode = counter_module.encode
+
+        def slow_encode(*args, **kwargs):
+            time.sleep(0.2)
+            return real_encode(*args, **kwargs)
+
+        monkeypatch.setattr(counter_module, "encode", slow_encode)
+        # h(4) inverts h1(0..4): five sub-counts, each well inside the
+        # budget on its own, together past it
+        with pytest.raises(ResourceLimitError):
+            count_variant(4, Variant.H, "identity", budget_seconds=0.5)
+
+
+
+class TestDepth:
+    def test_deep_chain_is_a_resource_limit(self):
+        # the search recurses per decision level; a chain of implications
+        # x1 -> x2 -> ... is as deep as it is long
+        chain = [(-i, i + 1) for i in range(1, 120)]
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + 60)
+        try:
+            with pytest.raises(ResourceLimitError, match="recursion limit"):
+                count_models(chain, 120)
+            with pytest.raises(ResourceLimitError, match="recursion limit"):
+                counter_module._count_remapped(chain, None)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert count_models(chain, 120) == 121
 
 
 class TestCountVariant:

@@ -37,9 +37,6 @@ class TestBruteCount:
         assert counts[Variant.H1] == 61
         assert counts[Variant.H01] == 122
 
-    def test_variant_counts_threaded(self):
-        assert variant_counts(4, threads=2) == variant_counts(4)
-
 
 class TestEnumerateFamilies:
     def test_width_one_all_ones(self):
