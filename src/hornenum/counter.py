@@ -1,10 +1,12 @@
 """Exact CNF model counting with DPLL-style search, in exact integers.
 
 One engine, ComponentCounter, does every count: a DPLL search with unit
-propagation that splits the residual clause set into connected
-components, multiplies their counts, and memoizes residual subproblems
-under a bounded cache (the component-caching design of sharpSAT).  The
-`dpll` method name refers to this search.
+propagation that splits each residual into connected components,
+multiplies their counts, and memoizes components under a bounded cache
+(the component-caching design of sharpSAT).  A residual is a pair of
+bitmasks over a static clause table, its free variables and its open
+clauses, so the search loops touch only ints.  The `dpll` method name
+refers to this search.
 
 Counts are over ALL declared variables, so a variable appearing in no
 clause doubles the count.  There is deliberately no pure-literal rule:
@@ -52,7 +54,20 @@ Clauses = Sequence[Sequence[int]]
 
 @dataclass
 class CounterStats:
-    """Search-effort counters; merged by summation across workers."""
+    """Search-effort counters; merged by summation across workers.
+
+    nodes: components the search reached after unit propagation,
+        cache hits included.
+    decisions: branching variables chosen (one per cache miss).
+    propagations: literals implied by unit clauses, the input's own unit
+        clauses included; a decision literal is not counted.
+    components: parts of residuals that split into more than one
+        component (a residual in one piece adds nothing).
+    cache_hits: nodes answered from the component cache.
+    cache_entries: entries in the cache when the count ended.
+    cache_evictions: times the full cache was cleared.
+    subproblems: engine runs merged into these stats (one per pool job).
+    """
 
     nodes: int = 0
     decisions: int = 0
@@ -97,16 +112,19 @@ class CountReport:
 def preprocess(clauses: Clauses, num_vars: int) -> Optional[list[tuple[int, ...]]]:
     """Canonicalize clauses: sort and dedupe literals, drop tautologies,
     dedupe clauses.  Returns None if an empty clause is present (count 0).
+    Raises ValueError on a literal that is not a nonzero int (a bool is
+    not a literal) of magnitude at most num_vars.
     """
     out = []
     seen = set()
     for clause in clauses:
+        for lit in clause:
+            if (not isinstance(lit, int) or isinstance(lit, bool)
+                    or lit == 0 or abs(lit) > num_vars):
+                raise ValueError(f"literal {lit!r} invalid for {num_vars} variables")
         lits = tuple(sorted(set(clause)))
         if not lits:
             return None
-        for lit in lits:
-            if not isinstance(lit, int) or lit == 0 or abs(lit) > num_vars:
-                raise ValueError(f"literal {lit!r} invalid for {num_vars} variables")
         if any(-lit in lits for lit in lits):
             continue
         if lits not in seen:
@@ -115,62 +133,68 @@ def preprocess(clauses: Clauses, num_vars: int) -> Optional[list[tuple[int, ...]
     return out
 
 
-def _vars_of(clauses: Iterable[Sequence[int]]) -> set[int]:
-    return {abs(lit) for clause in clauses for lit in clause}
-
-
-def _simplify(clauses: frozenset, lit: int) -> Optional[frozenset]:
-    """Residual clause set after asserting lit; None on an emptied clause."""
-    out = []
-    neg = -lit
-    for clause in clauses:
-        if lit in clause:
-            continue
-        if neg in clause:
-            rest = tuple(x for x in clause if x != neg)
-            if not rest:
-                return None
-            out.append(rest)
-        else:
-            out.append(clause)
-    return frozenset(out)
-
-
 class ComponentCounter:
-    """Cached functional counting: count(clauses) is the number of
-    assignments of exactly the variables occurring in `clauses` that
-    satisfy them.  Disjoint components multiply; identical residual
-    subproblems are answered from the cache.
+    """Cached component counting: count() is the number of assignments of
+    all num_vars variables that satisfy the clauses (as returned by
+    preprocess: no empty clause, no tautology).
 
-    Cache keys are canonical byte strings when every variable id fits a
-    byte, which keeps width-6 runs inside memory; otherwise the clause
-    set itself is the key.
+    The clauses go into a static table once.  Bit v of a variable mask is
+    variable v and bit i of a clause mask is clause i.  Each clause has a
+    variable mask and a positive-variable mask; each variable has the
+    mask of the clauses it occurs in; each literal has the mask of the
+    clauses it satisfies.  A residual subproblem is then two ints, its
+    free variables and its open clauses.  That identifies it exactly:
+    every assigned literal of an open clause is false, so the residual of
+    an open clause is the clause restricted to the free variables.
+
+    Assigning a literal propagates the units it implies.  The residual
+    splits into variable-connected components whose counts multiply, and
+    each free variable in no open clause doubles the count.  A component
+    is looked up in a bounded cache under the one int
+    `clauses << (num_vars + 1) | variables` (the sharpSAT component key)
+    and, on a miss, counted by branching on its most frequent variable.
     """
 
     def __init__(self, num_vars: int, clauses: list[tuple[int, ...]],
                  deadline: Optional[float] = None,
                  cache_limit: int = DEFAULT_CACHE_LIMIT):
         self.num_vars = num_vars
-        self.clauses = frozenset(clauses)
         self.deadline = deadline
         self.cache_limit = cache_limit
-        self.cache: dict = {}
+        self.cache: dict[int, int] = {}
         self.stats = CounterStats()
-        self._bytes_keys = num_vars <= 120
+        self._key_shift = num_vars + 1
+        self._vars: list[int] = []
+        self._positive: list[int] = []
+        self._occ = [0] * (num_vars + 1)
+        self._sat_pos = [0] * (num_vars + 1)
+        self._sat_neg = [0] * (num_vars + 1)
+        for i, clause in enumerate(clauses):
+            vars_mask = positive = 0
+            for lit in clause:
+                v = abs(lit)
+                vars_mask |= 1 << v
+                self._occ[v] |= 1 << i
+                if lit > 0:
+                    positive |= 1 << v
+                    self._sat_pos[v] |= 1 << i
+                else:
+                    self._sat_neg[v] |= 1 << i
+            self._vars.append(vars_mask)
+            self._positive.append(positive)
 
     def count(self) -> int:
-        used = _vars_of(self.clauses)
-        result = self._count(self.clauses)
+        start = self._start()
+        result = 0 if start is None else self._count_residual(*start)
         self.stats.cache_entries = len(self.cache)
-        return result << (self.num_vars - len(used))
+        return result
 
-    def _key(self, clauses: frozenset):
-        if self._bytes_keys:
-            return b"".join(
-                bytes(lit + 128 for lit in clause) + b"\x00"
-                for clause in sorted(clauses)
-            )
-        return clauses
+    def _start(self) -> Optional[tuple[int, int]]:
+        """The residual (free, open) after the input's unit clauses, or
+        None on a conflict.  Scanning every variable's clauses once finds
+        the unit clauses."""
+        return self._propagate(((1 << self.num_vars) - 1) << 1, (1 << len(self._vars)) - 1,
+                               list(range(1, self.num_vars + 1)))
 
     def _check_budget(self) -> None:
         # node 1 is checked too, so a count started after the deadline
@@ -180,107 +204,121 @@ class ComponentCounter:
                 self.stats.cache_entries = len(self.cache)
                 raise ResourceLimitError("count budget exceeded", stats=self.stats.to_dict())
 
-    def _count(self, clauses: frozenset) -> int:
-        if not clauses:
-            return 1
+    def _propagate(self, free: int, open_: int,
+                   queue: list[int]) -> Optional[tuple[int, int]]:
+        """Propagate units from the just-assigned variables in queue.
+
+        Only the open clauses of an assigned variable can become unit or
+        empty.  A unit is assigned when it is found, so a clause that a
+        later unit closes leaves the scan, and one that a later unit
+        falsifies is found empty when that unit's clauses are scanned.
+        Returns the residual (free, open), or None on a conflict."""
+        vars_of, positive, occ = self._vars, self._positive, self._occ
+        sat_pos, sat_neg = self._sat_pos, self._sat_neg
+        implied = 0
+        while queue:
+            scan = occ[queue.pop()] & open_
+            while scan:
+                low = scan & -scan
+                scan ^= low
+                i = low.bit_length() - 1
+                rest = vars_of[i] & free
+                if rest & (rest - 1):
+                    continue
+                if not rest:
+                    self.stats.propagations += implied
+                    return None
+                v = rest.bit_length() - 1
+                free ^= rest
+                open_ &= ~(sat_pos[v] if positive[i] & rest else sat_neg[v])
+                scan &= open_
+                queue.append(v)
+                implied += 1
+        self.stats.propagations += implied
+        return free, open_
+
+    def _count_residual(self, free: int, open_: int) -> int:
+        """Count a residual over all its free variables: split it into
+        components by breadth-first search over the occurrence masks."""
+        occ, vars_of = self._occ, self._vars
+        touched = 0
+        rest = free
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if occ[low.bit_length() - 1] & open_:
+                touched |= low
+        result = 1 << (free ^ touched).bit_count()
+        parts = []
+        unvisited = touched
+        while unvisited:
+            frontier = unvisited & -unvisited
+            unvisited ^= frontier
+            comp_vars = frontier
+            comp_clauses = 0
+            while frontier:
+                low = frontier & -frontier
+                frontier ^= low
+                new = occ[low.bit_length() - 1] & open_
+                open_ ^= new
+                comp_clauses |= new
+                while new:
+                    low = new & -new
+                    new ^= low
+                    reached = vars_of[low.bit_length() - 1] & unvisited
+                    if reached:
+                        unvisited ^= reached
+                        comp_vars |= reached
+                        frontier |= reached
+            parts.append((comp_vars, comp_clauses))
+        if len(parts) > 1:
+            self.stats.components += len(parts)
+        for comp_vars, comp_clauses in parts:
+            result *= self._count_component(comp_vars, comp_clauses)
+            if not result:
+                break
+        return result
+
+    def _count_component(self, variables: int, clauses: int) -> int:
+        """Count one component over exactly its variables."""
         self.stats.nodes += 1
         self._check_budget()
-        key = self._key(clauses)
+        key = clauses << self._key_shift | variables
         cached = self.cache.get(key)
         if cached is not None:
             self.stats.cache_hits += 1
             return cached
-
-        # fold unit chains without caching the intermediates
-        shift = 0
-        current = clauses
-        result = None
-        while True:
-            unit = next((c[0] for c in current if len(c) == 1), None)
-            if unit is None:
-                break
-            before = len(_vars_of(current))
-            reduced = _simplify(current, unit)
-            self.stats.propagations += 1
-            if reduced is None:
-                result = 0
-                break
-            shift += before - 1 - len(_vars_of(reduced))
-            current = reduced
-
-        if result is None:
-            if not current:
-                result = 1 << shift
-            else:
-                result = self._count_split(current) << shift
-
+        total = 0
+        for state in self._branch(variables, clauses):
+            if state is not None:
+                total += self._count_residual(*state)
         if len(self.cache) >= self.cache_limit:
             self.cache.clear()
             self.stats.cache_evictions += 1
-        self.cache[key] = result
-        return result
-
-    def _count_split(self, clauses: frozenset) -> int:
-        parts = _components(clauses)
-        if len(parts) > 1:
-            self.stats.components += len(parts)
-            result = 1
-            for part in parts:
-                result *= self._count(frozenset(part))
-            return result
-        return self._branch(clauses)
-
-    def _branch(self, clauses: frozenset) -> int:
-        v, before = _branch_variable(clauses)
-        self.stats.decisions += 1
-        total = 0
-        for lit in (v, -v):
-            reduced = _simplify(clauses, lit)
-            if reduced is None:
-                continue
-            total += self._count(reduced) << (before - 1 - len(_vars_of(reduced)))
+        self.cache[key] = total
         return total
 
-
-def _branch_variable(clauses: frozenset) -> tuple[int, int]:
-    """The most frequent variable (lowest id on ties), and the number of
-    distinct variables in the clauses."""
-    freq: dict[int, int] = {}
-    for clause in clauses:
-        for lit in clause:
-            v = abs(lit)
-            freq[v] = freq.get(v, 0) + 1
-    return max(sorted(freq), key=freq.get), len(freq)
-
-
-def _components(clauses: frozenset) -> list[list[tuple[int, ...]]]:
-    """Partition clauses into variable-connected groups (union-find)."""
-    parent: dict[int, int] = {}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for clause in clauses:
-        vs = [abs(lit) for lit in clause]
-        for v in vs:
-            parent.setdefault(v, v)
-        root = find(vs[0])
-        for v in vs[1:]:
-            r = find(v)
-            if r != root:
-                parent[r] = root
-    groups: dict[int, list[tuple[int, ...]]] = {}
-    for clause in clauses:
-        groups.setdefault(find(abs(clause[0])), []).append(clause)
-    return list(groups.values())
+    def _branch(self, free: int, open_: int) -> list[Optional[tuple[int, int]]]:
+        """Decide the variable in the most open clauses (lowest id on
+        ties) both ways: the two propagated residuals, None on conflict."""
+        occ = self._occ
+        v, best = 0, -1
+        rest = free
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            k = (occ[low.bit_length() - 1] & open_).bit_count()
+            if k > best:
+                v, best = low.bit_length() - 1, k
+        self.stats.decisions += 1
+        free ^= 1 << v
+        return [self._propagate(free, open_ & ~satisfied, [v])
+                for satisfied in (self._sat_pos[v], self._sat_neg[v])]
 
 
 def _search(num_vars: int, clauses: list[tuple[int, ...]],
             deadline: Optional[float]) -> tuple[int, CounterStats]:
-    """Run the engine on prepared clauses.  The search recurses once per
+    """Run the engine on prepared clauses.  The search recurses twice per
     decision level, so an instance deeper than the interpreter's stack
     raises ResourceLimitError instead of RecursionError."""
     counter = ComponentCounter(num_vars, clauses, deadline=deadline)
@@ -298,7 +336,7 @@ def _count_remapped(clauses: Iterable[tuple[int, ...]],
                     deadline: Optional[float]) -> tuple[int, dict]:
     """Count a residual clause set over exactly its own variables."""
     clause_list = [tuple(c) for c in clauses]
-    used = sorted(_vars_of(clause_list))
+    used = sorted({abs(lit) for c in clause_list for lit in c})
     remap = {v: i + 1 for i, v in enumerate(used)}
     mapped = [tuple((1 if lit > 0 else -1) * remap[abs(lit)] for lit in c) for c in clause_list]
     value, stats = _search(len(used), mapped, deadline)
@@ -306,34 +344,46 @@ def _count_remapped(clauses: Iterable[tuple[int, ...]],
 
 
 def _split_subproblems(clauses: list[tuple[int, ...]], num_vars: int,
-                       target: int) -> tuple[int, list[tuple[frozenset, int]]]:
+                       target: int) -> tuple[int, list[tuple[tuple[tuple[int, ...], ...], int]]]:
     """Cofactor-expand the instance into independent subproblems.
 
-    Returns (settled, open) where settled already sums the fully decided
-    branches and each open entry (residual, shift) contributes
+    The expansion runs on the engine's (free, open) residuals, branching
+    the one with the most open clauses by the engine's rule.  Returns
+    (settled, open) where settled already sums the fully decided branches
+    and each open entry (residual clauses, shift) contributes
     count-over-own-vars(residual) << shift.  The expansion is exact:
     settled plus those contributions equals the full model count.
     """
-    start = frozenset(clauses)
-    entries = [(start, num_vars - len(_vars_of(start)))]
-    settled = 0
-    while len(entries) < target:
-        entries.sort(key=lambda e: (-len(e[0]), e[1]))
-        split_at = next((i for i, e in enumerate(entries) if e[0]), None)
-        if split_at is None:
-            break
-        clauses_here, shift = entries.pop(split_at)
-        v, before = _branch_variable(clauses_here)
-        for lit in (v, -v):
-            reduced = _simplify(clauses_here, lit)
-            if reduced is None:
-                continue
-            child_shift = shift + (before - 1 - len(_vars_of(reduced)))
-            if not reduced:
-                settled += 1 << child_shift
-            else:
-                entries.append((reduced, child_shift))
-    return settled, entries
+    table = ComponentCounter(num_vars, clauses)
+    settled, entries = 0, []
+
+    def add(state: Optional[tuple[int, int]]) -> None:
+        nonlocal settled
+        if state is None:
+            return
+        free, open_ = state
+        if open_:
+            entries.append(state)
+        else:
+            settled += 1 << free.bit_count()
+
+    add(table._start())
+    while entries and len(entries) < target:
+        free, open_ = entries.pop(max(range(len(entries)),
+                                      key=lambda j: entries[j][1].bit_count()))
+        for state in table._branch(free, open_):
+            add(state)
+    residuals = []
+    for free, open_ in entries:
+        residual, used = [], 0
+        while open_:
+            low = open_ & -open_
+            open_ ^= low
+            i = low.bit_length() - 1
+            residual.append(tuple(lit for lit in clauses[i] if free >> abs(lit) & 1))
+            used |= table._vars[i] & free
+        residuals.append((tuple(residual), free.bit_count() - used.bit_count()))
+    return settled, residuals
 
 
 def _deadline(budget_seconds: Optional[float]) -> Optional[float]:
@@ -359,10 +409,10 @@ def _count_clauses(clauses: Clauses, num_vars: int, *, threads: int = 1,
     settled, open_entries = _split_subproblems(prepared, num_vars, target=4 * threads)
     stats = CounterStats()
     total = settled
-    residuals = [tuple(entry) for entry, _shift in open_entries]
+    residuals = [residual for residual, _shift in open_entries]
     with ProcessPoolExecutor(max_workers=threads) as pool:
         results = pool.map(_count_remapped, residuals, [deadline] * len(residuals))
-        for (value, stat_dict), (_entry, shift) in zip(results, open_entries):
+        for (value, stat_dict), (_residual, shift) in zip(results, open_entries):
             total += value << shift
             stats.merge(CounterStats(**stat_dict))
     return total, stats

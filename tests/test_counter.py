@@ -5,7 +5,7 @@ import time
 from pathlib import Path
 
 import pytest
-from conftest import random_instance
+from conftest import brute_reference, random_instance
 
 import hornenum.counter as counter_module
 from hornenum.counter import (ComponentCounter, CounterStats, count_models,
@@ -17,6 +17,7 @@ from hornenum.oracle import brute_count
 
 STUB = str(Path(__file__).parent / "external_stub.py")
 STUB_CMD = f"{sys.executable} {STUB} {{file}}"
+SLICE_POOL = Path(__file__).parent.parent / "perfbench" / "slice_pool.json"
 
 
 class TestPreprocess:
@@ -37,6 +38,10 @@ class TestPreprocess:
             preprocess([(0,)], 2)
         with pytest.raises(ValueError):
             preprocess([(3,)], 2)
+        with pytest.raises(ValueError):
+            count_models([(1, "a")], 2)
+        with pytest.raises(ValueError):
+            count_models([(True,)], 1)
 
 
 class TestCountModels:
@@ -89,12 +94,42 @@ class TestCounterLaws:
             assert total == (count_models(clauses + [(v,)], num_vars)
                              + count_models(clauses + [(-v,)], num_vars))
 
+    def test_matches_brute_reference_on_denser_instances(self, rng):
+        # up to 10 variables and 20 clauses: long unit chains and
+        # conflicts found deep inside propagation
+        for _ in range(300):
+            num_vars, clauses = random_instance(rng, max_vars=10, max_clauses=20)
+            assert count_models(clauses, num_vars) == brute_reference(clauses, num_vars)
+
     def test_thread_independence(self):
         for n, variant in [(3, Variant.H), (4, Variant.H1), (4, Variant.H01)]:
             instance = encode(n, variant)
             single = count_models(instance, threads=1)
             assert count_models(instance, threads=2) == single
             assert count_models(instance, threads=3) == single
+
+
+class TestWidthSixSlices:
+    """The two easiest slices of the benchmark's verified width-6 pool,
+    counted serially and through the pool split."""
+
+    @pytest.fixture(scope="class")
+    def slices(self):
+        pool = json.loads(SLICE_POOL.read_text())
+        width = pool["width"]
+        chosen = []
+        for entry in pool["slices"]:
+            if entry["bin"] in (0, 1):
+                base = encode(width, Variant.from_name(entry["variant"])).clauses
+                clauses = list(base) + [(unit,) for unit in entry["units"]]
+                chosen.append((clauses, 1 << width, entry["count"]))
+        assert len(chosen) == 2
+        return chosen
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_recorded_counts(self, slices, threads):
+        for clauses, num_vars, expected in slices:
+            assert count_models(clauses, num_vars, threads=threads) == expected
 
 
 class TestEngines:
@@ -177,6 +212,18 @@ class TestDepth:
         finally:
             sys.setrecursionlimit(limit)
         assert count_models(chain, 120) == 121
+
+    def test_long_chain_counts_quickly(self):
+        # each implication is propagated once, not rescanned per level
+        chain = [(-i, i + 1) for i in range(1, 600)]
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)  # the interpreter's default
+        try:
+            start = time.monotonic()
+            assert count_models(chain, 600) == 601
+            assert time.monotonic() - start < 3.0
+        finally:
+            sys.setrecursionlimit(limit)
 
 
 class TestCountVariant:
