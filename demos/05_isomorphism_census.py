@@ -1,9 +1,10 @@
 """Counting theories up to renaming of the variables.
 
 Permuting the n variables permutes the coordinates of every vector, so
-labeled families fall into orbits.  The census computes a canonical form
-per family and tallies the classes; orbit sizes must divide n! and sum
-to the labeled count, which makes for a sharp self-check.
+labeled families fall into orbits.  The census takes each family not yet
+seen, collects its images under all n! permutations as one orbit, and
+tallies the classes; orbit sizes must divide n! and sum to the labeled
+count, which makes for a sharp self-check.
 
 The h1 and h01 rows match the public integer-sequence database entries
 A108798 and A108799.

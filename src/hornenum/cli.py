@@ -239,7 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run the cross-validation matrix")
     p_verify.add_argument("--n-max", type=int, default=4)
     p_verify.add_argument("--threads", type=int, default=1)
-    p_verify.add_argument("--budget-seconds", type=float, default=DEFAULT_BUDGET_SECONDS)
+    p_verify.add_argument("--budget-seconds", type=float, default=DEFAULT_BUDGET_SECONDS,
+                          help="wall-clock budget for the whole run; 0 disables")
     p_verify.add_argument("--skip-orbits", action="store_true",
                           help="skip the isomorphism census")
     p_verify.add_argument("--json", action="store_true")

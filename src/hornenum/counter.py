@@ -20,12 +20,8 @@ from __future__ import annotations
 
 import os
 import re
-import shlex
-import subprocess
 import sys
-import tempfile
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from typing import Iterable, Optional, Sequence, Union
 
@@ -406,6 +402,7 @@ def _count_clauses(clauses: Clauses, num_vars: int, *, threads: int = 1,
     if threads == 1:
         return _search(num_vars, prepared, deadline)
 
+    from concurrent.futures import ProcessPoolExecutor
     settled, open_entries = _split_subproblems(prepared, num_vars, target=4 * threads)
     stats = CounterStats()
     total = settled
@@ -451,6 +448,10 @@ def run_external_counter(instance: CnfInstance, command: Optional[str] = None,
     path is appended.  The pattern must match somewhere in stdout, with
     the count in group 1 (or the whole match).
     """
+    import shlex
+    import subprocess
+    import tempfile
+
     command = command or os.environ.get(EXTERNAL_CMD_ENV)
     if not command:
         raise ExternalToolError(

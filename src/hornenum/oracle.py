@@ -2,14 +2,16 @@
 
 Every family of width-n vectors is one subset of {0,1}^n, so for n <= 4
 all 2^(2^n) of them can be visited directly: a subset is held as a mask
-with bit v set when vector v belongs to the family, closure is checked
-pair by pair, and the variant endpoint rules are two bit tests.  Nothing
-here shares code with the clause encoding or the counting search; that
-independence is the point.
+with bit v set when vector v belongs to the family, and the variant
+endpoint rules are two bit tests.  Nothing here shares code with the
+clause encoding or the counting search; that independence is the point.
 
-Isomorphism classes are found the blunt way: the canonical form of a
-family is the lexicographic minimum, over all n! variable permutations,
-of its sorted member list.
+Maps on vectors act on masks through lifted tables, one 256-entry table
+per byte of the mask.  One scan over all masks keeps the closed ones:
+for each member r, meeting every member with r must stay inside the
+mask.  The isomorphism census walks those masks in order and expands
+each one not yet seen into its orbit, its images under the n! variable
+permutations.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from math import factorial
 from typing import Iterator
 
 from .errors import ResourceLimitError
-from .families import Variant, VectorFamily
+from .families import VARIANTS, Variant, VectorFamily
 
 #: Full family enumeration is 2^(2^n) subsets; n=5 would be 2^32.
 ORACLE_CAP = 4
@@ -44,53 +46,73 @@ def _mask_members(mask: int) -> list[int]:
     return members
 
 
-def _is_closed_mask(mask: int) -> bool:
-    """Meet closure on a subset mask: every pairwise AND of members is a
-    member.  Identical to families.is_meet_closed, restated on masks so
-    this module stays self-contained in its hot loop."""
-    members = _mask_members(mask)
-    for i, r in enumerate(members):
-        for s in members[i + 1:]:
-            if not (mask >> (r & s)) & 1:
-                return False
-    return True
+def _lift(image: list[int]) -> tuple[tuple[int, ...], ...]:
+    """Lift a map on the 2^n vectors (vector v goes to image[v]) to subset
+    masks: one table per byte of the mask, whose entry x is the image
+    mask of the vectors that the set bits of x stand for.  Each entry is
+    its lower bits' entry plus the image of its highest bit."""
+    tables = []
+    for base in range(0, len(image), 8):
+        chunk = image[base:base + 8]
+        table = [0] * (1 << len(chunk))
+        for x in range(1, len(table)):
+            high = x.bit_length() - 1
+            table[x] = table[x ^ (1 << high)] | 1 << chunk[high]
+        tables.append(tuple(table))
+    return tuple(tables)
+
+
+def _apply(lifted: tuple[tuple[int, ...], ...], mask: int) -> int:
+    """The image of a subset mask under a lifted vector map."""
+    image = 0
+    for table in lifted:
+        image |= table[mask & 0xFF]
+        mask >>= 8
+    return image
 
 
 @lru_cache(maxsize=None)
-def _variant_counts_cached(n: int) -> dict:
-    ones_bit = (1 << n) - 1
-    h = h0 = h1 = h01 = 0
-    for mask in range(1 << (1 << n)):
-        if not _is_closed_mask(mask):
-            continue
-        h01 += 1
-        has_zero = mask & 1
-        has_ones = (mask >> ones_bit) & 1
-        if has_zero:
-            h0 += 1
-        if has_ones:
-            h1 += 1
-        if has_zero and has_ones:
-            h += 1
-    return {Variant.H: h, Variant.H0: h0, Variant.H1: h1, Variant.H01: h01}
+def _meet_maps(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """For each vector r, the lifted map v -> v AND r."""
+    size = 1 << n
+    return tuple(_lift([v & r for v in range(size)]) for r in range(size))
 
 
-def variant_counts(n: int) -> dict:
-    """All four variant counts from one pass over every subset."""
-    _require_small(n)
-    return dict(_variant_counts_cached(n))
-
-
-def brute_count(n: int, variant: Variant) -> int:
-    """Number of families of the variant, by visiting every subset."""
-    if isinstance(variant, str):
-        variant = Variant.from_name(variant)
-    return variant_counts(n)[variant]
+@lru_cache(maxsize=None)
+def _permutation_maps(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """For each permutation of variable positions, the lifted map it
+    induces on vector values.  Position 0 is x1 (most significant bit)."""
+    maps = []
+    for perm in itertools.permutations(range(n)):
+        image = []
+        for value in range(1 << n):
+            moved = 0
+            for new_pos in range(n):
+                bit = (value >> (n - 1 - perm[new_pos])) & 1
+                moved |= bit << (n - 1 - new_pos)
+            image.append(moved)
+        maps.append(_lift(image))
+    return tuple(maps)
 
 
 @lru_cache(maxsize=None)
 def _closed_masks(n: int) -> tuple[int, ...]:
-    return tuple(mask for mask in range(1 << (1 << n)) if _is_closed_mask(mask))
+    """Every meet-closed subset mask, in ascending order.  A mask is
+    closed when, for each member r, meeting every member with r stays
+    inside the mask: the pairwise test of families.is_meet_closed, one
+    member at a time."""
+    meets = _meet_maps(n)
+    closed = []
+    for mask in range(1 << (1 << n)):
+        rest = mask
+        while rest:
+            low = rest & -rest
+            if _apply(meets[low.bit_length() - 1], mask) & ~mask:
+                break
+            rest ^= low
+        else:
+            closed.append(mask)
+    return tuple(closed)
 
 
 def _variant_masks(n: int, variant: Variant) -> Iterator[int]:
@@ -105,6 +127,20 @@ def _variant_masks(n: int, variant: Variant) -> Iterator[int]:
         yield mask
 
 
+def variant_counts(n: int) -> dict:
+    """All four variant counts from the one pass over every subset."""
+    _require_small(n)
+    return {variant: sum(1 for _ in _variant_masks(n, variant))
+            for variant in VARIANTS}
+
+
+def brute_count(n: int, variant: Variant) -> int:
+    """Number of families of the variant, by visiting every subset."""
+    if isinstance(variant, str):
+        variant = Variant.from_name(variant)
+    return variant_counts(n)[variant]
+
+
 def enumerate_families(n: int, variant: Variant) -> Iterator[VectorFamily]:
     """The families brute_count counts, in ascending subset-mask order."""
     if isinstance(variant, str):
@@ -112,26 +148,6 @@ def enumerate_families(n: int, variant: Variant) -> Iterator[VectorFamily]:
     _require_small(n)
     for mask in _variant_masks(n, variant):
         yield VectorFamily(n, _mask_members(mask))
-
-
-def _permutation_tables(n: int) -> list[list[int]]:
-    """For each permutation of variable positions, the induced map on
-    vector values.  Position 0 is x1 (most significant bit)."""
-    tables = []
-    for perm in itertools.permutations(range(n)):
-        table = []
-        for value in range(1 << n):
-            image = 0
-            for new_pos in range(n):
-                bit = (value >> (n - 1 - perm[new_pos])) & 1
-                image |= bit << (n - 1 - new_pos)
-            table.append(image)
-        tables.append(table)
-    return tables
-
-
-def _canonical_members(members: list[int], tables: list[list[int]]) -> tuple[int, ...]:
-    return min(tuple(sorted(table[v] for v in members)) for table in tables)
 
 
 @dataclass(frozen=True)
@@ -157,26 +173,32 @@ class OrbitSummary:
 def orbit_summary(n: int, variant: Variant) -> OrbitSummary:
     """Group the variant's families into orbits under variable permutation.
 
-    Families are keyed by canonical form; orbit sizes necessarily divide
-    n! and sum back to the labeled count.
+    Masks are visited in ascending order; each one not yet seen starts a
+    new orbit, the set of its images under the n! permutations.  Orbit
+    sizes must divide n!, and they sum to the labeled count only if no
+    permutation ever leaves the variant.
     """
     if isinstance(variant, str):
         variant = Variant.from_name(variant)
     _require_small(n)
-    tables = _permutation_tables(n)
-    sizes: dict[tuple[int, ...], int] = {}
+    perms = _permutation_maps(n)
+    group_order = factorial(n)
+    seen: set[int] = set()
+    sizes = []
     labeled = 0
     for mask in _variant_masks(n, variant):
         labeled += 1
-        key = _canonical_members(_mask_members(mask), tables)
-        sizes[key] = sizes.get(key, 0) + 1
-    group_order = factorial(n)
-    for key, size in sizes.items():
-        if group_order % size != 0:
+        if mask in seen:
+            continue
+        orbit = {_apply(perm, mask) for perm in perms}
+        if group_order % len(orbit) != 0:
             raise AssertionError(
-                f"orbit size {size} does not divide {n}! = {group_order} (orbit {key})")
+                f"orbit size {len(orbit)} does not divide {n}! = {group_order} "
+                f"(orbit of mask {mask:#x})")
+        seen |= orbit
+        sizes.append(len(orbit))
     return OrbitSummary(n, variant, labeled, len(sizes),
-                        tuple(sorted(sizes.values(), reverse=True)))
+                        tuple(sorted(sizes, reverse=True)))
 
 
 def nonisomorphic_count(n: int, variant: Variant) -> int:

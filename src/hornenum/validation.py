@@ -22,9 +22,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .counter import DEFAULT_BUDGET_SECONDS, count_variant
+from .errors import ResourceLimitError
 from .families import VARIANTS, Variant
 from .identities import binomial
-from .oracle import ORACLE_CAP, brute_count, orbit_summary
+from .oracle import ORACLE_CAP, OrbitSummary, brute_count, orbit_summary
 
 #: Published reference counts, n = 0..6.  h0 and h01 references derive
 #: from these by doubling (h0 only for n >= 1; h0(0) = 1, h01(0) = 2).
@@ -119,19 +120,41 @@ def verify_matrix(n_max: int, *, threads: int = 1,
     the doubling and binomial-sum relations over dpll counts; and the
     orbit census with its sanity laws plus the warning-level comparison
     against the published sequence prefixes.
+
+    budget_seconds bounds the whole run, not each count: every count gets
+    only the time left, and ResourceLimitError is raised once it is spent.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be nonnegative, got {n_max}")
     run = VerifyRun(n_max)
+    deadline = None if budget_seconds is None else time.monotonic() + budget_seconds
     dpll_cache: dict[tuple[Variant, int], int] = {}
+    census_cache: dict[tuple[Variant, int], OrbitSummary] = {}
+
+    def time_left() -> Optional[float]:
+        if deadline is None:
+            return None
+        left = deadline - time.monotonic()
+        if left <= 0:
+            raise ResourceLimitError(
+                f"verify budget of {budget_seconds}s exceeded after "
+                f"{len(run.checks)} checks")
+        return left
 
     def dpll(variant: Variant, n: int) -> int:
         key = (variant, n)
         if key not in dpll_cache:
             dpll_cache[key] = count_variant(
                 n, variant, "dpll", threads=threads,
-                budget_seconds=budget_seconds).count
+                budget_seconds=time_left()).count
         return dpll_cache[key]
+
+    def census(variant: Variant, n: int) -> OrbitSummary:
+        key = (variant, n)
+        if key not in census_cache:
+            time_left()
+            census_cache[key] = orbit_summary(n, variant)
+        return census_cache[key]
 
     def record(name: str, expected, actual, warning: bool = False,
                elapsed: float = 0.0) -> None:
@@ -146,6 +169,7 @@ def verify_matrix(n_max: int, *, threads: int = 1,
     for n in range(min(n_max, ORACLE_CAP) + 1):
         for variant in VARIANTS:
             t0 = time.monotonic()
+            time_left()
             expected = brute_count(n, variant)
             actual = dpll(variant, n)
             record(f"oracle vs dpll: {variant.value}({n})", expected, actual,
@@ -184,7 +208,7 @@ def verify_matrix(n_max: int, *, threads: int = 1,
         for n in range(min(n_max, ORACLE_CAP) + 1):
             for variant in VARIANTS:
                 t0 = time.monotonic()
-                summary = orbit_summary(n, variant)
+                summary = census(variant, n)
                 record(f"orbit sizes sum: {variant.value}({n})",
                        brute_count(n, variant), sum(summary.orbit_sizes),
                        elapsed=time.monotonic() - t0)
@@ -192,7 +216,7 @@ def verify_matrix(n_max: int, *, threads: int = 1,
             for n in range(min(n_max, ORACLE_CAP, len(prefix) - 1) + 1):
                 t0 = time.monotonic()
                 record(f"published sequence {seq_id}: {variant.value}({n}) orbits",
-                       prefix[n], orbit_summary(n, variant).orbit_count,
+                       prefix[n], census(variant, n).orbit_count,
                        warning=True, elapsed=time.monotonic() - t0)
 
     return run

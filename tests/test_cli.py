@@ -236,6 +236,10 @@ class TestVerify:
         assert "FAIL" in out
         assert "expected" in out
 
+    def test_budget_bounds_the_run(self, capsys):
+        assert main(["verify", "--n-max", "5", "--budget-seconds", "0.01"]) == 3
+        assert "resource limit" in capsys.readouterr().err
+
 
 class TestUsage:
     def test_no_subcommand(self):

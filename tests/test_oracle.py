@@ -1,12 +1,32 @@
+import itertools
 import math
 
 import pytest
 
+import hornenum.validation as validation
 from hornenum.errors import ResourceLimitError
 from hornenum.families import Variant, VectorFamily, variant_member
-from hornenum.oracle import (brute_count, enumerate_families,
+from hornenum.oracle import (OrbitSummary, brute_count, enumerate_families,
                              nonisomorphic_count, orbit_summary,
                              variant_counts)
+
+
+def reference_orbit_summary(n, variant):
+    """The census by canonical form: a family's class is the lexicographic
+    minimum, over all n! variable permutations, of its sorted member list."""
+    tables = []
+    for perm in itertools.permutations(range(n)):
+        tables.append([sum(((value >> (n - 1 - perm[pos])) & 1) << (n - 1 - pos)
+                           for pos in range(n))
+                       for value in range(1 << n)])
+    sizes = {}
+    labeled = 0
+    for family in enumerate_families(n, variant):
+        labeled += 1
+        key = min(tuple(sorted(table[v] for v in family.values)) for table in tables)
+        sizes[key] = sizes.get(key, 0) + 1
+    return OrbitSummary(n, variant, labeled, len(sizes),
+                        tuple(sorted(sizes.values(), reverse=True)))
 
 
 class TestBruteCount:
@@ -67,7 +87,7 @@ class TestEnumerateFamilies:
     def test_exhaustive_against_membership_predicate(self):
         # every subset of {0,1}^n is classified the same way by the mask
         # sweep and by the public membership predicate
-        for n in range(3):
+        for n in range(4):
             for variant in Variant:
                 from_masks = {f.values for f in enumerate_families(n, variant)}
                 from_predicate = set()
@@ -113,6 +133,23 @@ class TestNonisomorphic:
     def test_cap(self):
         with pytest.raises(ResourceLimitError):
             orbit_summary(5, Variant.H1)
+
+    def test_matches_canonical_form_reference(self):
+        for n in range(5):
+            for variant in Variant:
+                assert orbit_summary(n, variant) == reference_orbit_summary(n, variant)
+
+    def test_verify_matrix_takes_each_census_once(self, monkeypatch):
+        calls = []
+
+        def spy(n, variant):
+            calls.append((n, variant))
+            return orbit_summary(n, variant)
+
+        monkeypatch.setattr(validation, "orbit_summary", spy)
+        assert validation.verify_matrix(4).passed
+        assert len(calls) == 20
+        assert set(calls) == {(n, variant) for n in range(5) for variant in Variant}
 
 
 class TestContainment:

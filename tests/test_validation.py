@@ -1,6 +1,10 @@
 import json
+import time
+
+import pytest
 
 import hornenum.validation as validation
+from hornenum.errors import ResourceLimitError
 from hornenum.families import Variant
 from hornenum.validation import (CheckResult, reference_count, verify_matrix)
 
@@ -64,6 +68,34 @@ class TestVerifyMatrix:
         assert run.failures
         failure = run.failures[0]
         assert failure.expected != failure.actual
+
+    def test_budget_bounds_the_whole_run(self, monkeypatch):
+        budgets = []
+        real = validation.count_variant
+
+        def spy(n, variant, method, **kwargs):
+            budgets.append(kwargs["budget_seconds"])
+            return real(n, variant, method, **kwargs)
+
+        monkeypatch.setattr(validation, "count_variant", spy)
+        assert verify_matrix(3, budget_seconds=60.0).passed
+        # each count gets only what the counts before it left over
+        assert budgets[-1] < budgets[0] <= 60.0
+        assert all(later <= earlier for earlier, later in zip(budgets, budgets[1:]))
+
+    def test_spent_budget_stops_the_run(self, monkeypatch):
+        widths = []
+        real = validation.count_variant
+
+        def spy(n, variant, method, **kwargs):
+            widths.append(n)
+            time.sleep(0.01)  # the first count spends the whole budget
+            return real(n, variant, method, **kwargs)
+
+        monkeypatch.setattr(validation, "count_variant", spy)
+        with pytest.raises(ResourceLimitError):
+            verify_matrix(5, budget_seconds=0.01)
+        assert widths == [0]
 
     def test_serializes(self):
         run = verify_matrix(1)
