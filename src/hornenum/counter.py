@@ -5,15 +5,17 @@ propagation that splits each residual into connected components,
 multiplies their counts, and memoizes components under a bounded cache
 (the component-caching design of sharpSAT).  A residual is a pair of
 bitmasks over a static clause table, its free variables and its open
-clauses, so the search loops touch only ints.  The `dpll` method name
-refers to this search.
+clauses, so the search loops touch only ints.  One breadth-first pass
+over a residual's free variables finds its components.  The `dpll`
+method name refers to this search.
 
 Counts are over ALL declared variables, so a variable appearing in no
 clause doubles the count.  There is deliberately no pure-literal rule:
 fixing a pure literal preserves satisfiability but loses models.
 
 A budget is one absolute deadline for the whole count, shared by every
-pool worker and every sub-count of an identity derivation.
+pool worker and every sub-count of an identity derivation.  Each engine
+run reads it on entry and then every 2048 nodes.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from typing import Iterable, Optional, Sequence, Union
 from .encoder import ENCODE_CAP, CnfInstance, emit_dimacs, encode
 from .errors import ExternalToolError, ResourceLimitError
 from .families import Variant
-from .identities import binomial, inverse_binomial_sum
+from .identities import binomial_sum, doubling, inverse_binomial_sum
 
 #: Default wall-clock budget per count, seconds.
 DEFAULT_BUDGET_SECONDS = 600.0
@@ -180,9 +182,20 @@ class ComponentCounter:
             self._positive.append(positive)
 
     def count(self) -> int:
-        start = self._start()
-        result = 0 if start is None else self._count_residual(*start)
+        """The model count.  A deadline already past on entry (a queued
+        pool job, an instance its unit clauses settle) or reached later,
+        and a search deeper than the interpreter's stack (two frames per
+        decision level), raise ResourceLimitError."""
+        self._check_budget()
+        try:
+            start = self._start()
+            result = 0 if start is None else self._count_residual(*start)
+        except RecursionError:
+            raise ResourceLimitError(
+                f"search deeper than the recursion limit ({sys.getrecursionlimit()}) "
+                f"on {self.num_vars} variables", stats=self.stats.to_dict()) from None
         self.stats.cache_entries = len(self.cache)
+        self.stats.subproblems = 1
         return result
 
     def _start(self) -> Optional[tuple[int, int]]:
@@ -193,12 +206,9 @@ class ComponentCounter:
                                list(range(1, self.num_vars + 1)))
 
     def _check_budget(self) -> None:
-        # node 1 is checked too, so a count started after the deadline
-        # (a queued pool job, a later identity sub-count) stops at once
-        if self.deadline is not None and self.stats.nodes % 2048 == 1:
-            if time.monotonic() > self.deadline:
-                self.stats.cache_entries = len(self.cache)
-                raise ResourceLimitError("count budget exceeded", stats=self.stats.to_dict())
+        if self.deadline is not None and time.monotonic() > self.deadline:
+            self.stats.cache_entries = len(self.cache)
+            raise ResourceLimitError("count budget exceeded", stats=self.stats.to_dict())
 
     def _propagate(self, free: int, open_: int,
                    queue: list[int]) -> Optional[tuple[int, int]]:
@@ -235,18 +245,13 @@ class ComponentCounter:
 
     def _count_residual(self, free: int, open_: int) -> int:
         """Count a residual over all its free variables: split it into
-        components by breadth-first search over the occurrence masks."""
+        components by one breadth-first search over the occurrence masks.
+        A variable in no open clause is a component without clauses; it
+        doubles the count and is not searched."""
         occ, vars_of = self._occ, self._vars
-        touched = 0
-        rest = free
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            if occ[low.bit_length() - 1] & open_:
-                touched |= low
-        result = 1 << (free ^ touched).bit_count()
+        result = 1
         parts = []
-        unvisited = touched
+        unvisited = free
         while unvisited:
             frontier = unvisited & -unvisited
             unvisited ^= frontier
@@ -266,7 +271,10 @@ class ComponentCounter:
                         unvisited ^= reached
                         comp_vars |= reached
                         frontier |= reached
-            parts.append((comp_vars, comp_clauses))
+            if comp_clauses:
+                parts.append((comp_vars, comp_clauses))
+            else:
+                result <<= 1
         if len(parts) > 1:
             self.stats.components += len(parts)
         for comp_vars, comp_clauses in parts:
@@ -278,7 +286,8 @@ class ComponentCounter:
     def _count_component(self, variables: int, clauses: int) -> int:
         """Count one component over exactly its variables."""
         self.stats.nodes += 1
-        self._check_budget()
+        if self.stats.nodes % 2048 == 0:
+            self._check_budget()
         key = clauses << self._key_shift | variables
         cached = self.cache.get(key)
         if cached is not None:
@@ -312,22 +321,6 @@ class ComponentCounter:
                 for satisfied in (self._sat_pos[v], self._sat_neg[v])]
 
 
-def _search(num_vars: int, clauses: list[tuple[int, ...]],
-            deadline: Optional[float]) -> tuple[int, CounterStats]:
-    """Run the engine on prepared clauses.  The search recurses twice per
-    decision level, so an instance deeper than the interpreter's stack
-    raises ResourceLimitError instead of RecursionError."""
-    counter = ComponentCounter(num_vars, clauses, deadline=deadline)
-    try:
-        value = counter.count()
-    except RecursionError:
-        raise ResourceLimitError(
-            f"search deeper than the recursion limit ({sys.getrecursionlimit()}) "
-            f"on {num_vars} variables", stats=counter.stats.to_dict()) from None
-    counter.stats.subproblems = 1
-    return value, counter.stats
-
-
 def _count_remapped(clauses: Iterable[tuple[int, ...]],
                     deadline: Optional[float]) -> tuple[int, dict]:
     """Count a residual clause set over exactly its own variables."""
@@ -335,8 +328,8 @@ def _count_remapped(clauses: Iterable[tuple[int, ...]],
     used = sorted({abs(lit) for c in clause_list for lit in c})
     remap = {v: i + 1 for i, v in enumerate(used)}
     mapped = [tuple((1 if lit > 0 else -1) * remap[abs(lit)] for lit in c) for c in clause_list]
-    value, stats = _search(len(used), mapped, deadline)
-    return value, stats.to_dict()
+    counter = ComponentCounter(len(used), mapped, deadline=deadline)
+    return counter.count(), counter.stats.to_dict()
 
 
 def _split_subproblems(clauses: list[tuple[int, ...]], num_vars: int,
@@ -400,7 +393,8 @@ def _count_clauses(clauses: Clauses, num_vars: int, *, threads: int = 1,
     if prepared is None:
         return 0, CounterStats()
     if threads == 1:
-        return _search(num_vars, prepared, deadline)
+        counter = ComponentCounter(num_vars, prepared, deadline=deadline)
+        return counter.count(), counter.stats
 
     from concurrent.futures import ProcessPoolExecutor
     settled, open_entries = _split_subproblems(prepared, num_vars, target=4 * threads)
@@ -495,8 +489,7 @@ def count_variant(n: int, variant: Variant, method: str = "dpll", *,
     external shells out to a configured tool.  All four must agree
     wherever more than one applies.
     """
-    if isinstance(variant, str):
-        variant = Variant.from_name(variant)
+    variant = Variant.from_name(variant)
     if method == "identity-derived":
         method = "identity"
     if method not in METHODS:
@@ -536,11 +529,11 @@ def count_variant(n: int, variant: Variant, method: str = "dpll", *,
             raise ValueError(
                 "no identity derives the h0 count at n=0: the all-ones and "
                 "all-zeros vectors coincide there, so the h0/h doubling fails")
-        value = 2 * dpll_count(n, Variant.H)
+        value = doubling(dpll_count(n, Variant.H))
     elif variant is Variant.H01:
-        value = 2 * dpll_count(n, Variant.H1)
+        value = doubling(dpll_count(n, Variant.H1))
     elif variant is Variant.H1:
-        value = sum(binomial(n, k) * dpll_count(k, Variant.H) for k in range(n + 1))
+        value = binomial_sum([dpll_count(k, Variant.H) for k in range(n + 1)])
     else:
         # h has no doubling source; invert the h1 binomial sum instead
         h1 = [dpll_count(k, Variant.H1) for k in range(n + 1)]

@@ -71,6 +71,7 @@ def encode(n: int, variant: Variant, cap: int = ENCODE_CAP) -> CnfInstance:
         raise ValueError(f"n must be nonnegative, got {n}")
     if n > cap:
         raise ResourceLimitError(f"encoding cap is n <= {cap}, got {n}")
+    variant = Variant.from_name(variant)
     size = 1 << n
 
     unit_ids = []

@@ -43,7 +43,10 @@ class Variant(Enum):
         return self in (Variant.H, Variant.H0)
 
     @classmethod
-    def from_name(cls, name: str) -> "Variant":
+    def from_name(cls, name: Union[str, "Variant"]) -> "Variant":
+        """The variant a name stands for, in any case; a Variant passes."""
+        if isinstance(name, cls):
+            return name
         try:
             return cls(name.lower())
         except ValueError:

@@ -24,7 +24,7 @@ from typing import Callable, Optional
 from .counter import DEFAULT_BUDGET_SECONDS, count_variant
 from .errors import ResourceLimitError
 from .families import VARIANTS, Variant
-from .identities import binomial
+from .identities import binomial_sum, doubling
 from .oracle import ORACLE_CAP, OrbitSummary, brute_count, orbit_summary
 
 #: Published reference counts, n = 0..6.  h0 and h01 references derive
@@ -45,8 +45,7 @@ VERIFY_DPLL_CAP = 5
 
 def reference_count(variant: Variant, n: int) -> Optional[int]:
     """Published (or doubling-derived) reference value, None if unknown."""
-    if isinstance(variant, str):
-        variant = Variant.from_name(variant)
+    variant = Variant.from_name(variant)
     if not 0 <= n < len(REFERENCE_H):
         return None
     if variant is Variant.H:
@@ -188,21 +187,21 @@ def verify_matrix(n_max: int, *, threads: int = 1,
         t0 = time.monotonic()
         if n >= 1:
             record(f"doubling: h0({n}) = 2 h({n})",
-                   2 * dpll(Variant.H, n), dpll(Variant.H0, n),
+                   doubling(dpll(Variant.H, n)), dpll(Variant.H0, n),
                    elapsed=time.monotonic() - t0)
         t0 = time.monotonic()
         record(f"doubling: h01({n}) = 2 h1({n})",
-               2 * dpll(Variant.H1, n), dpll(Variant.H01, n),
+               doubling(dpll(Variant.H1, n)), dpll(Variant.H01, n),
                elapsed=time.monotonic() - t0)
         t0 = time.monotonic()
         h_base = [dpll(Variant.H, k) for k in range(n + 1)]
         record(f"binomial sum: h1({n}) from h(0..{n})",
-               sum(binomial(n, k) * h_base[k] for k in range(n + 1)),
-               dpll(Variant.H1, n), elapsed=time.monotonic() - t0)
+               binomial_sum(h_base), dpll(Variant.H1, n),
+               elapsed=time.monotonic() - t0)
         t0 = time.monotonic()
         record(f"binomial sum: h01({n}) from doubled h(0..{n})",
-               sum(binomial(n, k) * 2 * h_base[k] for k in range(n + 1)),
-               dpll(Variant.H01, n), elapsed=time.monotonic() - t0)
+               binomial_sum([doubling(h) for h in h_base]), dpll(Variant.H01, n),
+               elapsed=time.monotonic() - t0)
 
     if include_nonisomorphic:
         for n in range(min(n_max, ORACLE_CAP) + 1):

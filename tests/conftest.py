@@ -5,9 +5,13 @@ all assignments, written without touching any package internals, so
 counter results are always checked against an independent computation.
 """
 
+import os
 import random
+from pathlib import Path
 
 import pytest
+
+import hornenum
 
 
 def brute_reference(clauses, num_vars):
@@ -32,6 +36,15 @@ def random_instance(rng, max_vars=6, max_clauses=8, max_width=3):
                      for _ in range(width))
         clauses.append(lits)
     return num_vars, clauses
+
+
+def package_env():
+    """The environment for a subprocess that must import this package."""
+    package_root = str(Path(hornenum.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [package_root] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return env
 
 
 @pytest.fixture

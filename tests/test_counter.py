@@ -169,7 +169,14 @@ class TestBudget:
                                    deadline=time.monotonic() - 1)
         with pytest.raises(ResourceLimitError) as err:
             counter.count()
-        assert err.value.stats["nodes"] == 1
+        assert err.value.stats["nodes"] == 0
+
+    @pytest.mark.parametrize("n", range(5))
+    def test_spent_budget_raises_at_every_width(self, n):
+        # at n <= 2 the unit clauses settle the instance before any node
+        for variant in Variant:
+            with pytest.raises(ResourceLimitError):
+                count_variant(n, variant, budget_seconds=-1)
 
     def test_no_budget(self):
         assert count_models(encode(3, Variant.H), budget_seconds=None) == 45
@@ -227,6 +234,17 @@ class TestDepth:
 
 
 class TestCountVariant:
+    @pytest.mark.parametrize("variant, expected", [
+        ("h", dict(nodes=16322, decisions=8436, propagations=17934, components=5054,
+                   cache_hits=7886, cache_entries=8436)),
+        ("h1", dict(nodes=16413, decisions=8486, propagations=18222, components=5054,
+                    cache_hits=7927, cache_entries=8486)),
+    ])
+    def test_width_five_search_stats(self, variant, expected):
+        # the exact search effort: a change here is a different search
+        report = count_variant(5, variant)
+        assert report.stats.to_dict() == dict(expected, cache_evictions=0, subproblems=1)
+
     @pytest.mark.parametrize("n", range(4))
     def test_methods_agree(self, n):
         for variant in Variant:

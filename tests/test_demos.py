@@ -1,13 +1,11 @@
 """Every demo runs to completion as a script."""
 
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
-
-import hornenum
+from conftest import package_env
 
 DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
 
@@ -21,11 +19,7 @@ def test_demos_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
 def test_demo_runs(demo):
-    package_root = str(Path(hornenum.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [package_root] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     proc = subprocess.run([sys.executable, str(demo), *ARGS.get(demo.name, [])],
-                          capture_output=True, text=True, env=env, timeout=120)
+                          capture_output=True, text=True, env=package_env(), timeout=120)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout

@@ -56,6 +56,11 @@ class TestEncode:
         with pytest.raises(ValueError):
             encode(-1, Variant.H)
 
+    def test_variant_by_name(self):
+        assert encode(3, "h") == encode(3, Variant.H)
+        with pytest.raises(ValueError):
+            encode(3, "hx")
+
     @pytest.mark.parametrize("n", range(5))
     def test_ternary_count_matches_pair_enumeration(self, n):
         for variant in Variant:

@@ -199,6 +199,7 @@ class TestVariantMember:
 
     def test_variant_names(self):
         assert Variant.from_name("H01") is Variant.H01
+        assert Variant.from_name(Variant.H0) is Variant.H0
         with pytest.raises(ValueError):
             Variant.from_name("h2")
 

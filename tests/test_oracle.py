@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+import hornenum.oracle as oracle
 import hornenum.validation as validation
 from hornenum.errors import ResourceLimitError
 from hornenum.families import Variant, VectorFamily, variant_member
@@ -27,6 +28,22 @@ def reference_orbit_summary(n, variant):
         sizes[key] = sizes.get(key, 0) + 1
     return OrbitSummary(n, variant, labeled, len(sizes),
                         tuple(sorted(sizes.values(), reverse=True)))
+
+
+def reference_closed_masks(n):
+    """Every meet-closed subset mask, by scanning all 2^(2^n) of them."""
+    closed = []
+    for mask in range(1 << (1 << n)):
+        members = [v for v in range(1 << n) if mask >> v & 1]
+        if all(mask >> (r & s) & 1 for r in members for s in members):
+            closed.append(mask)
+    return tuple(closed)
+
+
+class TestClosedMasks:
+    @pytest.mark.parametrize("n", range(5))
+    def test_pairing_halves_matches_full_scan(self, n):
+        assert oracle._closed_masks(n) == reference_closed_masks(n)
 
 
 class TestBruteCount:
