@@ -3,8 +3,8 @@
 At n = 6 the instance has 64 predicates and 1351 ternary clauses.  The
 search decomposes residual subproblems into independent parts and
 caches repeated ones; that is enough to finish h1(6) = 75,973,751,474
-in about 8 minutes (460 s on one core of a 2-vCPU Xeon) at a peak RSS
-of 0.59 GB.
+in under 7 minutes (390 s on one core of a 2-vCPU Xeon) at a peak RSS
+of 0.59 GB; h(6) takes 409 s.
 
 Run with a finite budget first to see the partial statistics report.
 """

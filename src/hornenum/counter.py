@@ -25,7 +25,7 @@ import re
 import sys
 import time
 from dataclasses import dataclass, field, fields
-from typing import Iterable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .encoder import ENCODE_CAP, CnfInstance, emit_dimacs, encode
 from .errors import ExternalToolError, ResourceLimitError
@@ -181,15 +181,17 @@ class ComponentCounter:
             self._vars.append(vars_mask)
             self._positive.append(positive)
 
-    def count(self) -> int:
-        """The model count.  A deadline already past on entry (a queued
-        pool job, an instance its unit clauses settle) or reached later,
-        and a search deeper than the interpreter's stack (two frames per
-        decision level), raise ResourceLimitError."""
+    def count(self, residual: Optional[tuple[int, int]] = None) -> int:
+        """The model count of a residual (free, open) of this table, by
+        default the whole instance.  A deadline already past on entry (a
+        queued pool job, an instance its unit clauses settle) or reached
+        later, and a search deeper than the interpreter's stack (two frames
+        per decision level), raise ResourceLimitError."""
         self._check_budget()
         try:
-            start = self._start()
-            result = 0 if start is None else self._count_residual(*start)
+            if residual is None:
+                residual = self._start()
+            result = 0 if residual is None else self._count_residual(*residual)
         except RecursionError:
             raise ResourceLimitError(
                 f"search deeper than the recursion limit ({sys.getrecursionlimit()}) "
@@ -206,9 +208,8 @@ class ComponentCounter:
                                list(range(1, self.num_vars + 1)))
 
     def _check_budget(self) -> None:
-        if self.deadline is not None and time.monotonic() > self.deadline:
-            self.stats.cache_entries = len(self.cache)
-            raise ResourceLimitError("count budget exceeded", stats=self.stats.to_dict())
+        self.stats.cache_entries = len(self.cache)
+        _check_deadline(self.deadline, self.stats)
 
     def _propagate(self, free: int, open_: int,
                    queue: list[int]) -> Optional[tuple[int, int]]:
@@ -321,70 +322,43 @@ class ComponentCounter:
                 for satisfied in (self._sat_pos[v], self._sat_neg[v])]
 
 
-def _count_remapped(clauses: Iterable[tuple[int, ...]],
-                    deadline: Optional[float]) -> tuple[int, dict]:
-    """Count a residual clause set over exactly its own variables."""
-    clause_list = [tuple(c) for c in clauses]
-    used = sorted({abs(lit) for c in clause_list for lit in c})
-    remap = {v: i + 1 for i, v in enumerate(used)}
-    mapped = [tuple((1 if lit > 0 else -1) * remap[abs(lit)] for lit in c) for c in clause_list]
-    counter = ComponentCounter(len(used), mapped, deadline=deadline)
-    return counter.count(), counter.stats.to_dict()
+def _count_job(num_vars: int, clauses: list[tuple[int, ...]], deadline: Optional[float],
+               residual: tuple[int, int]) -> tuple[int, dict]:
+    """One pool job: count one residual of the instance's clause table."""
+    counter = ComponentCounter(num_vars, clauses, deadline=deadline)
+    return counter.count(residual), counter.stats.to_dict()
 
 
-def _split_subproblems(clauses: list[tuple[int, ...]], num_vars: int,
-                       target: int) -> tuple[int, list[tuple[tuple[tuple[int, ...], ...], int]]]:
-    """Cofactor-expand the instance into independent subproblems.
-
-    The expansion runs on the engine's (free, open) residuals, branching
-    the one with the most open clauses by the engine's rule.  Returns
-    (settled, open) where settled already sums the fully decided branches
-    and each open entry (residual clauses, shift) contributes
-    count-over-own-vars(residual) << shift.  The expansion is exact:
-    settled plus those contributions equals the full model count.
-    """
-    table = ComponentCounter(num_vars, clauses)
-    settled, entries = 0, []
-
-    def add(state: Optional[tuple[int, int]]) -> None:
-        nonlocal settled
-        if state is None:
-            return
-        free, open_ = state
-        if open_:
-            entries.append(state)
-        else:
-            settled += 1 << free.bit_count()
-
-    add(table._start())
-    while entries and len(entries) < target:
-        free, open_ = entries.pop(max(range(len(entries)),
-                                      key=lambda j: entries[j][1].bit_count()))
-        for state in table._branch(free, open_):
-            add(state)
-    residuals = []
-    for free, open_ in entries:
-        residual, used = [], 0
-        while open_:
-            low = open_ & -open_
-            open_ ^= low
-            i = low.bit_length() - 1
-            residual.append(tuple(lit for lit in clauses[i] if free >> abs(lit) & 1))
-            used |= table._vars[i] & free
-        residuals.append((tuple(residual), free.bit_count() - used.bit_count()))
-    return settled, residuals
+def _split_residuals(table: ComponentCounter, target: int) -> list[tuple[int, int]]:
+    """Cofactor-expand the instance into independent residuals whose
+    counts sum to its model count: branch the residual with the most open
+    clauses by the engine's rule until there are target residuals or none
+    has an open clause.  A conflict leaves no residual."""
+    start = table._start()
+    residuals = [] if start is None else [start]
+    while len(residuals) < target:
+        j = max(range(len(residuals)), key=lambda j: residuals[j][1].bit_count(), default=None)
+        if j is None or not residuals[j][1]:
+            break
+        residuals += [state for state in table._branch(*residuals.pop(j)) if state is not None]
+    return residuals
 
 
 def _deadline(budget_seconds: Optional[float]) -> Optional[float]:
     return None if budget_seconds is None else time.monotonic() + budget_seconds
 
 
+def _check_deadline(deadline: Optional[float], stats: CounterStats) -> None:
+    if deadline is not None and time.monotonic() > deadline:
+        raise ResourceLimitError("count budget exceeded", stats=stats.to_dict())
+
+
 def _count_clauses(clauses: Clauses, num_vars: int, *, threads: int = 1,
                    deadline: Optional[float] = None) -> tuple[int, CounterStats]:
     """Count over all num_vars variables, stopping at the absolute
-    time.monotonic() deadline.  With threads > 1 the instance is split
-    into independent subproblems counted by a process pool; every worker
-    gets the same deadline (the monotonic clock is system-wide)."""
+    time.monotonic() deadline.  With threads > 1 the search is split into
+    residuals of the engine, counted by a process pool; every job gets
+    the same deadline (the monotonic clock is system-wide)."""
     if num_vars < 0:
         raise ValueError("variable count must be nonnegative")
     if threads < 1:
@@ -397,14 +371,14 @@ def _count_clauses(clauses: Clauses, num_vars: int, *, threads: int = 1,
         return counter.count(), counter.stats
 
     from concurrent.futures import ProcessPoolExecutor
-    settled, open_entries = _split_subproblems(prepared, num_vars, target=4 * threads)
-    stats = CounterStats()
-    total = settled
-    residuals = [residual for residual, _shift in open_entries]
+    from functools import partial
+    _check_deadline(deadline, CounterStats())
+    residuals = _split_residuals(ComponentCounter(num_vars, prepared), target=4 * threads)
+    total, stats = 0, CounterStats()
     with ProcessPoolExecutor(max_workers=threads) as pool:
-        results = pool.map(_count_remapped, residuals, [deadline] * len(residuals))
-        for (value, stat_dict), (_residual, shift) in zip(results, open_entries):
-            total += value << shift
+        for value, stat_dict in pool.map(partial(_count_job, num_vars, prepared, deadline),
+                                         residuals):
+            total += value
             stats.merge(CounterStats(**stat_dict))
     return total, stats
 
@@ -495,9 +469,11 @@ def count_variant(n: int, variant: Variant, method: str = "dpll", *,
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {', '.join(METHODS)}")
     start = time.monotonic()
+    deadline = _deadline(budget_seconds)
 
     if method == "bruteforce":
         from .oracle import brute_count
+        _check_deadline(deadline, CounterStats())
         value = brute_count(n, variant)
         return CountReport(variant, n, "bruteforce", value,
                            time.monotonic() - start, CounterStats())
@@ -509,7 +485,6 @@ def count_variant(n: int, variant: Variant, method: str = "dpll", *,
         return CountReport(variant, n, "external", value,
                            time.monotonic() - start, CounterStats())
 
-    deadline = _deadline(budget_seconds)
     stats = CounterStats()
 
     def dpll_count(k: int, v: Variant) -> int:

@@ -49,7 +49,7 @@ class Variant(Enum):
             return name
         try:
             return cls(name.lower())
-        except ValueError:
+        except (AttributeError, ValueError):
             raise ValueError(f"unknown variant {name!r}; expected one of h, h0, h1, h01") from None
 
 

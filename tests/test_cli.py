@@ -33,6 +33,13 @@ class TestCount:
         assert payload["method"] == "identity-derived"
         assert payload["count"] == 90
 
+    def test_pooled_json_output(self, capsys):
+        assert main(["count", "--n", "4", "--variant", "h01",
+                     "--threads", "2", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["count"] == 4960
+        assert payload["stats"]["subproblems"] > 1
+
     def test_zero_budget_disables_limit(self, capsys):
         assert main(["count", "--n", "3", "--variant", "h",
                      "--budget-seconds", "0"]) == 0
@@ -221,6 +228,10 @@ class TestVerify:
         assert payload["passed"] is True
         assert payload["n_max"] == 1
         assert payload["failure_count"] == 0
+
+    def test_pooled_run(self, capsys):
+        assert main(["verify", "--n-max", "3", "--threads", "2"]) == 0
+        assert "0 failures" in capsys.readouterr().out
 
     def test_skip_orbits(self, capsys):
         assert main(["verify", "--n-max", "1", "--skip-orbits", "--json"]) == 0

@@ -102,11 +102,15 @@ class TestCounterLaws:
             assert count_models(clauses, num_vars) == brute_reference(clauses, num_vars)
 
     def test_thread_independence(self):
-        for n, variant in [(3, Variant.H), (4, Variant.H1), (4, Variant.H01)]:
-            instance = encode(n, variant)
-            single = count_models(instance, threads=1)
-            assert count_models(instance, threads=2) == single
-            assert count_models(instance, threads=3) == single
+        # at n <= 2 the unit clauses settle the instance, so every pool
+        # job is a settled residual; a contradiction leaves no job at all
+        instances = [(encode(n, variant), None) for n in range(3) for variant in Variant]
+        instances += [(encode(3, Variant.H), None), (encode(4, Variant.H1), None),
+                      (encode(4, Variant.H01), None), ([(1,), (-1,)], 1)]
+        for instance, num_vars in instances:
+            single = count_models(instance, num_vars, threads=1)
+            assert count_models(instance, num_vars, threads=2) == single
+            assert count_models(instance, num_vars, threads=3) == single
 
 
 class TestWidthSixSlices:
@@ -174,9 +178,15 @@ class TestBudget:
     @pytest.mark.parametrize("n", range(5))
     def test_spent_budget_raises_at_every_width(self, n):
         # at n <= 2 the unit clauses settle the instance before any node
-        for variant in Variant:
-            with pytest.raises(ResourceLimitError):
-                count_variant(n, variant, budget_seconds=-1)
+        for method in ("dpll", "bruteforce"):
+            for variant in Variant:
+                with pytest.raises(ResourceLimitError):
+                    count_variant(n, variant, method, budget_seconds=-1)
+
+    def test_spent_budget_raises_in_the_pool(self):
+        # a contradiction leaves the pool no job to read the deadline
+        with pytest.raises(ResourceLimitError):
+            count_models([(1,), (-1,)], 1, threads=2, budget_seconds=-1)
 
     def test_no_budget(self):
         assert count_models(encode(3, Variant.H), budget_seconds=None) == 45
@@ -214,8 +224,10 @@ class TestDepth:
         try:
             with pytest.raises(ResourceLimitError, match="recursion limit"):
                 count_models(chain, 120)
+            prepared = preprocess(chain, 120)
+            start = ComponentCounter(120, prepared)._start()
             with pytest.raises(ResourceLimitError, match="recursion limit"):
-                counter_module._count_remapped(chain, None)
+                counter_module._count_job(120, prepared, None, start)
         finally:
             sys.setrecursionlimit(limit)
         assert count_models(chain, 120) == 121

@@ -200,8 +200,9 @@ class TestVariantMember:
     def test_variant_names(self):
         assert Variant.from_name("H01") is Variant.H01
         assert Variant.from_name(Variant.H0) is Variant.H0
-        with pytest.raises(ValueError):
-            Variant.from_name("h2")
+        for name in ("h2", 5, None):
+            with pytest.raises(ValueError, match="expected one of h, h0, h1, h01"):
+                Variant.from_name(name)
 
 
 def axiomatize(fam):
