@@ -1,10 +1,11 @@
 """Width 6 with the component-caching search.
 
 At n = 6 the instance has 64 predicates and 1351 ternary clauses.  The
-search decomposes residual subproblems into independent parts and
-caches repeated ones; that is enough to finish h1(6) = 75,973,751,474
-in under 7 minutes (390 s on one core of a 2-vCPU Xeon) at a peak RSS
-of 0.59 GB; h(6) takes 409 s.
+search decomposes residual subproblems into independent parts, caches
+repeated ones and counts each part of at most 12 variables from its
+truth table; that is enough to finish h1(6) = 75,973,751,474 in under
+6 minutes (287 to 344 s and 9.16M nodes on one core of a 2-vCPU Xeon)
+at a peak RSS of 0.60 GB; h(6) takes 320 s.
 
 Run with a finite budget first to see the partial statistics report.
 """

@@ -6,8 +6,11 @@ multiplies their counts, and memoizes components under a bounded cache
 (the component-caching design of sharpSAT).  A residual is a pair of
 bitmasks over a static clause table, its free variables and its open
 clauses, so the search loops touch only ints.  One breadth-first pass
-over a residual's free variables finds its components.  The `dpll`
-method name refers to this search.
+over a residual's free variables finds its components.  A component of
+at most TABLE_VARS variables is not branched on: its count is the
+popcount of a truth table with one bit per assignment, built from
+precomputed variable columns.  The `dpll` method name refers to this
+search.
 
 Counts are over ALL declared variables, so a variable appearing in no
 clause doubles the count.  There is deliberately no pure-literal rule:
@@ -25,6 +28,7 @@ import re
 import sys
 import time
 from dataclasses import dataclass, field, fields
+from functools import lru_cache, partial
 from typing import Optional, Sequence, Union
 
 from .encoder import ENCODE_CAP, CnfInstance, emit_dimacs, encode
@@ -37,6 +41,10 @@ DEFAULT_BUDGET_SECONDS = 600.0
 
 #: Component-cache entry bound; the cache is cleared when it fills.
 DEFAULT_CACHE_LIMIT = 2_000_000
+
+#: Components of at most this many variables are counted from a truth
+#: table instead of by branching.
+TABLE_VARS = 12
 
 #: Environment variable consulted for the external counter command.
 EXTERNAL_CMD_ENV = "HORNENUM_EXTERNAL_CMD"
@@ -56,7 +64,9 @@ class CounterStats:
 
     nodes: components the search reached after unit propagation,
         cache hits included.
-    decisions: branching variables chosen (one per cache miss).
+    decisions: branching variables chosen, one per cache miss on a
+        component wider than TABLE_VARS; nodes - cache_hits - decisions
+        is the number of components counted by truth table.
     propagations: literals implied by unit clauses, the input's own unit
         clauses included; a decision literal is not counted.
     components: parts of residuals that split into more than one
@@ -149,8 +159,10 @@ class ComponentCounter:
     splits into variable-connected components whose counts multiply, and
     each free variable in no open clause doubles the count.  A component
     is looked up in a bounded cache under the one int
-    `clauses << (num_vars + 1) | variables` (the sharpSAT component key)
-    and, on a miss, counted by branching on its most frequent variable.
+    `clauses << (num_vars + 1) | variables` (the sharpSAT component key).
+    On a miss, a component of at most TABLE_VARS variables is counted in
+    one step from its truth table, which the same invariant makes exact;
+    a wider one is counted by branching on its most frequent variable.
     """
 
     def __init__(self, num_vars: int, clauses: list[tuple[int, ...]],
@@ -294,15 +306,48 @@ class ComponentCounter:
         if cached is not None:
             self.stats.cache_hits += 1
             return cached
-        total = 0
-        for state in self._branch(variables, clauses):
-            if state is not None:
-                total += self._count_residual(*state)
+        if variables.bit_count() <= TABLE_VARS:
+            total = self._count_table(variables, clauses)
+        else:
+            total = 0
+            for state in self._branch(variables, clauses):
+                if state is not None:
+                    total += self._count_residual(*state)
         if len(self.cache) >= self.cache_limit:
             self.cache.clear()
             self.stats.cache_evictions += 1
         self.cache[key] = total
         return total
+
+    def _count_table(self, variables: int, clauses: int) -> int:
+        """Count a component of k variables from a 2^k-row truth table:
+        row x assigns bit j of x to the component's j-th variable.  Each
+        open clause clears the rows that falsify all its free literals;
+        its assigned literals are all false, so those are exactly the rows
+        it excludes."""
+        columns = _columns(variables.bit_count())
+        rows = (1 << (1 << len(columns))) - 1
+        column = {}
+        rest = variables
+        for col in columns:
+            low = rest & -rest
+            rest ^= low
+            column[low] = col
+        vars_of, positive = self._vars, self._positive
+        models = rows
+        while clauses:
+            low = clauses & -clauses
+            clauses ^= low
+            i = low.bit_length() - 1
+            lits = vars_of[i] & variables
+            pos = positive[i]
+            falsified = rows
+            while lits:
+                bit = lits & -lits
+                lits ^= bit
+                falsified &= rows ^ column[bit] if pos & bit else column[bit]
+            models &= ~falsified
+        return models.bit_count()
 
     def _branch(self, free: int, open_: int) -> list[Optional[tuple[int, int]]]:
         """Decide the variable in the most open clauses (lowest id on
@@ -320,6 +365,15 @@ class ComponentCounter:
         free ^= 1 << v
         return [self._propagate(free, open_ & ~satisfied, [v])
                 for satisfied in (self._sat_pos[v], self._sat_neg[v])]
+
+
+@lru_cache(maxsize=None)
+def _columns(k: int) -> tuple[int, ...]:
+    """The k variable columns of a 2^k-row truth table, each a 2^k-bit
+    int: bit x of column j is bit j of x."""
+    rows = (1 << (1 << k)) - 1
+    return tuple((((1 << (1 << j)) - 1) << (1 << j)) * (rows // ((1 << (2 << j)) - 1))
+                 for j in range(k))
 
 
 def _count_job(num_vars: int, clauses: list[tuple[int, ...]], deadline: Optional[float],
@@ -364,6 +418,7 @@ def _count_clauses(clauses: Clauses, num_vars: int, *, threads: int = 1,
     if threads < 1:
         raise ValueError("threads must be >= 1")
     prepared = preprocess(clauses, num_vars)
+    _check_deadline(deadline, CounterStats())
     if prepared is None:
         return 0, CounterStats()
     if threads == 1:
@@ -371,8 +426,6 @@ def _count_clauses(clauses: Clauses, num_vars: int, *, threads: int = 1,
         return counter.count(), counter.stats
 
     from concurrent.futures import ProcessPoolExecutor
-    from functools import partial
-    _check_deadline(deadline, CounterStats())
     residuals = _split_residuals(ComponentCounter(num_vars, prepared), target=4 * threads)
     total, stats = 0, CounterStats()
     with ProcessPoolExecutor(max_workers=threads) as pool:

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import hornenum
+import hornenum.counter
 
 
 def brute_reference(clauses, num_vars):
@@ -50,3 +51,10 @@ def package_env():
 @pytest.fixture
 def rng():
     return random.Random(0x5eed)
+
+
+@pytest.fixture
+def branching_only(monkeypatch):
+    """Count every component by branching: no component is narrow enough
+    for a truth table."""
+    monkeypatch.setattr(hornenum.counter, "TABLE_VARS", 0)

@@ -113,6 +113,36 @@ class TestCounterLaws:
             assert count_models(instance, num_vars, threads=3) == single
 
 
+@pytest.mark.usefixtures("branching_only")
+class TestCounterLawsBranchingOnly(TestCounterLaws):
+    """Every law again with no component counted by truth table: at the
+    default, the random instances of at most 10 variables never branch."""
+
+
+class TestTruthTables:
+    @pytest.mark.parametrize("k", range(6))
+    def test_columns_definition(self, k):
+        columns = counter_module._columns(k)
+        assert len(columns) == k
+        for j, column in enumerate(columns):
+            assert column >> (1 << k) == 0
+            assert all((column >> x & 1) == (x >> j & 1) for x in range(1 << k))
+
+    @pytest.mark.parametrize("extra, decides", [(0, False), (1, True)])
+    def test_component_at_the_table_boundary(self, rng, extra, decides):
+        # one component of TABLE_VARS (+ extra) variables and no unit
+        # clause: a binary chain joins them, random ternary clauses fill in
+        k = counter_module.TABLE_VARS + extra
+        for _ in range(3):
+            clauses = [(-i, i + 1) if i % 2 else (i, i + 1) for i in range(1, k)]
+            for _ in range(2 * k):
+                picked = rng.sample(range(1, k + 1), 3)
+                clauses.append(tuple(rng.choice((1, -1)) * v for v in picked))
+            counter = ComponentCounter(k, preprocess(clauses, k))
+            assert counter.count() == brute_reference(clauses, k)
+            assert (counter.stats.decisions > 0) == decides
+
+
 class TestWidthSixSlices:
     """The two easiest slices of the benchmark's verified width-6 pool,
     counted serially and through the pool split."""
@@ -144,18 +174,20 @@ class TestEngines:
         assert counter.count() == 9
         assert counter.stats.components == 2
 
+    # at width 4 truth tables count almost every component, so the cache
+    # is exercised at width 5
     def test_component_cache_hits(self):
-        instance = encode(4, Variant.H1)
+        instance = encode(5, Variant.H1)
         counter = ComponentCounter(instance.predicate_count,
                                    preprocess(instance.clauses, instance.predicate_count))
-        assert counter.count() == 2480
+        assert counter.count() == 1385552
         assert counter.stats.cache_hits > 0
 
     def test_cache_eviction_keeps_count_exact(self):
-        instance = encode(4, Variant.H1)
+        instance = encode(5, Variant.H1)
         prepared = preprocess(instance.clauses, instance.predicate_count)
         tiny = ComponentCounter(instance.predicate_count, prepared, cache_limit=16)
-        assert tiny.count() == 2480
+        assert tiny.count() == 1385552
         assert tiny.stats.cache_evictions > 0
 
 
@@ -187,6 +219,12 @@ class TestBudget:
         # a contradiction leaves the pool no job to read the deadline
         with pytest.raises(ResourceLimitError):
             count_models([(1,), (-1,)], 1, threads=2, budget_seconds=-1)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_spent_budget_raises_on_an_empty_clause(self, threads):
+        # preprocessing settles the count at 0 before any engine runs
+        with pytest.raises(ResourceLimitError):
+            count_models([(1,), ()], 1, threads=threads, budget_seconds=-1)
 
     def test_no_budget(self):
         assert count_models(encode(3, Variant.H), budget_seconds=None) == 45
@@ -247,15 +285,23 @@ class TestDepth:
 
 class TestCountVariant:
     @pytest.mark.parametrize("variant, expected", [
-        ("h", dict(nodes=16322, decisions=8436, propagations=17934, components=5054,
-                   cache_hits=7886, cache_entries=8436)),
-        ("h1", dict(nodes=16413, decisions=8486, propagations=18222, components=5054,
-                    cache_hits=7927, cache_entries=8486)),
+        ("h", dict(nodes=2981, decisions=1362, propagations=4369, components=487,
+                   cache_hits=141, cache_entries=2840)),
+        ("h1", dict(nodes=3032, decisions=1389, propagations=4601, components=487,
+                    cache_hits=150, cache_entries=2882)),
     ])
     def test_width_five_search_stats(self, variant, expected):
         # the exact search effort: a change here is a different search
         report = count_variant(5, variant)
         assert report.stats.to_dict() == dict(expected, cache_evictions=0, subproblems=1)
+
+    def test_width_five_branching_stats(self, branching_only):
+        # with no truth tables the search is the one that branches on
+        # every component
+        report = count_variant(5, "h")
+        assert report.stats.to_dict() == dict(
+            nodes=16322, decisions=8436, propagations=17934, components=5054,
+            cache_hits=7886, cache_entries=8436, cache_evictions=0, subproblems=1)
 
     @pytest.mark.parametrize("n", range(4))
     def test_methods_agree(self, n):
