@@ -2,10 +2,11 @@
 
 At n = 6 the instance has 64 predicates and 1351 ternary clauses.  The
 search decomposes residual subproblems into independent parts, caches
-repeated ones and counts each part of at most 12 variables from its
-truth table; that is enough to finish h1(6) = 75,973,751,474 in under
-6 minutes (287 to 344 s and 9.16M nodes on one core of a 2-vCPU Xeon)
-at a peak RSS of 0.60 GB; h(6) takes 320 s.
+repeated ones and counts each residual or part of at most 14 variables
+from its truth table; that is enough to finish h1(6) = 75,973,751,474
+in 1.5 to 4 minutes (88 to 90 s and 3.98M nodes on one core of a
+2-vCPU Xeon, whose speed varies over time) at a peak RSS of 0.58 GB;
+h(6) takes about as long.
 
 Run with a finite budget first to see the partial statistics report.
 """

@@ -64,6 +64,7 @@ def cmd_count(args: argparse.Namespace) -> int:
         print(f"{report.variant.value}({report.n}) = {report.count}")
         stats = report.stats
         print(f"method: {report.method}  elapsed: {report.elapsed:.3f}s  "
+              f"nodes: {stats.nodes}  cache hits: {stats.cache_hits}  "
               f"decisions: {stats.decisions}  propagations: {stats.propagations}  "
               f"components: {stats.components}")
     return EXIT_OK

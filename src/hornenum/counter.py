@@ -3,14 +3,16 @@
 One engine, ComponentCounter, does every count: a DPLL search with unit
 propagation that splits each residual into connected components,
 multiplies their counts, and memoizes components under a bounded cache
-(the component-caching design of sharpSAT).  A residual is a pair of
-bitmasks over a static clause table, its free variables and its open
-clauses, so the search loops touch only ints.  One breadth-first pass
-over a residual's free variables finds its components.  A component of
-at most TABLE_VARS variables is not branched on: its count is the
+(the component-caching design of sharpSAT).  A residual is three
+bitmasks over a static clause table: its free variables, its open
+clauses, and the open clauses shortened on the path to it, so the search
+loops touch only ints.  One breadth-first pass over a residual's free
+variables finds its components.  A residual or component of at most
+TABLE_VARS variables is neither split nor branched on: its count is the
 popcount of a truth table with one bit per assignment, built from
-precomputed variable columns.  The `dpll` method name refers to this
-search.
+precomputed variable columns.  A wider component branches on the
+variable in the most open clauses, shortened ones weighing five times.
+The `dpll` method name refers to this search.
 
 Counts are over ALL declared variables, so a variable appearing in no
 clause doubles the count.  There is deliberately no pure-literal rule:
@@ -44,7 +46,7 @@ DEFAULT_CACHE_LIMIT = 2_000_000
 
 #: Components of at most this many variables are counted from a truth
 #: table instead of by branching.
-TABLE_VARS = 12
+TABLE_VARS = 14
 
 #: Environment variable consulted for the external counter command.
 EXTERNAL_CMD_ENV = "HORNENUM_EXTERNAL_CMD"
@@ -57,20 +59,26 @@ METHODS = ("dpll", "bruteforce", "identity", "external")
 
 Clauses = Sequence[Sequence[int]]
 
+#: A residual subproblem (free, open, shortened) of a ComponentCounter's
+#: clause table; see the class docstring.
+Residual = tuple[int, int, int]
+
 
 @dataclass
 class CounterStats:
     """Search-effort counters; merged by summation across workers.
 
-    nodes: components the search reached after unit propagation,
-        cache hits included.
+    nodes: components the search reached after unit propagation, and
+        residuals of at most TABLE_VARS variables counted whole, cache
+        hits included.
     decisions: branching variables chosen, one per cache miss on a
         component wider than TABLE_VARS; nodes - cache_hits - decisions
-        is the number of components counted by truth table.
+        is the number of nodes counted by truth table.
     propagations: literals implied by unit clauses, the input's own unit
         clauses included; a decision literal is not counted.
-    components: parts of residuals that split into more than one
-        component (a residual in one piece adds nothing).
+    components: parts of residuals wider than TABLE_VARS that split into
+        more than one component (a residual in one piece, or one counted
+        whole, adds nothing).
     cache_hits: nodes answered from the component cache.
     cache_entries: entries in the cache when the count ended.
     cache_evictions: times the full cache was cleared.
@@ -148,21 +156,28 @@ class ComponentCounter:
 
     The clauses go into a static table once.  Bit v of a variable mask is
     variable v and bit i of a clause mask is clause i.  Each clause has a
-    variable mask and a positive-variable mask; each variable has the
+    variable mask, a positive-variable mask and its own one-bit mask
+    (loops over a clause mask take its top bit and clear it through that
+    mask, one wide-int operation per clause); each variable has the
     mask of the clauses it occurs in; each literal has the mask of the
-    clauses it satisfies.  A residual subproblem is then two ints, its
-    free variables and its open clauses.  That identifies it exactly:
-    every assigned literal of an open clause is false, so the residual of
-    an open clause is the clause restricted to the free variables.
+    clauses it satisfies.  A residual subproblem is then three ints
+    (free, open, shortened): its free variables, its open clauses, and
+    those open clauses that lost a literal on the path to it.  The first
+    two identify it exactly: every assigned literal of an open clause is
+    false, so the residual of an open clause is the clause restricted to
+    the free variables.  The third only guides branching.
 
-    Assigning a literal propagates the units it implies.  The residual
+    Assigning a literal propagates the units it implies.  A residual of
+    at most TABLE_VARS free variables is counted whole.  A wider one
     splits into variable-connected components whose counts multiply, and
-    each free variable in no open clause doubles the count.  A component
-    is looked up in a bounded cache under the one int
-    `clauses << (num_vars + 1) | variables` (the sharpSAT component key).
-    On a miss, a component of at most TABLE_VARS variables is counted in
-    one step from its truth table, which the same invariant makes exact;
-    a wider one is counted by branching on its most frequent variable.
+    each free variable in no open clause doubles the count.  A component,
+    or a residual counted whole, is looked up in a bounded cache under
+    the one int `clauses << (num_vars + 1) | variables` (the sharpSAT
+    component key), which means the count of these clauses over exactly
+    these variables in either case.  On a miss, one of at most TABLE_VARS
+    variables is counted in one step from its truth table, which the
+    same invariant makes exact; a wider one is counted by branching on
+    the variable of highest score (see _branch).
     """
 
     def __init__(self, num_vars: int, clauses: list[tuple[int, ...]],
@@ -174,6 +189,7 @@ class ComponentCounter:
         self.cache: dict[int, int] = {}
         self.stats = CounterStats()
         self._key_shift = num_vars + 1
+        self._bit = [1 << i for i in range(len(clauses))]
         self._vars: list[int] = []
         self._positive: list[int] = []
         self._occ = [0] * (num_vars + 1)
@@ -193,12 +209,12 @@ class ComponentCounter:
             self._vars.append(vars_mask)
             self._positive.append(positive)
 
-    def count(self, residual: Optional[tuple[int, int]] = None) -> int:
-        """The model count of a residual (free, open) of this table, by
-        default the whole instance.  A deadline already past on entry (a
-        queued pool job, an instance its unit clauses settle) or reached
-        later, and a search deeper than the interpreter's stack (two frames
-        per decision level), raise ResourceLimitError."""
+    def count(self, residual: Optional[Residual] = None) -> int:
+        """The model count of a residual (free, open, shortened) of this
+        table, by default the whole instance.  A deadline already past on
+        entry (a queued pool job, an instance its unit clauses settle) or
+        reached later, and a search deeper than the interpreter's stack
+        (two frames per decision level), raise ResourceLimitError."""
         self._check_budget()
         try:
             if residual is None:
@@ -212,35 +228,35 @@ class ComponentCounter:
         self.stats.subproblems = 1
         return result
 
-    def _start(self) -> Optional[tuple[int, int]]:
-        """The residual (free, open) after the input's unit clauses, or
-        None on a conflict.  Scanning every variable's clauses once finds
-        the unit clauses."""
+    def _start(self) -> Optional[Residual]:
+        """The residual after the input's unit clauses, or None on a
+        conflict.  Scanning every variable's clauses once finds the unit
+        clauses."""
         return self._propagate(((1 << self.num_vars) - 1) << 1, (1 << len(self._vars)) - 1,
-                               list(range(1, self.num_vars + 1)))
+                               0, list(range(1, self.num_vars + 1)))
 
     def _check_budget(self) -> None:
         self.stats.cache_entries = len(self.cache)
         _check_deadline(self.deadline, self.stats)
 
-    def _propagate(self, free: int, open_: int,
-                   queue: list[int]) -> Optional[tuple[int, int]]:
+    def _propagate(self, free: int, open_: int, shortened: int,
+                   queue: list[int]) -> Optional[Residual]:
         """Propagate units from the just-assigned variables in queue.
 
         Only the open clauses of an assigned variable can become unit or
         empty.  A unit is assigned when it is found, so a clause that a
         later unit closes leaves the scan, and one that a later unit
         falsifies is found empty when that unit's clauses are scanned.
-        Returns the residual (free, open), or None on a conflict."""
-        vars_of, positive, occ = self._vars, self._positive, self._occ
+        Each implied variable's clauses join shortened.  Returns the
+        residual (free, open, shortened), or None on a conflict."""
+        vars_of, positive, occ, bit = self._vars, self._positive, self._occ, self._bit
         sat_pos, sat_neg = self._sat_pos, self._sat_neg
         implied = 0
         while queue:
             scan = occ[queue.pop()] & open_
             while scan:
-                low = scan & -scan
-                scan ^= low
-                i = low.bit_length() - 1
+                i = scan.bit_length() - 1
+                scan ^= bit[i]
                 rest = vars_of[i] & free
                 if rest & (rest - 1):
                     continue
@@ -251,17 +267,24 @@ class ComponentCounter:
                 free ^= rest
                 open_ &= ~(sat_pos[v] if positive[i] & rest else sat_neg[v])
                 scan &= open_
+                shortened |= occ[v]
                 queue.append(v)
                 implied += 1
         self.stats.propagations += implied
-        return free, open_
+        return free, open_, shortened & open_
 
-    def _count_residual(self, free: int, open_: int) -> int:
-        """Count a residual over all its free variables: split it into
-        components by one breadth-first search over the occurrence masks.
-        A variable in no open clause is a component without clauses; it
-        doubles the count and is not searched."""
-        occ, vars_of = self._occ, self._vars
+    def _count_residual(self, free: int, open_: int, shortened: int) -> int:
+        """Count a residual over all its free variables.  One of at most
+        TABLE_VARS free variables is counted whole, as one component.  A
+        wider one is split into components by one breadth-first search
+        over the occurrence masks; a variable in no open clause is a
+        component without clauses, which doubles the count and is not
+        searched."""
+        if free.bit_count() <= TABLE_VARS:
+            if not open_:
+                return 1 << free.bit_count()
+            return self._count_component(free, open_, shortened)
+        occ, vars_of, bit = self._occ, self._vars, self._bit
         result = 1
         parts = []
         unvisited = free
@@ -277,9 +300,9 @@ class ComponentCounter:
                 open_ ^= new
                 comp_clauses |= new
                 while new:
-                    low = new & -new
-                    new ^= low
-                    reached = vars_of[low.bit_length() - 1] & unvisited
+                    i = new.bit_length() - 1
+                    new ^= bit[i]
+                    reached = vars_of[i] & unvisited
                     if reached:
                         unvisited ^= reached
                         comp_vars |= reached
@@ -291,13 +314,14 @@ class ComponentCounter:
         if len(parts) > 1:
             self.stats.components += len(parts)
         for comp_vars, comp_clauses in parts:
-            result *= self._count_component(comp_vars, comp_clauses)
+            result *= self._count_component(comp_vars, comp_clauses, shortened & comp_clauses)
             if not result:
                 break
         return result
 
-    def _count_component(self, variables: int, clauses: int) -> int:
-        """Count one component over exactly its variables."""
+    def _count_component(self, variables: int, clauses: int, shortened: int) -> int:
+        """Count one component, or a residual counted whole, over exactly
+        its variables."""
         self.stats.nodes += 1
         if self.stats.nodes % 2048 == 0:
             self._check_budget()
@@ -310,7 +334,7 @@ class ComponentCounter:
             total = self._count_table(variables, clauses)
         else:
             total = 0
-            for state in self._branch(variables, clauses):
+            for state in self._branch(variables, clauses, shortened):
                 if state is not None:
                     total += self._count_residual(*state)
         if len(self.cache) >= self.cache_limit:
@@ -333,37 +357,40 @@ class ComponentCounter:
             low = rest & -rest
             rest ^= low
             column[low] = col
-        vars_of, positive = self._vars, self._positive
+        vars_of, positive, bit = self._vars, self._positive, self._bit
         models = rows
         while clauses:
-            low = clauses & -clauses
-            clauses ^= low
-            i = low.bit_length() - 1
+            i = clauses.bit_length() - 1
+            clauses ^= bit[i]
             lits = vars_of[i] & variables
             pos = positive[i]
             falsified = rows
             while lits:
-                bit = lits & -lits
-                lits ^= bit
-                falsified &= rows ^ column[bit] if pos & bit else column[bit]
+                low = lits & -lits
+                lits ^= low
+                falsified &= rows ^ column[low] if pos & low else column[low]
             models &= ~falsified
         return models.bit_count()
 
-    def _branch(self, free: int, open_: int) -> list[Optional[tuple[int, int]]]:
-        """Decide the variable in the most open clauses (lowest id on
-        ties) both ways: the two propagated residuals, None on conflict."""
+    def _branch(self, free: int, open_: int, shortened: int) -> list[Optional[Residual]]:
+        """Decide the variable of highest score both ways: the two
+        propagated residuals, None on conflict.  A variable scores one per
+        open clause it is in and four more per shortened one, so clauses
+        near unit are decided first; ties go to the lowest id."""
         occ = self._occ
         v, best = 0, -1
         rest = free
         while rest:
             low = rest & -rest
             rest ^= low
-            k = (occ[low.bit_length() - 1] & open_).bit_count()
+            mask = occ[low.bit_length() - 1]
+            k = (mask & open_).bit_count() + 4 * (mask & shortened).bit_count()
             if k > best:
                 v, best = low.bit_length() - 1, k
         self.stats.decisions += 1
         free ^= 1 << v
-        return [self._propagate(free, open_ & ~satisfied, [v])
+        shortened |= occ[v]
+        return [self._propagate(free, open_ & ~satisfied, shortened, [v])
                 for satisfied in (self._sat_pos[v], self._sat_neg[v])]
 
 
@@ -377,13 +404,17 @@ def _columns(k: int) -> tuple[int, ...]:
 
 
 def _count_job(num_vars: int, clauses: list[tuple[int, ...]], deadline: Optional[float],
-               residual: tuple[int, int]) -> tuple[int, dict]:
-    """One pool job: count one residual of the instance's clause table."""
-    counter = ComponentCounter(num_vars, clauses, deadline=deadline)
-    return counter.count(residual), counter.stats.to_dict()
+               residual: Residual) -> tuple[int, dict]:
+    """One pool job: count one residual of the instance's clause table,
+    over a table of only its open clauses."""
+    free, open_, shortened = residual
+    ids = [i for i in range(open_.bit_length()) if open_ >> i & 1]
+    counter = ComponentCounter(num_vars, [clauses[i] for i in ids], deadline=deadline)
+    shortened = sum(1 << j for j, i in enumerate(ids) if shortened >> i & 1)
+    return counter.count((free, (1 << len(ids)) - 1, shortened)), counter.stats.to_dict()
 
 
-def _split_residuals(table: ComponentCounter, target: int) -> list[tuple[int, int]]:
+def _split_residuals(table: ComponentCounter, target: int) -> list[Residual]:
     """Cofactor-expand the instance into independent residuals whose
     counts sum to its model count: branch the residual with the most open
     clauses by the engine's rule until there are target residuals or none
@@ -517,6 +548,8 @@ def count_variant(n: int, variant: Variant, method: str = "dpll", *,
     wherever more than one applies.
     """
     variant = Variant.from_name(variant)
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got {n}")
     if method == "identity-derived":
         method = "identity"
     if method not in METHODS:

@@ -17,6 +17,8 @@ class TestCount:
         out = capsys.readouterr().out
         assert "h(3) = 45" in out
         assert "method: dpll" in out
+        for field in ("nodes", "cache hits", "decisions"):
+            assert f"{field}: " in out
 
     def test_json_output(self, capsys):
         assert main(["count", "--n", "2", "--variant", "h01", "--json"]) == 0
@@ -53,6 +55,13 @@ class TestCount:
         assert main(["count", "--n", "0", "--variant", "h0",
                      "--method", "identity"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("variant", ["h", "h1"])
+    @pytest.mark.parametrize("method", ["dpll", "identity", "bruteforce"])
+    def test_negative_width_is_usage_error(self, capsys, method, variant):
+        assert main(["count", "--n", "-1", "--variant", variant,
+                     "--method", method]) == 2
+        assert "n must be nonnegative" in capsys.readouterr().err
 
     def test_external_stub(self, capsys):
         cmd = f"{sys.executable} {STUB} {{file}}"

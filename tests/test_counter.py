@@ -142,6 +142,40 @@ class TestTruthTables:
             assert counter.count() == brute_reference(clauses, k)
             assert (counter.stats.decisions > 0) == decides
 
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_residual_at_the_table_boundary(self, rng, extra):
+        # TABLE_VARS (+ extra) free variables in two clause parts, the last
+        # two variables in no clause: at the bound the residual is counted
+        # whole as one node; one variable more and it is split first
+        k = counter_module.TABLE_VARS + extra
+        half = (k - 2) // 2
+        for _ in range(3):
+            clauses = []
+            for lo, hi in ((1, half), (half + 1, k - 2)):
+                clauses += [(-i, i + 1) if i % 2 else (i, i + 1) for i in range(lo, hi)]
+                for _ in range(hi - lo + 1):
+                    picked = rng.sample(range(lo, hi + 1), 3)
+                    clauses.append(tuple(rng.choice((1, -1)) * v for v in picked))
+            counter = ComponentCounter(k, preprocess(clauses, k))
+            assert counter.count() == brute_reference(clauses, k)
+            stats = counter.stats
+            assert (stats.nodes, stats.components, stats.decisions) == (
+                (2, 2, 0) if extra else (1, 0, 0))
+
+
+class TestPoolJobs:
+    def test_jobs_sum_to_the_serial_count(self):
+        # each job counts its residual over a table of only its open
+        # clauses; the count must equal that over the whole table
+        instance = encode(5, Variant.H1)
+        num_vars = instance.predicate_count
+        prepared = preprocess(instance.clauses, num_vars)
+        residuals = counter_module._split_residuals(ComponentCounter(num_vars, prepared), 8)
+        assert len(residuals) > 1
+        counts = [counter_module._count_job(num_vars, prepared, None, r)[0] for r in residuals]
+        assert counts == [ComponentCounter(num_vars, prepared).count(r) for r in residuals]
+        assert sum(counts) == 1385552
+
 
 class TestWidthSixSlices:
     """The two easiest slices of the benchmark's verified width-6 pool,
@@ -168,10 +202,13 @@ class TestWidthSixSlices:
 
 class TestEngines:
     def test_component_engine_multiplies_disjoint_parts(self):
-        # two independent constraints: 3 models each over 2 vars
-        clauses = [(1, 2), (3, 4)]
-        counter = ComponentCounter(4, preprocess(clauses, 4))
-        assert counter.count() == 9
+        # two copies of a binary chain, together wider than TABLE_VARS, so
+        # the residual is split rather than counted whole
+        k = counter_module.TABLE_VARS // 2 + 1
+        part = [(i, i + 1) for i in range(1, k)]
+        clauses = part + [(a + k, b + k) for a, b in part]
+        counter = ComponentCounter(2 * k, preprocess(clauses, 2 * k))
+        assert counter.count() == brute_reference(part, k) ** 2
         assert counter.stats.components == 2
 
     # at width 4 truth tables count almost every component, so the cache
@@ -285,10 +322,10 @@ class TestDepth:
 
 class TestCountVariant:
     @pytest.mark.parametrize("variant, expected", [
-        ("h", dict(nodes=2981, decisions=1362, propagations=4369, components=487,
-                   cache_hits=141, cache_entries=2840)),
-        ("h1", dict(nodes=3032, decisions=1389, propagations=4601, components=487,
-                    cache_hits=150, cache_entries=2882)),
+        ("h", dict(nodes=938, decisions=467, propagations=1107, components=6,
+                   cache_hits=2, cache_entries=936)),
+        ("h1", dict(nodes=967, decisions=484, propagations=1336, components=6,
+                    cache_hits=4, cache_entries=963)),
     ])
     def test_width_five_search_stats(self, variant, expected):
         # the exact search effort: a change here is a different search
@@ -300,8 +337,8 @@ class TestCountVariant:
         # every component
         report = count_variant(5, "h")
         assert report.stats.to_dict() == dict(
-            nodes=16322, decisions=8436, propagations=17934, components=5054,
-            cache_hits=7886, cache_entries=8436, cache_evictions=0, subproblems=1)
+            nodes=12927, decisions=6989, propagations=10017, components=2984,
+            cache_hits=5938, cache_entries=6989, cache_evictions=0, subproblems=1)
 
     @pytest.mark.parametrize("n", range(4))
     def test_methods_agree(self, n):
@@ -313,6 +350,12 @@ class TestCountVariant:
                 identity = count_variant(n, variant, "identity")
                 assert identity.count == dpll.count
                 assert identity.method == "identity-derived"
+
+    @pytest.mark.parametrize("method", ["dpll", "bruteforce", "identity", "external"])
+    def test_negative_width_rejected(self, method):
+        for variant in Variant:
+            with pytest.raises(ValueError, match="n must be nonnegative"):
+                count_variant(-1, variant, method, external_cmd=STUB_CMD)
 
     def test_identity_h0_undefined_at_width_zero(self):
         with pytest.raises(ValueError):
