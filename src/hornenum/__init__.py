@@ -8,7 +8,7 @@ relations (`identities`), and published reference values (`validation`)
 cross-check every number more than one way.
 """
 
-from .counter import CountReport, CounterStats, count_models, count_variant
+from .counter import CountReport, CounterStats, count_models, count_variant, count_width
 from .encoder import CnfInstance, emit_dimacs, encode, predicate_id, vector_of
 from .errors import ExternalToolError, ParseError, ResourceLimitError
 from .families import (BitVector, Variant, VectorFamily, is_meet_closed, meet,
@@ -29,7 +29,8 @@ __all__ = [
     "CounterStats", "ExternalToolError", "HornClause", "Monomial", "OrbitSummary",
     "ParseError", "ResourceLimitError", "Variant", "VectorFamily", "VerifyRun",
     "asymptotic_report", "binomial", "binomial_sum", "brute_count",
-    "canonical_form", "count_models", "count_variant", "doubling", "emit_dimacs",
+    "canonical_form", "count_models", "count_variant", "count_width", "doubling",
+    "emit_dimacs",
     "encode", "enumerate_families", "equations_to_horn", "eval_monomial",
     "format_clauses", "format_equations", "horn_to_equations",
     "inverse_binomial_sum", "is_meet_closed", "meet", "meet_closure", "models",

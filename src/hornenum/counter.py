@@ -14,6 +14,15 @@ precomputed variable columns.  A wider component branches on the
 variable in the most open clauses, shortened ones weighing five times.
 The `dpll` method name refers to this search.
 
+The four variants of a width share their ternary clauses and differ
+only in their endpoint unit clauses, so count_width counts all four in
+one engine over the clauses of h01, which has none: each variant starts
+from the residual that assumes its endpoint literals.  h01 is counted
+first; h1, h0 and h are then answered from its component cache, whose
+keys name a subproblem of the shared clause table whichever variant
+reached it.  count_variant counts one variant the same way, in an
+engine of its own.
+
 Counts are over ALL declared variables, so a variable appearing in no
 clause doubles the count.  There is deliberately no pure-literal rule:
 fixing a pure literal preserves satisfiability but loses models.
@@ -33,7 +42,7 @@ from dataclasses import dataclass, field, fields
 from functools import lru_cache, partial
 from typing import Optional, Sequence, Union
 
-from .encoder import ENCODE_CAP, CnfInstance, emit_dimacs, encode
+from .encoder import ENCODE_CAP, CnfInstance, emit_dimacs, encode, endpoint_units
 from .errors import ExternalToolError, ResourceLimitError
 from .families import Variant
 from .identities import binomial_sum, doubling, inverse_binomial_sum
@@ -75,7 +84,8 @@ class CounterStats:
         component wider than TABLE_VARS; nodes - cache_hits - decisions
         is the number of nodes counted by truth table.
     propagations: literals implied by unit clauses, the input's own unit
-        clauses included; a decision literal is not counted.
+        clauses and a variant's endpoint literals included; a decision
+        literal is not counted.
     components: parts of residuals wider than TABLE_VARS that split into
         more than one component (a residual in one piece, or one counted
         whole, adds nothing).
@@ -186,6 +196,7 @@ class ComponentCounter:
         self.num_vars = num_vars
         self.deadline = deadline
         self.cache_limit = cache_limit
+        self.clauses = clauses
         self.cache: dict[int, int] = {}
         self.stats = CounterStats()
         self._key_shift = num_vars + 1
@@ -228,12 +239,24 @@ class ComponentCounter:
         self.stats.subproblems = 1
         return result
 
-    def _start(self) -> Optional[Residual]:
-        """The residual after the input's unit clauses, or None on a
-        conflict.  Scanning every variable's clauses once finds the unit
-        clauses."""
-        return self._propagate(((1 << self.num_vars) - 1) << 1, (1 << len(self._vars)) - 1,
-                               0, list(range(1, self.num_vars + 1)))
+    def _start(self, assumed: Sequence[int] = ()) -> Optional[Residual]:
+        """The residual after the assumed literals and the input's unit
+        clauses, or None on a conflict.  An assumed literal counts as a
+        propagation, as a unit clause does.  Scanning every variable's
+        clauses once then finds the unit clauses and what the assumed
+        literals imply."""
+        free, open_, shortened = ((1 << self.num_vars) - 1) << 1, (1 << len(self._vars)) - 1, 0
+        for lit in assumed:
+            v = abs(lit)
+            if not free >> v & 1:
+                if -lit in assumed:
+                    return None
+                continue
+            free ^= 1 << v
+            open_ &= ~(self._sat_pos[v] if lit > 0 else self._sat_neg[v])
+            shortened |= self._occ[v]
+            self.stats.propagations += 1
+        return self._propagate(free, open_, shortened, list(range(1, self.num_vars + 1)))
 
     def _check_budget(self) -> None:
         self.stats.cache_entries = len(self.cache)
@@ -414,12 +437,13 @@ def _count_job(num_vars: int, clauses: list[tuple[int, ...]], deadline: Optional
     return counter.count((free, (1 << len(ids)) - 1, shortened)), counter.stats.to_dict()
 
 
-def _split_residuals(table: ComponentCounter, target: int) -> list[Residual]:
-    """Cofactor-expand the instance into independent residuals whose
-    counts sum to its model count: branch the residual with the most open
-    clauses by the engine's rule until there are target residuals or none
-    has an open clause.  A conflict leaves no residual."""
-    start = table._start()
+def _split_residuals(table: ComponentCounter, start: Optional[Residual],
+                     target: int) -> list[Residual]:
+    """Cofactor-expand the start residual (None on a conflict) into
+    independent residuals whose counts sum to its model count: branch the
+    residual with the most open clauses by the engine's rule until there
+    are target residuals or none has an open clause.  A conflict leaves
+    no residual."""
     residuals = [] if start is None else [start]
     while len(residuals) < target:
         j = max(range(len(residuals)), key=lambda j: residuals[j][1].bit_count(), default=None)
@@ -438,12 +462,38 @@ def _check_deadline(deadline: Optional[float], stats: CounterStats) -> None:
         raise ResourceLimitError("count budget exceeded", stats=stats.to_dict())
 
 
+def _count_assuming(engine: ComponentCounter, assumed: Sequence[int],
+                    threads: int) -> tuple[int, CounterStats]:
+    """Count the engine's instance under the assumed literals, stopping at
+    the engine's deadline, with fresh stats.  With one thread the engine
+    counts, and its cache stays for the next call.  With threads > 1 the
+    search is split into residuals of the engine, counted by a process
+    pool, each job with a cache of its own; every job gets the same
+    deadline (the monotonic clock is system-wide)."""
+    if threads < 1:
+        raise ValueError("threads must be >= 1")
+    engine.stats = CounterStats()
+    engine._check_budget()
+    start = engine._start(assumed)
+    if threads == 1:
+        return (0 if start is None else engine.count(start)), engine.stats
+
+    from concurrent.futures import ProcessPoolExecutor
+    residuals = _split_residuals(engine, start, target=4 * threads)
+    total, stats = 0, CounterStats()
+    with ProcessPoolExecutor(max_workers=threads) as pool:
+        for value, stat_dict in pool.map(
+                partial(_count_job, engine.num_vars, engine.clauses, engine.deadline),
+                residuals):
+            total += value
+            stats.merge(CounterStats(**stat_dict))
+    return total, stats
+
+
 def _count_clauses(clauses: Clauses, num_vars: int, *, threads: int = 1,
                    deadline: Optional[float] = None) -> tuple[int, CounterStats]:
     """Count over all num_vars variables, stopping at the absolute
-    time.monotonic() deadline.  With threads > 1 the search is split into
-    residuals of the engine, counted by a process pool; every job gets
-    the same deadline (the monotonic clock is system-wide)."""
+    time.monotonic() deadline; threads as in _count_assuming."""
     if num_vars < 0:
         raise ValueError("variable count must be nonnegative")
     if threads < 1:
@@ -452,19 +502,27 @@ def _count_clauses(clauses: Clauses, num_vars: int, *, threads: int = 1,
     _check_deadline(deadline, CounterStats())
     if prepared is None:
         return 0, CounterStats()
-    if threads == 1:
-        counter = ComponentCounter(num_vars, prepared, deadline=deadline)
-        return counter.count(), counter.stats
+    return _count_assuming(ComponentCounter(num_vars, prepared, deadline=deadline), (), threads)
 
-    from concurrent.futures import ProcessPoolExecutor
-    residuals = _split_residuals(ComponentCounter(num_vars, prepared), target=4 * threads)
-    total, stats = 0, CounterStats()
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        for value, stat_dict in pool.map(partial(_count_job, num_vars, prepared, deadline),
-                                         residuals):
-            total += value
-            stats.merge(CounterStats(**stat_dict))
-    return total, stats
+
+def _count_width(n: int, variants: Sequence[Variant], threads: int,
+                 deadline: Optional[float], encode_cap: int) -> dict[Variant, CountReport]:
+    """Count the variants at width n, in this order, in one engine over
+    the clauses of h01, each under its endpoint literals.  A report's
+    elapsed time runs from the end of the previous count, the first's
+    from the call, so it includes the encoding and the clause table."""
+    mark = time.monotonic()
+    instance = encode(n, Variant.H01, cap=encode_cap)
+    num_vars = instance.predicate_count
+    engine = ComponentCounter(num_vars, preprocess(instance.clauses, num_vars),
+                              deadline=deadline)
+    reports = {}
+    for variant in variants:
+        value, stats = _count_assuming(engine, endpoint_units(n, variant), threads)
+        now = time.monotonic()
+        reports[variant] = CountReport(variant, n, "dpll", value, now - mark, stats)
+        mark = now
+    return reports
 
 
 def count_models(instance: Union[CnfInstance, Clauses], num_vars: Optional[int] = None,
@@ -534,6 +592,22 @@ def run_external_counter(instance: CnfInstance, command: Optional[str] = None,
         os.unlink(path)
 
 
+def count_width(n: int, *, threads: int = 1,
+                budget_seconds: Optional[float] = DEFAULT_BUDGET_SECONDS,
+                encode_cap: int = ENCODE_CAP) -> dict[Variant, CountReport]:
+    """Count all four variants at width n by method dpll, in one engine
+    under one deadline: h01 first, then h1, h0 and h.
+
+    h0 and h01 are h and h1 with the all-ones predicate free, and it is in
+    no clause; h is the branch of h1 with the all-zeros predicate true.  So
+    after h01 the other three come from the component cache, at n = 5 and
+    n = 6 in one node each.  With threads > 1 each variant is pooled on its
+    own and no cache is shared.
+    """
+    return _count_width(n, (Variant.H01, Variant.H1, Variant.H0, Variant.H), threads,
+                        _deadline(budget_seconds), encode_cap)
+
+
 def count_variant(n: int, variant: Variant, method: str = "dpll", *,
                   threads: int = 1, budget_seconds: Optional[float] = DEFAULT_BUDGET_SECONDS,
                   encode_cap: int = ENCODE_CAP,
@@ -571,18 +645,15 @@ def count_variant(n: int, variant: Variant, method: str = "dpll", *,
         return CountReport(variant, n, "external", value,
                            time.monotonic() - start, CounterStats())
 
+    if method == "dpll":
+        return _count_width(n, (variant,), threads, deadline, encode_cap)[variant]
+
     stats = CounterStats()
 
     def dpll_count(k: int, v: Variant) -> int:
-        instance = encode(k, v, cap=encode_cap)
-        value, sub = _count_clauses(instance.clauses, instance.predicate_count,
-                                    threads=threads, deadline=deadline)
-        stats.merge(sub)
-        return value
-
-    if method == "dpll":
-        value = dpll_count(n, variant)
-        return CountReport(variant, n, "dpll", value, time.monotonic() - start, stats)
+        report = _count_width(k, (v,), threads, deadline, encode_cap)[v]
+        stats.merge(report.stats)
+        return report.count
 
     # identity: derive from dpll counts of the other variants
     if variant is Variant.H0:

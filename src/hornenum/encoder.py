@@ -73,13 +73,7 @@ def encode(n: int, variant: Variant, cap: int = ENCODE_CAP) -> CnfInstance:
         raise ResourceLimitError(f"encoding cap is n <= {cap}, got {n}")
     variant = Variant.from_name(variant)
     size = 1 << n
-
-    unit_ids = []
-    if variant.requires_all_ones:
-        unit_ids.append(size)
-    if variant.requires_all_zeros and 1 not in unit_ids:
-        unit_ids.append(1)
-    units = tuple((pid,) for pid in unit_ids)
+    units = tuple((pid,) for pid in endpoint_units(n, variant))
 
     ternary = []
     for r in range(size):
@@ -89,6 +83,19 @@ def encode(n: int, variant: Variant, cap: int = ENCODE_CAP) -> CnfInstance:
                 ternary.append((-(r + 1), -(s + 1), u + 1))
 
     return CnfInstance(n, variant, size, units, tuple(ternary))
+
+
+def endpoint_units(n: int, variant: Variant) -> tuple[int, ...]:
+    """The predicate ids that a variant's unit clauses pin true: the
+    all-ones vector's, then the all-zeros vector's, as the variant
+    requires; at n = 0 the two coincide and the id appears once."""
+    size = 1 << n
+    ids = []
+    if variant.requires_all_ones:
+        ids.append(size)
+    if variant.requires_all_zeros and 1 not in ids:
+        ids.append(1)
+    return tuple(ids)
 
 
 def emit_dimacs(instance: CnfInstance) -> str:

@@ -21,7 +21,9 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .counter import DEFAULT_BUDGET_SECONDS, count_variant
+# count_variant is no longer called here, but perfbench/workloads.py wraps
+# it under this module's name for its traced verify5 run.
+from .counter import DEFAULT_BUDGET_SECONDS, count_variant, count_width  # noqa: F401
 from .errors import ResourceLimitError
 from .families import VARIANTS, Variant
 from .identities import binomial_sum, doubling
@@ -120,6 +122,9 @@ def verify_matrix(n_max: int, *, threads: int = 1,
     orbit census with its sanity laws plus the warning-level comparison
     against the published sequence prefixes.
 
+    The four dpll counts of a width come from one count_width call, and
+    each oracle count is taken once per run.
+
     budget_seconds bounds the whole run, not each count: every count gets
     only the time left, and ResourceLimitError is raised once it is spent.
     """
@@ -128,6 +133,7 @@ def verify_matrix(n_max: int, *, threads: int = 1,
     run = VerifyRun(n_max)
     deadline = None if budget_seconds is None else time.monotonic() + budget_seconds
     dpll_cache: dict[tuple[Variant, int], int] = {}
+    oracle: dict[tuple[Variant, int], int] = {}
     census_cache: dict[tuple[Variant, int], OrbitSummary] = {}
 
     def time_left() -> Optional[float]:
@@ -141,12 +147,10 @@ def verify_matrix(n_max: int, *, threads: int = 1,
         return left
 
     def dpll(variant: Variant, n: int) -> int:
-        key = (variant, n)
-        if key not in dpll_cache:
-            dpll_cache[key] = count_variant(
-                n, variant, "dpll", threads=threads,
-                budget_seconds=time_left()).count
-        return dpll_cache[key]
+        if (variant, n) not in dpll_cache:
+            reports = count_width(n, threads=threads, budget_seconds=time_left())
+            dpll_cache.update(((v, n), report.count) for v, report in reports.items())
+        return dpll_cache[(variant, n)]
 
     def census(variant: Variant, n: int) -> OrbitSummary:
         key = (variant, n)
@@ -169,7 +173,7 @@ def verify_matrix(n_max: int, *, threads: int = 1,
         for variant in VARIANTS:
             t0 = time.monotonic()
             time_left()
-            expected = brute_count(n, variant)
+            expected = oracle[(variant, n)] = brute_count(n, variant)
             actual = dpll(variant, n)
             record(f"oracle vs dpll: {variant.value}({n})", expected, actual,
                    elapsed=time.monotonic() - t0)
@@ -209,7 +213,7 @@ def verify_matrix(n_max: int, *, threads: int = 1,
                 t0 = time.monotonic()
                 summary = census(variant, n)
                 record(f"orbit sizes sum: {variant.value}({n})",
-                       brute_count(n, variant), sum(summary.orbit_sizes),
+                       oracle[(variant, n)], sum(summary.orbit_sizes),
                        elapsed=time.monotonic() - t0)
         for variant, (seq_id, prefix) in SEQUENCE_PREFIXES.items():
             for n in range(min(n_max, ORACLE_CAP, len(prefix) - 1) + 1):

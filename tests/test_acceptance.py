@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 from conftest import brute_reference, random_instance
 
-from hornenum.counter import count_models, count_variant
+from hornenum.counter import count_models, count_variant, count_width
 from hornenum.encoder import emit_dimacs, encode, predicate_id
 from hornenum.errors import ResourceLimitError
 from hornenum.families import BitVector, Variant
@@ -271,23 +271,22 @@ def test_criterion_8_stretch_width_six(announce):
     if os.environ.get("HORNENUM_STRETCH") != "1":
         announce(8, "SKIP", "stretch width 6",
                  "set HORNENUM_STRETCH=1 to run; expect 1.5 to 4 minutes "
-                 "per count with the component engine")
+                 "for all four counts, which share one search")
         pytest.skip("stretch run not requested")
     with verdict(announce, 8, "stretch width 6") as record:
-        results = []
-        for variant, expected in ((Variant.H1, STRETCH_H1_6),
-                                  (Variant.H, STRETCH_H_6)):
-            try:
-                report = count_variant(6, variant, "dpll", budget_seconds=None)
-            except ResourceLimitError as exc:
-                announce(8, "SKIP", "stretch width 6",
-                         f"{variant.value}(6) exceeded the budget: {exc}")
-                pytest.skip("stretch budget exhausted")
-            results.append(f"{variant.value}(6) = {report.count} "
-                           f"in {report.elapsed:.0f}s")
-            assert report.count == expected, (
-                f"{variant.value}(6): expected {expected}, got {report.count}")
-        record["detail"] = "; ".join(results)
+        try:
+            reports = count_width(6, budget_seconds=None)
+        except ResourceLimitError as exc:
+            announce(8, "SKIP", "stretch width 6", f"the width-6 search stopped: {exc}")
+            pytest.skip("stretch budget exhausted")
+        expected = {Variant.H1: STRETCH_H1_6, Variant.H: STRETCH_H_6,
+                    Variant.H0: 2 * STRETCH_H_6, Variant.H01: 2 * STRETCH_H1_6}
+        record["detail"] = "; ".join(f"{variant.value}(6) = {report.count} "
+                                     f"in {report.elapsed:.0f}s"
+                                     for variant, report in reports.items())
+        for variant, report in reports.items():
+            assert report.count == expected[variant], (
+                f"{variant.value}(6): expected {expected[variant]}, got {report.count}")
 
 
 def test_criterion_9_nonisomorphic_census(announce):

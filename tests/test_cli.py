@@ -256,6 +256,16 @@ class TestVerify:
         assert "FAIL" in out
         assert "expected" in out
 
+    def test_full_matrix_at_width_five(self, capsys):
+        # the four counts of a width come from one shared search; the
+        # matrix must still hold every check, under the same names
+        assert main(["verify", "--n-max", "5", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        names = (GOLDEN / "verify_n5_checks.txt").read_text().splitlines()
+        assert len(payload["checks"]) == 97
+        assert payload["failure_count"] == 0
+        assert [check["name"] for check in payload["checks"]] == names
+
     def test_budget_bounds_the_run(self, capsys):
         assert main(["verify", "--n-max", "5", "--budget-seconds", "0.01"]) == 3
         assert "resource limit" in capsys.readouterr().err

@@ -9,11 +9,13 @@ from conftest import brute_reference, random_instance
 
 import hornenum.counter as counter_module
 from hornenum.counter import (ComponentCounter, CounterStats, count_models,
-                              count_variant, preprocess, run_external_counter)
+                              count_variant, count_width, preprocess,
+                              run_external_counter)
 from hornenum.encoder import encode
 from hornenum.errors import ExternalToolError, ResourceLimitError
 from hornenum.families import Variant
 from hornenum.oracle import brute_count
+from hornenum.validation import reference_count
 
 STUB = str(Path(__file__).parent / "external_stub.py")
 STUB_CMD = f"{sys.executable} {STUB} {{file}}"
@@ -170,7 +172,8 @@ class TestPoolJobs:
         instance = encode(5, Variant.H1)
         num_vars = instance.predicate_count
         prepared = preprocess(instance.clauses, num_vars)
-        residuals = counter_module._split_residuals(ComponentCounter(num_vars, prepared), 8)
+        table = ComponentCounter(num_vars, prepared)
+        residuals = counter_module._split_residuals(table, table._start(), 8)
         assert len(residuals) > 1
         counts = [counter_module._count_job(num_vars, prepared, None, r)[0] for r in residuals]
         assert counts == [ComponentCounter(num_vars, prepared).count(r) for r in residuals]
@@ -385,6 +388,69 @@ class TestCountVariant:
         merged = CounterStats(nodes=1, decisions=2)
         merged.merge(CounterStats(nodes=10, decisions=20, propagations=5))
         assert (merged.nodes, merged.decisions, merged.propagations) == (11, 22, 5)
+
+
+class TestCountWidth:
+    @pytest.mark.parametrize("n", range(6))
+    def test_every_variant_matches(self, n):
+        reports = count_width(n)
+        assert set(reports) == set(Variant)
+        for variant, report in reports.items():
+            assert (report.variant, report.n, report.method) == (variant, n, "dpll")
+            assert report.count == count_variant(n, variant).count
+            assert report.count == reference_count(variant, n)
+
+    def test_later_variants_come_from_the_cache(self):
+        # h01 is searched first; h1, h0 and h reach its components
+        reports = count_width(5)
+        assert list(reports) == [Variant.H01, Variant.H1, Variant.H0, Variant.H]
+        assert reports[Variant.H01].stats.nodes == 967
+        for variant in (Variant.H1, Variant.H0, Variant.H):
+            assert reports[variant].stats.nodes <= 2
+            assert reports[variant].stats.cache_hits >= 1
+
+    def test_pooled_counts_agree(self):
+        serial = count_width(5)
+        pooled = count_width(5, threads=2)
+        assert {v: r.count for v, r in pooled.items()} == {
+            v: r.count for v, r in serial.items()}
+        assert all(r.stats.subproblems > 1 for r in pooled.values())
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_spent_budget_raises(self, n):
+        with pytest.raises(ResourceLimitError):
+            count_width(n, budget_seconds=-1)
+
+    def test_encoding_cap(self):
+        with pytest.raises(ResourceLimitError):
+            count_width(3, encode_cap=2)
+
+
+class TestAssumedLiterals:
+    def test_conflicting_literals_count_zero(self):
+        counter = ComponentCounter(3, preprocess([(1,), (2, 3)], 3))
+        assert counter._start((-1,)) is None
+        assert counter._start((2, -2)) is None
+        assert counter_module._count_assuming(counter, (-1,), 1)[0] == 0
+        assert counter_module._count_assuming(counter, (1,), 1)[0] == 3
+
+    @pytest.mark.parametrize("tables", [True, False])
+    def test_matches_the_reference_on_random_instances(self, rng, request, tables):
+        # one engine, so later counts reuse the cache of earlier ones
+        if not tables:
+            request.getfixturevalue("branching_only")
+        for _ in range(60):
+            num_vars, clauses = random_instance(rng)
+            prepared = preprocess(clauses, num_vars)
+            if prepared is None:
+                continue
+            counter = ComponentCounter(num_vars, prepared)
+            for _ in range(3):
+                assumed = tuple(rng.choice((1, -1)) * rng.randint(1, num_vars)
+                                for _ in range(rng.randint(0, 2)))
+                expected = brute_reference(list(clauses) + [(lit,) for lit in assumed],
+                                           num_vars)
+                assert counter_module._count_assuming(counter, assumed, 1)[0] == expected
 
 
 class TestExternalMethod:

@@ -71,13 +71,13 @@ class TestVerifyMatrix:
 
     def test_budget_bounds_the_whole_run(self, monkeypatch):
         budgets = []
-        real = validation.count_variant
+        real = validation.count_width
 
-        def spy(n, variant, method, **kwargs):
+        def spy(n, **kwargs):
             budgets.append(kwargs["budget_seconds"])
-            return real(n, variant, method, **kwargs)
+            return real(n, **kwargs)
 
-        monkeypatch.setattr(validation, "count_variant", spy)
+        monkeypatch.setattr(validation, "count_width", spy)
         assert verify_matrix(3, budget_seconds=60.0).passed
         # each count gets only what the counts before it left over
         assert budgets[-1] < budgets[0] <= 60.0
@@ -85,14 +85,14 @@ class TestVerifyMatrix:
 
     def test_spent_budget_stops_the_run(self, monkeypatch):
         widths = []
-        real = validation.count_variant
+        real = validation.count_width
 
-        def spy(n, variant, method, **kwargs):
+        def spy(n, **kwargs):
             widths.append(n)
             time.sleep(0.01)  # the first count spends the whole budget
-            return real(n, variant, method, **kwargs)
+            return real(n, **kwargs)
 
-        monkeypatch.setattr(validation, "count_variant", spy)
+        monkeypatch.setattr(validation, "count_width", spy)
         with pytest.raises(ResourceLimitError):
             verify_matrix(5, budget_seconds=0.01)
         assert widths == [0]
