@@ -8,10 +8,13 @@ bitmasks over a static clause table: its free variables, its open
 clauses, and the open clauses shortened on the path to it, so the search
 loops touch only ints.  One breadth-first pass over a residual's free
 variables finds its components.  A residual or component of at most
-TABLE_VARS variables is neither split nor branched on: its count is the
-popcount of a truth table with one bit per assignment, built from
-precomputed variable columns.  A wider component branches on the
-variable in the most open clauses, shortened ones weighing five times.
+TABLE_VARS variables is neither split nor branched on: it is counted
+from a truth table with one bit per assignment.  Each open clause
+excludes the assignments that falsify it, the AND of one precomputed
+column per free literal (a variable's column, or its complement for a
+positive literal); the count is the number of assignments outside the
+OR of these sets.  A wider component branches on the variable in the
+most open clauses, shortened ones weighing five times.
 The `dpll` method name refers to this search.
 
 The four variants of a width share their ternary clauses and differ
@@ -39,7 +42,7 @@ import re
 import sys
 import time
 from dataclasses import dataclass, field, fields
-from functools import lru_cache, partial
+from functools import partial
 from typing import Optional, Sequence, Union
 
 from .encoder import ENCODE_CAP, CnfInstance, emit_dimacs, encode, endpoint_units
@@ -55,7 +58,7 @@ DEFAULT_CACHE_LIMIT = 2_000_000
 
 #: Components of at most this many variables are counted from a truth
 #: table instead of by branching.
-TABLE_VARS = 14
+TABLE_VARS = 16
 
 #: Environment variable consulted for the external counter command.
 EXTERNAL_CMD_ENV = "HORNENUM_EXTERNAL_CMD"
@@ -368,32 +371,37 @@ class ComponentCounter:
 
     def _count_table(self, variables: int, clauses: int) -> int:
         """Count a component of k variables from a 2^k-row truth table:
-        row x assigns bit j of x to the component's j-th variable.  Each
-        open clause clears the rows that falsify all its free literals;
-        its assigned literals are all false, so those are exactly the rows
-        it excludes."""
-        columns = _columns(variables.bit_count())
-        rows = (1 << (1 << len(columns))) - 1
-        column = {}
+        row x assigns bit j of x to the component's j-th variable.  An
+        open clause has at least one free literal and its assigned
+        literals are all false, so the rows it excludes are those that
+        falsify every free literal: the AND of one column per literal,
+        the variable's column for a negative literal and its complement
+        for a positive one.  The count is 2^k minus the number of rows in
+        the OR of these sets."""
+        k = variables.bit_count()
+        column, complement = {}, {}
         rest = variables
-        for col in columns:
+        for col, comp in zip(*_tables(k)):
             low = rest & -rest
             rest ^= low
             column[low] = col
+            complement[low] = comp
         vars_of, positive, bit = self._vars, self._positive, self._bit
-        models = rows
+        excluded = 0
         while clauses:
             i = clauses.bit_length() - 1
             clauses ^= bit[i]
             lits = vars_of[i] & variables
             pos = positive[i]
-            falsified = rows
+            low = lits & -lits
+            lits ^= low
+            falsified = complement[low] if pos & low else column[low]
             while lits:
                 low = lits & -lits
                 lits ^= low
-                falsified &= rows ^ column[low] if pos & low else column[low]
-            models &= ~falsified
-        return models.bit_count()
+                falsified &= complement[low] if pos & low else column[low]
+            excluded |= falsified
+        return (1 << k) - excluded.bit_count()
 
     def _branch(self, free: int, open_: int, shortened: int) -> list[Optional[Residual]]:
         """Decide the variable of highest score both ways: the two
@@ -417,13 +425,28 @@ class ComponentCounter:
                 for satisfied in (self._sat_pos[v], self._sat_neg[v])]
 
 
-@lru_cache(maxsize=None)
-def _columns(k: int) -> tuple[int, ...]:
+#: _tables(k) by k, filled on first use.  The tables are constants, so a
+#: plain dict holds them, where a functools cache would be emptied and
+#: rebuilt by every cache clear, and each rebuild grew the heap.
+_TABLES: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
+
+
+def _tables(k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The k variable columns of a 2^k-row truth table, each a 2^k-bit
-    int: bit x of column j is bit j of x."""
-    rows = (1 << (1 << k)) - 1
-    return tuple((((1 << (1 << j)) - 1) << (1 << j)) * (rows // ((1 << (2 << j)) - 1))
-                 for j in range(k))
+    int (bit x of column j is bit j of x), and their complements within
+    the rows.  Adding variable j doubles the rows: the upper half repeats
+    the columns so far and sets column j, so a table costs shifts and ORs
+    of its own size."""
+    tables = _TABLES.get(k)
+    if tables is None:
+        columns: tuple[int, ...] = ()
+        for j in range(k):
+            half = 1 << j
+            columns = (tuple(column | column << half for column in columns)
+                       + (((1 << half) - 1) << half,))
+        rows = (1 << (1 << k)) - 1
+        tables = _TABLES[k] = columns, tuple(rows ^ column for column in columns)
+    return tables
 
 
 def _count_job(num_vars: int, clauses: list[tuple[int, ...]], deadline: Optional[float],
@@ -469,7 +492,8 @@ def _count_assuming(engine: ComponentCounter, assumed: Sequence[int],
     counts, and its cache stays for the next call.  With threads > 1 the
     search is split into residuals of the engine, counted by a process
     pool, each job with a cache of its own; every job gets the same
-    deadline (the monotonic clock is system-wide)."""
+    deadline (the monotonic clock is system-wide).  Pooled stats add the
+    jobs' stats to the engine's own propagations and split decisions."""
     if threads < 1:
         raise ValueError("threads must be >= 1")
     engine.stats = CounterStats()
@@ -480,7 +504,7 @@ def _count_assuming(engine: ComponentCounter, assumed: Sequence[int],
 
     from concurrent.futures import ProcessPoolExecutor
     residuals = _split_residuals(engine, start, target=4 * threads)
-    total, stats = 0, CounterStats()
+    total, stats = 0, engine.stats
     with ProcessPoolExecutor(max_workers=threads) as pool:
         for value, stat_dict in pool.map(
                 partial(_count_job, engine.num_vars, engine.clauses, engine.deadline),

@@ -11,7 +11,7 @@ import hornenum.counter as counter_module
 from hornenum.counter import (ComponentCounter, CounterStats, count_models,
                               count_variant, count_width, preprocess,
                               run_external_counter)
-from hornenum.encoder import encode
+from hornenum.encoder import encode, endpoint_units
 from hornenum.errors import ExternalToolError, ResourceLimitError
 from hornenum.families import Variant
 from hornenum.oracle import brute_count
@@ -20,6 +20,15 @@ from hornenum.validation import reference_count
 STUB = str(Path(__file__).parent / "external_stub.py")
 STUB_CMD = f"{sys.executable} {STUB} {{file}}"
 SLICE_POOL = Path(__file__).parent.parent / "perfbench" / "slice_pool.json"
+
+
+def pool_slices(bins):
+    """(clauses, num_vars, count) of the benchmark pool's slices in bins."""
+    pool = json.loads(SLICE_POOL.read_text())
+    width = pool["width"]
+    return [(list(encode(width, Variant.from_name(entry["variant"])).clauses)
+             + [(unit,) for unit in entry["units"]], 1 << width, entry["count"])
+            for entry in pool["slices"] if entry["bin"] in bins]
 
 
 class TestPreprocess:
@@ -122,13 +131,40 @@ class TestCounterLawsBranchingOnly(TestCounterLaws):
 
 
 class TestTruthTables:
-    @pytest.mark.parametrize("k", range(6))
+    @pytest.mark.parametrize("k", [*range(6), counter_module.TABLE_VARS])
     def test_columns_definition(self, k):
-        columns = counter_module._columns(k)
+        columns, complements = counter_module._tables(k)
         assert len(columns) == k
         for j, column in enumerate(columns):
             assert column >> (1 << k) == 0
             assert all((column >> x & 1) == (x >> j & 1) for x in range(1 << k))
+        rows = (1 << (1 << k)) - 1
+        assert complements == tuple(rows ^ column for column in columns)
+
+    @pytest.mark.parametrize("k", range(counter_module.TABLE_VARS + 1))
+    def test_count_table_matches_the_reference(self, rng, k):
+        # a leaf of k variables among k + 3: each open clause has one to
+        # three free literals of either sign, and some also have literals
+        # of the other variables, assigned so that those are false
+        num_vars = k + 3
+        for _ in range(4 if k <= 10 else 1):
+            inside = rng.sample(range(1, num_vars + 1), k)
+            false_lit = {v: rng.choice((v, -v)) for v in range(1, num_vars + 1)
+                         if v not in inside}
+            clauses = []
+            for _ in range(rng.randint(k // 2, k + 2) if k else 0):
+                width = min(k, rng.choice((1, 2, 2, 3, 3, 3, 3, 3)))
+                clause = [rng.choice((1, -1)) * v for v in rng.sample(inside, width)]
+                clause += rng.sample(sorted(false_lit.values()), rng.choice((0, 0, 1, 2)))
+                clauses.append(tuple(clause))
+            prepared = preprocess(clauses, num_vars)
+            counter = ComponentCounter(num_vars, prepared)
+            variables = sum(1 << v for v in inside)
+            relabel = {v: j + 1 for j, v in enumerate(sorted(inside))}
+            restricted = [[(1 if lit > 0 else -1) * relabel[abs(lit)]
+                           for lit in clause if abs(lit) in relabel] for clause in prepared]
+            got = counter._count_table(variables, (1 << len(prepared)) - 1)
+            assert got == brute_reference(restricted, k)
 
     @pytest.mark.parametrize("extra, decides", [(0, False), (1, True)])
     def test_component_at_the_table_boundary(self, rng, extra, decides):
@@ -186,14 +222,7 @@ class TestWidthSixSlices:
 
     @pytest.fixture(scope="class")
     def slices(self):
-        pool = json.loads(SLICE_POOL.read_text())
-        width = pool["width"]
-        chosen = []
-        for entry in pool["slices"]:
-            if entry["bin"] in (0, 1):
-                base = encode(width, Variant.from_name(entry["variant"])).clauses
-                clauses = list(base) + [(unit,) for unit in entry["units"]]
-                chosen.append((clauses, 1 << width, entry["count"]))
+        chosen = pool_slices((0, 1))
         assert len(chosen) == 2
         return chosen
 
@@ -214,13 +243,12 @@ class TestEngines:
         assert counter.count() == brute_reference(part, k) ** 2
         assert counter.stats.components == 2
 
-    # at width 4 truth tables count almost every component, so the cache
-    # is exercised at width 5
+    # the width-5 searches reach no component twice, so the cache is
+    # exercised on the pool's bin-1 width-6 slice
     def test_component_cache_hits(self):
-        instance = encode(5, Variant.H1)
-        counter = ComponentCounter(instance.predicate_count,
-                                   preprocess(instance.clauses, instance.predicate_count))
-        assert counter.count() == 1385552
+        [(clauses, num_vars, expected)] = pool_slices((1,))
+        counter = ComponentCounter(num_vars, preprocess(clauses, num_vars))
+        assert counter.count() == expected
         assert counter.stats.cache_hits > 0
 
     def test_cache_eviction_keeps_count_exact(self):
@@ -325,10 +353,10 @@ class TestDepth:
 
 class TestCountVariant:
     @pytest.mark.parametrize("variant, expected", [
-        ("h", dict(nodes=938, decisions=467, propagations=1107, components=6,
-                   cache_hits=2, cache_entries=936)),
-        ("h1", dict(nodes=967, decisions=484, propagations=1336, components=6,
-                    cache_hits=4, cache_entries=963)),
+        ("h", dict(nodes=455, decisions=227, propagations=636, components=0,
+                   cache_hits=0, cache_entries=455)),
+        ("h1", dict(nodes=481, decisions=242, propagations=850, components=0,
+                    cache_hits=0, cache_entries=481)),
     ])
     def test_width_five_search_stats(self, variant, expected):
         # the exact search effort: a change here is a different search
@@ -404,10 +432,23 @@ class TestCountWidth:
         # h01 is searched first; h1, h0 and h reach its components
         reports = count_width(5)
         assert list(reports) == [Variant.H01, Variant.H1, Variant.H0, Variant.H]
-        assert reports[Variant.H01].stats.nodes == 967
+        assert reports[Variant.H01].stats.nodes == 481
         for variant in (Variant.H1, Variant.H0, Variant.H):
             assert reports[variant].stats.nodes <= 2
             assert reports[variant].stats.cache_hits >= 1
+
+    def test_pooled_stats_include_the_split(self):
+        # the parent engine's endpoint propagations and split decisions
+        # count with the jobs' effort
+        instance = encode(4, Variant.H01)
+        num_vars = instance.predicate_count
+        engine = ComponentCounter(num_vars, preprocess(instance.clauses, num_vars))
+        start = engine._start(endpoint_units(4, Variant.H))
+        jobs = counter_module._split_residuals(engine, start, 8)
+        stats = count_width(4, threads=2)[Variant.H].stats
+        assert stats.propagations >= 2
+        assert stats.decisions >= engine.stats.decisions > 0
+        assert stats.subproblems == len(jobs)
 
     def test_pooled_counts_agree(self):
         serial = count_width(5)
