@@ -12,21 +12,32 @@ Maps on vectors act on masks through lifted tables, one 256-entry table
 per byte of the mask.  The isomorphism census walks the closed masks in
 order and expands each one not yet seen into its orbit, its images
 under the n! variable permutations.
+
+Each width is walked once for all four variants.  The closed masks are
+the h01 families; the other variants only add the endpoint rules, which
+test the all-zeros and all-ones vectors.  A variable permutation fixes
+both vectors, so an orbit lies wholly inside or wholly outside each
+variant, and a variant's census is the orbits whose first mask passes
+its rule.  Its labeled count comes from one tally of the closed masks
+by the two endpoint bits, a computation apart from the orbit walk.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
+from operator import or_
 from typing import Iterator
 
 from .errors import ResourceLimitError
 from .families import VARIANTS, Variant, VectorFamily
 
 #: Widest n the oracle enumerates; n = 5 would pair the 4,960 closed
-#: masks of width 4 with each other, about 24.6M pairs.
+#: masks of width 4 with each other, about 24.6M pairs at one AND each,
+#: and then walk the orbits of the closed masks of width 5.
 ORACLE_CAP = 4
 
 
@@ -50,15 +61,15 @@ def _mask_members(mask: int) -> list[int]:
 def _lift(image: list[int]) -> tuple[tuple[int, ...], ...]:
     """Lift a map on the 2^n vectors (vector v goes to image[v]) to subset
     masks: one table per byte of the mask, whose entry x is the image
-    mask of the vectors that the set bits of x stand for.  Each entry is
-    its lower bits' entry plus the image of its highest bit."""
+    mask of the vectors that the set bits of x stand for.  The table
+    doubles once per bit: the new upper half is the lower half plus the
+    bit's image."""
     tables = []
     for base in range(0, len(image), 8):
-        chunk = image[base:base + 8]
-        table = [0] * (1 << len(chunk))
-        for x in range(1, len(table)):
-            high = x.bit_length() - 1
-            table[x] = table[x ^ (1 << high)] | 1 << chunk[high]
+        table = [0]
+        for target in image[base:base + 8]:
+            bit = 1 << target
+            table += [entry | bit for entry in table]
         tables.append(tuple(table))
     return tuple(tables)
 
@@ -102,46 +113,92 @@ def _closed_masks(n: int) -> tuple[int, ...]:
     mask is its high half (the members with x1 = 1) over its low half,
     each a width n-1 family.  It is closed exactly when both halves are
     closed and meeting the low half with each high member stays inside
-    the low half; high outside and low inside keeps the order ascending."""
+    the low half, so one AND tests a pair: no high member may lie in the
+    low half's unstable mask, the vectors r whose meet with it leaves
+    it.  High outside and low inside keeps the order ascending."""
     if n == 0:
         return (0, 1)
     halves = _closed_masks(n - 1)
     meets = _meet_maps(n - 1)
     shift = 1 << (n - 1)
+    lows = [(low, sum(1 << r for r, meet in enumerate(meets)
+                      if _apply(meet, low) & ~low))
+            for low in halves]
     closed = []
     for high in halves:
-        high_meets = [meets[r] for r in _mask_members(high)]
-        for low in halves:
-            for meet in high_meets:
-                if _apply(meet, low) & ~low:
-                    break
-            else:
-                closed.append(high << shift | low)
+        top = high << shift
+        closed.extend([top | low for low, unstable in lows if not high & unstable])
     return tuple(closed)
 
 
-def _variant_masks(n: int, variant: Variant) -> Iterator[int]:
-    ones_bit = (1 << n) - 1
-    need_zero = variant.requires_all_zeros
-    need_ones = variant.requires_all_ones
+def _required_bits(n: int, variant: Variant) -> int:
+    """The variant's endpoint rule as the mask bits its families must
+    hold: bit 0 for the all-zeros vector, bit 2^n - 1 for the all-ones
+    vector (one bit at n = 0, where the two coincide)."""
+    return ((1 if variant.requires_all_zeros else 0)
+            | (1 << ((1 << n) - 1) if variant.requires_all_ones else 0))
+
+
+@lru_cache(maxsize=None)
+def _endpoint_tally(n: int) -> tuple[tuple[int, int], ...]:
+    """The closed masks of width n counted by their endpoint bits, as
+    (endpoint bits, count) pairs."""
+    endpoints = _required_bits(n, Variant.H)  # h requires both
+    return tuple(Counter(mask & endpoints for mask in _closed_masks(n)).items())
+
+
+@lru_cache(maxsize=None)
+def _orbits(n: int) -> tuple[tuple[int, int], ...]:
+    """The orbits of the closed masks of width n under the n! variable
+    permutations, as (first mask, size) in ascending order of first mask.
+    Masks are visited in ascending order; each one not yet seen starts a
+    new orbit, the set of its images.  Every size must divide n!."""
+    # per byte of the mask, a table whose entry x holds x's images under
+    # every permutation: one lookup per byte yields the whole orbit
+    first, *rest = [tuple(zip(*tables)) for tables in zip(*_permutation_maps(n))]
+    group_order = factorial(n)
+    seen: set[int] = set()
+    orbits = []
     for mask in _closed_masks(n):
-        if need_zero and not mask & 1:
+        if mask in seen:
             continue
-        if need_ones and not (mask >> ones_bit) & 1:
-            continue
-        yield mask
+        images = first[mask & 0xFF]
+        upper = mask
+        for tables in rest:
+            upper >>= 8
+            images = map(or_, images, tables[upper & 0xFF])
+        orbit = set(images)
+        if group_order % len(orbit) != 0:
+            raise AssertionError(
+                f"orbit size {len(orbit)} does not divide {n}! = {group_order} "
+                f"(orbit of mask {mask:#x})")
+        seen |= orbit
+        orbits.append((mask, len(orbit)))
+    return tuple(orbits)
+
+
+def _variant_count(n: int, variant: Variant) -> int:
+    required = _required_bits(n, variant)
+    return sum(count for endpoints, count in _endpoint_tally(n)
+               if endpoints & required == required)
+
+
+def _variant_masks(n: int, variant: Variant) -> Iterator[int]:
+    required = _required_bits(n, variant)
+    return (mask for mask in _closed_masks(n) if mask & required == required)
 
 
 def variant_counts(n: int) -> dict:
-    """All four variant counts, one brute_count each."""
+    """All four variant counts, one brute_count each, from one tally."""
     return {variant: brute_count(n, variant) for variant in VARIANTS}
 
 
 def brute_count(n: int, variant: Variant) -> int:
-    """Number of families of the variant, by visiting every closed family."""
+    """Number of families of the variant: the closed families of width n,
+    every one visited, tallied by the variant's endpoint rule."""
     variant = Variant.from_name(variant)
     _require_small(n)
-    return sum(1 for _ in _variant_masks(n, variant))
+    return _variant_count(n, variant)
 
 
 def enumerate_families(n: int, variant: Variant) -> Iterator[VectorFamily]:
@@ -175,30 +232,18 @@ class OrbitSummary:
 def orbit_summary(n: int, variant: Variant) -> OrbitSummary:
     """Group the variant's families into orbits under variable permutation.
 
-    Masks are visited in ascending order; each one not yet seen starts a
-    new orbit, the set of its images under the n! permutations.  Orbit
-    sizes must divide n!, and they sum to the labeled count only if no
-    permutation ever leaves the variant.
+    One walk of the closed masks per width serves all four variants: a
+    permutation fixes the all-zeros and all-ones vectors, so each orbit
+    lies wholly inside or wholly outside the variant, and the variant's
+    orbits are those whose first mask passes its endpoint rule.  Orbit
+    sizes must divide n!, and they sum to the labeled count, taken from
+    the endpoint tally, only if no permutation ever leaves the variant.
     """
     variant = Variant.from_name(variant)
     _require_small(n)
-    perms = _permutation_maps(n)
-    group_order = factorial(n)
-    seen: set[int] = set()
-    sizes = []
-    labeled = 0
-    for mask in _variant_masks(n, variant):
-        labeled += 1
-        if mask in seen:
-            continue
-        orbit = {_apply(perm, mask) for perm in perms}
-        if group_order % len(orbit) != 0:
-            raise AssertionError(
-                f"orbit size {len(orbit)} does not divide {n}! = {group_order} "
-                f"(orbit of mask {mask:#x})")
-        seen |= orbit
-        sizes.append(len(orbit))
-    return OrbitSummary(n, variant, labeled, len(sizes),
+    required = _required_bits(n, variant)
+    sizes = [size for first, size in _orbits(n) if first & required == required]
+    return OrbitSummary(n, variant, _variant_count(n, variant), len(sizes),
                         tuple(sorted(sizes, reverse=True)))
 
 

@@ -58,7 +58,7 @@ class TestBruteCount:
         assert brute_count(0, Variant.H1) == 1
 
     def test_matches_enumeration(self):
-        for n in range(4):
+        for n in range(5):
             for variant in Variant:
                 families = list(enumerate_families(n, variant))
                 assert brute_count(n, variant) == len(families)
@@ -73,6 +73,10 @@ class TestBruteCount:
         assert counts[Variant.H0] == 90
         assert counts[Variant.H1] == 61
         assert counts[Variant.H01] == 122
+
+    def test_variant_counts_width_four(self):
+        assert variant_counts(4) == {Variant.H: 2271, Variant.H0: 4542,
+                                     Variant.H1: 2480, Variant.H01: 4960}
 
 
 class TestEnumerateFamilies:
@@ -167,6 +171,25 @@ class TestNonisomorphic:
         assert validation.verify_matrix(4).passed
         assert len(calls) == 20
         assert set(calls) == {(n, variant) for n in range(5) for variant in Variant}
+
+    def test_verify_matrix_walks_each_width_once(self):
+        # the four variants of a width share one orbit walk and one tally
+        for cached in (oracle._closed_masks, oracle._orbits, oracle._endpoint_tally):
+            cached.cache_clear()
+        assert validation.verify_matrix(4).passed
+        assert oracle._orbits.cache_info().misses == 5
+        assert oracle._endpoint_tally.cache_info().misses == 5
+
+    @pytest.mark.parametrize("n", range(5))
+    def test_permutations_keep_the_endpoints(self, n):
+        # the shared walk is exact only because no orbit crosses a
+        # variant's endpoint rule
+        ones = (1 << n) - 1
+        for mask in oracle._closed_masks(n):
+            endpoints = (mask & 1, mask >> ones & 1)
+            for perm in oracle._permutation_maps(n):
+                image = oracle._apply(perm, mask)
+                assert (image & 1, image >> ones & 1) == endpoints
 
 
 class TestContainment:
