@@ -2,13 +2,13 @@
 
 At n = 6 the instance has 64 predicates and 1351 ternary clauses.  The
 search decomposes residual subproblems into independent parts, caches
-repeated ones and counts each residual or part of at most 16 variables
+repeated ones and counts each residual or part of at most 20 variables
 from its truth table.  count_width searches h01(6) once; its component
 cache then gives h1(6), h0(6) and h(6) in a node or so each, since the
 four variants differ only in their endpoint predicates.  The whole run
-takes as long as one separate count: 1 to 2.5 minutes at a peak RSS of
-0.58 GB (70.4 and 76.7 s over 2.37M nodes in two runs on one core of a
-2-vCPU Xeon whose speed varies over time).
+takes as long as one separate count: 1 to 2 minutes at a peak RSS of
+0.25 GB (110.3 and 100.2 s over 756,271 nodes in two runs on one core
+of a 2-vCPU Xeon whose speed varies over time).
 
 Run with a finite budget first to see the partial statistics report.
 """

@@ -13,8 +13,12 @@ from a truth table with one bit per assignment.  Each open clause
 excludes the assignments that falsify it, the AND of one precomputed
 column per free literal (a variable's column, or its complement for a
 positive literal); the count is the number of assignments outside the
-OR of these sets.  A wider component branches on the variable in the
-most open clauses, shortened ones weighing five times.
+OR of these sets.  No table is wider than TABLE_BASE variables: a leaf
+of more splits off its extra variables, those in the fewest clauses,
+and sums its count over their assignments (cofactors), each counted
+over the rows of the TABLE_BASE other variables.  A component wider
+than TABLE_VARS branches on the variable in the most open clauses,
+shortened ones weighing five times.
 The `dpll` method name refers to this search.
 
 The four variants of a width share their ternary clauses and differ
@@ -32,7 +36,7 @@ fixing a pure literal preserves satisfiability but loses models.
 
 A budget is one absolute deadline for the whole count, shared by every
 pool worker and every sub-count of an identity derivation.  Each engine
-run reads it on entry and then every 2048 nodes.
+run reads it on entry and then every 512 nodes.
 """
 
 from __future__ import annotations
@@ -56,9 +60,14 @@ DEFAULT_BUDGET_SECONDS = 600.0
 #: Component-cache entry bound; the cache is cleared when it fills.
 DEFAULT_CACHE_LIMIT = 2_000_000
 
-#: Components of at most this many variables are counted from a truth
-#: table instead of by branching.
-TABLE_VARS = 16
+#: Width of the widest truth table built: a leaf is counted over the
+#: 2^TABLE_BASE-row columns of _tables(TABLE_BASE) at most.
+TABLE_BASE = 16
+
+#: Components of at most this many variables are counted whole, from a
+#: truth table, instead of by branching; those wider than TABLE_BASE
+#: cofactor their extra variables over the TABLE_BASE-variable table.
+TABLE_VARS = 20
 
 #: Environment variable consulted for the external counter command.
 EXTERNAL_CMD_ENV = "HORNENUM_EXTERNAL_CMD"
@@ -84,8 +93,9 @@ class CounterStats:
         residuals of at most TABLE_VARS variables counted whole, cache
         hits included.
     decisions: branching variables chosen, one per cache miss on a
-        component wider than TABLE_VARS; nodes - cache_hits - decisions
-        is the number of nodes counted by truth table.
+        component wider than TABLE_VARS (narrower ones, cofactored leaves
+        included, are never decided); nodes - cache_hits - decisions is
+        the number of nodes counted by truth table.
     propagations: literals implied by unit clauses, the input's own unit
         clauses and a variant's endpoint literals included; a decision
         literal is not counted.
@@ -188,9 +198,9 @@ class ComponentCounter:
     the one int `clauses << (num_vars + 1) | variables` (the sharpSAT
     component key), which means the count of these clauses over exactly
     these variables in either case.  On a miss, one of at most TABLE_VARS
-    variables is counted in one step from its truth table, which the
-    same invariant makes exact; a wider one is counted by branching on
-    the variable of highest score (see _branch).
+    variables is counted in one step from its truth table (see
+    _count_table), which the same invariant makes exact; a wider one is
+    counted by branching on the variable of highest score (see _branch).
     """
 
     def __init__(self, num_vars: int, clauses: list[tuple[int, ...]],
@@ -349,7 +359,7 @@ class ComponentCounter:
         """Count one component, or a residual counted whole, over exactly
         its variables."""
         self.stats.nodes += 1
-        if self.stats.nodes % 2048 == 0:
+        if self.stats.nodes % 512 == 0:
             self._check_budget()
         key = clauses << self._key_shift | variables
         cached = self.cache.get(key)
@@ -370,22 +380,19 @@ class ComponentCounter:
         return total
 
     def _count_table(self, variables: int, clauses: int) -> int:
-        """Count a component of k variables from a 2^k-row truth table:
-        row x assigns bit j of x to the component's j-th variable.  An
-        open clause has at least one free literal and its assigned
-        literals are all false, so the rows it excludes are those that
-        falsify every free literal: the AND of one column per literal,
+        """Count a component of k <= TABLE_BASE variables from a 2^k-row
+        truth table: row x assigns bit j of x to the component's j-th
+        variable.  An open clause has at least one free literal and its
+        assigned literals are all false, so the rows it excludes are those
+        that falsify every free literal: the AND of one column per literal,
         the variable's column for a negative literal and its complement
         for a positive one.  The count is 2^k minus the number of rows in
-        the OR of these sets."""
+        the OR of these sets.  A wider component goes to _count_cofactors,
+        so no table has more than 2^TABLE_BASE rows."""
         k = variables.bit_count()
-        column, complement = {}, {}
-        rest = variables
-        for col, comp in zip(*_tables(k)):
-            low = rest & -rest
-            rest ^= low
-            column[low] = col
-            complement[low] = comp
+        if k > TABLE_BASE:
+            return self._count_cofactors(variables, clauses)
+        column, complement = _column_maps(variables)
         vars_of, positive, bit = self._vars, self._positive, self._bit
         excluded = 0
         while clauses:
@@ -402,6 +409,70 @@ class ComponentCounter:
                 falsified &= complement[low] if pos & low else column[low]
             excluded |= falsified
         return (1 << k) - excluded.bit_count()
+
+    def _count_cofactors(self, variables: int, clauses: int) -> int:
+        """Count a leaf of k > TABLE_BASE variables over the rows of the
+        TABLE_BASE-variable table.  The k - TABLE_BASE variables in the
+        fewest of its clauses (ties to the lowest id) are split off, and
+        each clause's excluded rows are computed once over the other
+        TABLE_BASE variables, as in _count_table (all rows for a clause of
+        split literals only).  A clause with no split variable excludes its
+        rows under every assignment of the split variables, so these rows
+        are ORed into one shared set; any other clause excludes its rows
+        only under the assignments that falsify its split literals, so it
+        is ORed into the set of its split-literal pattern.  The count sums,
+        over the assignments of the split variables in some clause, the
+        rows outside the shared set and the sets of the patterns the
+        assignment falsifies, doubled once per split variable in no
+        clause."""
+        occ, vars_of, positive, bit = self._occ, self._vars, self._positive, self._bit
+        order = []
+        rest = variables
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            order.append(((occ[low.bit_length() - 1] & clauses).bit_count(), low))
+        order.sort()
+        split = sum(low for _, low in order[:variables.bit_count() - TABLE_BASE])
+        column, complement = _column_maps(variables ^ split)
+        shared, used = 0, 0
+        patterns: dict[tuple[int, int], int] = {}
+        while clauses:
+            i = clauses.bit_length() - 1
+            clauses ^= bit[i]
+            lits = vars_of[i] & variables
+            pos = positive[i]
+            cut = lits & split
+            lits ^= cut
+            if lits:
+                low = lits & -lits
+                lits ^= low
+                falsified = complement[low] if pos & low else column[low]
+                while lits:
+                    low = lits & -lits
+                    lits ^= low
+                    falsified &= complement[low] if pos & low else column[low]
+            else:
+                falsified = (1 << (1 << TABLE_BASE)) - 1
+            if cut:
+                used |= cut
+                # the split variables and the values that falsify them here
+                key = (cut, cut & ~pos)
+                patterns[key] = patterns.get(key, 0) | falsified
+            else:
+                shared |= falsified
+        excluded = 0
+        assignment = 0
+        while True:
+            rows = shared
+            for (cut, falsifying), pattern in patterns.items():
+                if assignment & cut == falsifying:
+                    rows |= pattern
+            excluded += rows.bit_count()
+            assignment = (assignment - used) & used
+            if not assignment:
+                break
+        return ((1 << (used.bit_count() + TABLE_BASE)) - excluded) << (split ^ used).bit_count()
 
     def _branch(self, free: int, open_: int, shortened: int) -> list[Optional[Residual]]:
         """Decide the variable of highest score both ways: the two
@@ -425,9 +496,9 @@ class ComponentCounter:
                 for satisfied in (self._sat_pos[v], self._sat_neg[v])]
 
 
-#: _tables(k) by k, filled on first use.  The tables are constants, so a
-#: plain dict holds them, where a functools cache would be emptied and
-#: rebuilt by every cache clear, and each rebuild grew the heap.
+#: _tables(k) by k <= TABLE_BASE, filled on first use.  The tables are
+#: constants, so a plain dict holds them, where a functools cache would be
+#: emptied and rebuilt by every cache clear, and each rebuild grew the heap.
 _TABLES: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
 
 
@@ -436,7 +507,9 @@ def _tables(k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     int (bit x of column j is bit j of x), and their complements within
     the rows.  Adding variable j doubles the rows: the upper half repeats
     the columns so far and sets column j, so a table costs shifts and ORs
-    of its own size."""
+    of its own size.  The engine asks for k <= TABLE_BASE only: the
+    columns at TABLE_BASE = 16 take 16 x 8 KiB, and their complements as
+    much again."""
     tables = _TABLES.get(k)
     if tables is None:
         columns: tuple[int, ...] = ()
@@ -447,6 +520,20 @@ def _tables(k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
         rows = (1 << (1 << k)) - 1
         tables = _TABLES[k] = columns, tuple(rows ^ column for column in columns)
     return tables
+
+
+def _column_maps(variables: int) -> tuple[dict[int, int], dict[int, int]]:
+    """The columns of _tables(k) for the k variables of a mask, the j-th
+    lowest taking column j: each variable's one-bit mask mapped to its
+    column, and to its complement."""
+    column, complement = {}, {}
+    rest = variables
+    for col, comp in zip(*_tables(variables.bit_count())):
+        low = rest & -rest
+        rest ^= low
+        column[low] = col
+        complement[low] = comp
+    return column, complement
 
 
 def _count_job(num_vars: int, clauses: list[tuple[int, ...]], deadline: Optional[float],

@@ -22,6 +22,15 @@ STUB_CMD = f"{sys.executable} {STUB} {{file}}"
 SLICE_POOL = Path(__file__).parent.parent / "perfbench" / "slice_pool.json"
 
 
+def search_reference(clauses, num_vars):
+    """The model count by the search with no truth table (TABLE_VARS = 0,
+    as in the branching_only fixture): a path independent of the table
+    leaves, and fast where brute_reference's 2^num_vars loop is not."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(counter_module, "TABLE_VARS", 0)
+        return ComponentCounter(num_vars, preprocess(clauses, num_vars)).count()
+
+
 def pool_slices(bins):
     """(clauses, num_vars, count) of the benchmark pool's slices in bins."""
     pool = json.loads(SLICE_POOL.read_text())
@@ -131,7 +140,7 @@ class TestCounterLawsBranchingOnly(TestCounterLaws):
 
 
 class TestTruthTables:
-    @pytest.mark.parametrize("k", [*range(6), counter_module.TABLE_VARS])
+    @pytest.mark.parametrize("k", [*range(6), counter_module.TABLE_BASE])
     def test_columns_definition(self, k):
         columns, complements = counter_module._tables(k)
         assert len(columns) == k
@@ -145,7 +154,8 @@ class TestTruthTables:
     def test_count_table_matches_the_reference(self, rng, k):
         # a leaf of k variables among k + 3: each open clause has one to
         # three free literals of either sign, and some also have literals
-        # of the other variables, assigned so that those are false
+        # of the other variables, assigned so that those are false; above
+        # TABLE_BASE the reference is the search without tables
         num_vars = k + 3
         for _ in range(4 if k <= 10 else 1):
             inside = rng.sample(range(1, num_vars + 1), k)
@@ -164,7 +174,55 @@ class TestTruthTables:
             restricted = [[(1 if lit > 0 else -1) * relabel[abs(lit)]
                            for lit in clause if abs(lit) in relabel] for clause in prepared]
             got = counter._count_table(variables, (1 << len(prepared)) - 1)
-            assert got == brute_reference(restricted, k)
+            if k > counter_module.TABLE_BASE:
+                assert got == search_reference(restricted, k)
+            else:
+                assert got == brute_reference(restricted, k)
+
+    @pytest.mark.parametrize("case", ["positive", "negative", "pair", "split only", "no clause"])
+    @pytest.mark.parametrize("k", [counter_module.TABLE_BASE, counter_module.TABLE_BASE + 1,
+                                   counter_module.TABLE_VARS])
+    def test_cofactored_leaf(self, rng, k, case):
+        # a leaf of k variables: the first TABLE_BASE are dense (a binary
+        # chain and random ternary clauses), the k - TABLE_BASE others are
+        # in at most two clauses each, so they are the ones split off:
+        # positive: each in clauses only as a positive literal;
+        # negative: only as a negative literal;
+        # pair: two of them in one clause, signs drawn at random;
+        # split only: also in a clause of split literals only;
+        # no clause: in no clause at all (each doubles the count)
+        base = counter_module.TABLE_BASE
+        dense, sparse = range(1, base + 1), list(range(base + 1, k + 1))
+        for _ in range(3):
+            clauses = [(-i, i + 1) if i % 2 else (i, i + 1) for i in range(1, base)]
+            for _ in range(2 * base):
+                clauses.append(tuple(rng.choice((1, -1)) * v for v in rng.sample(dense, 3)))
+
+            def with_dense(*lits):
+                picked = rng.sample(dense, 3 - len(lits))
+                return tuple(lits) + tuple(rng.choice((1, -1)) * v for v in picked)
+
+            for j, x in enumerate(sparse):
+                # x's partner in a two-variable clause: itself if it has none
+                y = sparse[j ^ 1] if j ^ 1 < len(sparse) else x
+                pair = {rng.choice((1, -1)) * v for v in {x, y}}
+                if case == "positive":
+                    clauses += [with_dense(x), with_dense(x)]
+                elif case == "negative":
+                    clauses += [with_dense(-x), with_dense(-x)]
+                elif case == "pair" and j % 2 == 0:
+                    clauses.append(with_dense(*pair))
+                elif case == "split only":
+                    clauses.append(with_dense(rng.choice((1, -1)) * x))
+                    if j % 2 == 0:
+                        clauses.append(tuple(pair))
+            occurrences = [sum(v in map(abs, clause) for clause in clauses) for v in range(1, k + 1)]
+            assert max(occurrences[base:], default=0) < min(occurrences[:base])
+            prepared = preprocess(clauses, k)
+            counter = ComponentCounter(k, prepared)
+            got = counter._count_table(((1 << k) - 1) << 1, (1 << len(prepared)) - 1)
+            assert got == search_reference(clauses, k)
+        assert max(counter_module._TABLES) <= base
 
     @pytest.mark.parametrize("extra, decides", [(0, False), (1, True)])
     def test_component_at_the_table_boundary(self, rng, extra, decides):
@@ -177,7 +235,7 @@ class TestTruthTables:
                 picked = rng.sample(range(1, k + 1), 3)
                 clauses.append(tuple(rng.choice((1, -1)) * v for v in picked))
             counter = ComponentCounter(k, preprocess(clauses, k))
-            assert counter.count() == brute_reference(clauses, k)
+            assert counter.count() == search_reference(clauses, k)
             assert (counter.stats.decisions > 0) == decides
 
     @pytest.mark.parametrize("extra", [0, 1])
@@ -195,7 +253,7 @@ class TestTruthTables:
                     picked = rng.sample(range(lo, hi + 1), 3)
                     clauses.append(tuple(rng.choice((1, -1)) * v for v in picked))
             counter = ComponentCounter(k, preprocess(clauses, k))
-            assert counter.count() == brute_reference(clauses, k)
+            assert counter.count() == search_reference(clauses, k)
             stats = counter.stats
             assert (stats.nodes, stats.components, stats.decisions) == (
                 (2, 2, 0) if extra else (1, 0, 0))
@@ -305,6 +363,14 @@ class TestBudget:
             count_models(encode(6, Variant.H1), threads=2, budget_seconds=1.0)
         assert time.monotonic() - start < 2.0
 
+    def test_serial_count_stops_near_its_deadline(self):
+        # the engine reads the deadline every 512 nodes, and width-6
+        # nodes are the costliest: the count must stop soon after it
+        start = time.monotonic()
+        with pytest.raises(ResourceLimitError):
+            count_width(6, budget_seconds=0.5)
+        assert time.monotonic() - start < 1.5
+
     def test_identity_sub_counts_share_one_deadline(self, monkeypatch):
         real_encode = counter_module.encode
 
@@ -353,10 +419,10 @@ class TestDepth:
 
 class TestCountVariant:
     @pytest.mark.parametrize("variant, expected", [
-        ("h", dict(nodes=455, decisions=227, propagations=636, components=0,
-                   cache_hits=0, cache_entries=455)),
-        ("h1", dict(nodes=481, decisions=242, propagations=850, components=0,
-                    cache_hits=0, cache_entries=481)),
+        ("h", dict(nodes=117, decisions=58, propagations=239, components=0,
+                   cache_hits=0, cache_entries=117)),
+        ("h1", dict(nodes=138, decisions=69, propagations=395, components=0,
+                    cache_hits=0, cache_entries=138)),
     ])
     def test_width_five_search_stats(self, variant, expected):
         # the exact search effort: a change here is a different search
@@ -432,7 +498,7 @@ class TestCountWidth:
         # h01 is searched first; h1, h0 and h reach its components
         reports = count_width(5)
         assert list(reports) == [Variant.H01, Variant.H1, Variant.H0, Variant.H]
-        assert reports[Variant.H01].stats.nodes == 481
+        assert reports[Variant.H01].stats.nodes == 138
         for variant in (Variant.H1, Variant.H0, Variant.H):
             assert reports[variant].stats.nodes <= 2
             assert reports[variant].stats.cache_hits >= 1
