@@ -2,13 +2,13 @@
 
 At n = 6 the instance has 64 predicates and 1351 ternary clauses.  The
 search decomposes residual subproblems into independent parts, caches
-repeated ones and counts each residual or part of at most 20 variables
+repeated ones and counts each residual or part of at most 26 variables
 from its truth table.  count_width searches h01(6) once; its component
 cache then gives h1(6), h0(6) and h(6) in a node or so each, since the
 four variants differ only in their endpoint predicates.  The whole run
-takes as long as one separate count: 1 to 2 minutes at a peak RSS of
-0.25 GB (110.3 and 100.2 s over 756,271 nodes in two runs on one core
-of a 2-vCPU Xeon whose speed varies over time).
+takes as long as one separate count: 40 s to 2 minutes at a peak RSS of
+0.09 GB (47.5 and 40.2 s over 252,322 nodes in two runs on one core of
+a 2-vCPU Xeon whose speed varies over time).
 
 Run with a finite budget first to see the partial statistics report.
 """

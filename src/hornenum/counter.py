@@ -14,11 +14,11 @@ excludes the assignments that falsify it, the AND of one precomputed
 column per free literal (a variable's column, or its complement for a
 positive literal); the count is the number of assignments outside the
 OR of these sets.  No table is wider than TABLE_BASE variables: a leaf
-of more splits off its extra variables, those in the fewest clauses,
-and sums its count over their assignments (cofactors), each counted
-over the rows of the TABLE_BASE other variables.  A component wider
-than TABLE_VARS branches on the variable in the most open clauses,
-shortened ones weighing five times.
+of more splits off its extra variables, no two in one clause, and sums
+them out row by row by weights (the elimination step of bucket
+elimination).  A component wider than TABLE_VARS, or a leaf with no such
+split, branches on the variable in the most open clauses, shortened ones
+weighing five times.
 The `dpll` method name refers to this search.
 
 The four variants of a width share their ternary clauses and differ
@@ -66,8 +66,8 @@ TABLE_BASE = 16
 
 #: Components of at most this many variables are counted whole, from a
 #: truth table, instead of by branching; those wider than TABLE_BASE
-#: cofactor their extra variables over the TABLE_BASE-variable table.
-TABLE_VARS = 20
+#: sum their extra variables out over the TABLE_BASE-variable table.
+TABLE_VARS = 26
 
 #: Environment variable consulted for the external counter command.
 EXTERNAL_CMD_ENV = "HORNENUM_EXTERNAL_CMD"
@@ -93,9 +93,9 @@ class CounterStats:
         residuals of at most TABLE_VARS variables counted whole, cache
         hits included.
     decisions: branching variables chosen, one per cache miss on a
-        component wider than TABLE_VARS (narrower ones, cofactored leaves
-        included, are never decided); nodes - cache_hits - decisions is
-        the number of nodes counted by truth table.
+        component wider than TABLE_VARS or on a narrower one with no
+        split for its truth table (see _count_table); nodes - cache_hits
+        - decisions is the number of nodes counted by truth table.
     propagations: literals implied by unit clauses, the input's own unit
         clauses and a variant's endpoint literals included; a decision
         literal is not counted.
@@ -199,8 +199,8 @@ class ComponentCounter:
     component key), which means the count of these clauses over exactly
     these variables in either case.  On a miss, one of at most TABLE_VARS
     variables is counted in one step from its truth table (see
-    _count_table), which the same invariant makes exact; a wider one is
-    counted by branching on the variable of highest score (see _branch).
+    _count_table), which the same invariant makes exact; a wider one, or
+    one with no split, by branching on the variable of highest score.
     """
 
     def __init__(self, num_vars: int, clauses: list[tuple[int, ...]],
@@ -366,9 +366,9 @@ class ComponentCounter:
         if cached is not None:
             self.stats.cache_hits += 1
             return cached
-        if variables.bit_count() <= TABLE_VARS:
-            total = self._count_table(variables, clauses)
-        else:
+        total = (self._count_table(variables, clauses)
+                 if variables.bit_count() <= TABLE_VARS else None)
+        if total is None:
             total = 0
             for state in self._branch(variables, clauses, shortened):
                 if state is not None:
@@ -379,64 +379,67 @@ class ComponentCounter:
         self.cache[key] = total
         return total
 
-    def _count_table(self, variables: int, clauses: int) -> int:
-        """Count a component of k <= TABLE_BASE variables from a 2^k-row
-        truth table: row x assigns bit j of x to the component's j-th
-        variable.  An open clause has at least one free literal and its
-        assigned literals are all false, so the rows it excludes are those
-        that falsify every free literal: the AND of one column per literal,
-        the variable's column for a negative literal and its complement
-        for a positive one.  The count is 2^k minus the number of rows in
-        the OR of these sets.  A wider component goes to _count_cofactors,
-        so no table has more than 2^TABLE_BASE rows."""
+    def _count_table(self, variables: int, clauses: int) -> Optional[int]:
+        """Count a component of k <= TABLE_VARS variables from a truth
+        table, or return None if it has no split (below).  Over k <=
+        TABLE_BASE variables, row x of the table assigns bit j of x to the
+        j-th variable.  An open clause has at least one free literal and
+        its assigned literals are all false, so the rows it excludes are
+        those that falsify every free literal: the AND of one column per
+        literal, the variable's column for a negative literal and its
+        complement for a positive one.  The count is 2^k minus the number
+        of rows in the OR of these sets.
+
+        A wider component splits off k - TABLE_BASE variables, no two in
+        one open clause, sparsest first (fewest open clauses, ties to the
+        lowest id), and its rows range over the TABLE_BASE others.  A
+        clause with split variable s excludes its rows (all rows if s is
+        its only free literal) only at the value b of s that falsifies it,
+        into Q[s][b]; any other clause, outright.  Summed over s, row x
+        weighs 2 - [x in Q[s][0]] - [x in Q[s][1]]: rows in both weigh 0
+        and are excluded, and a row in j of the sets Q[s][0] | Q[s][1]
+        weighs 2^(k - TABLE_BASE - j).  Layer j of the tally holds the rows
+        left in exactly j sets so far."""
         k = variables.bit_count()
-        if k > TABLE_BASE:
-            return self._count_cofactors(variables, clauses)
-        column, complement = _column_maps(variables)
         vars_of, positive, bit = self._vars, self._positive, self._bit
-        excluded = 0
-        while clauses:
-            i = clauses.bit_length() - 1
-            clauses ^= bit[i]
-            lits = vars_of[i] & variables
-            pos = positive[i]
-            low = lits & -lits
-            lits ^= low
-            falsified = complement[low] if pos & low else column[low]
-            while lits:
+        if k <= TABLE_BASE:
+            column, complement = _column_maps(variables)
+            excluded = 0
+            while clauses:
+                i = clauses.bit_length() - 1
+                clauses ^= bit[i]
+                lits = vars_of[i] & variables
+                pos = positive[i]
                 low = lits & -lits
                 lits ^= low
-                falsified &= complement[low] if pos & low else column[low]
-            excluded |= falsified
-        return (1 << k) - excluded.bit_count()
-
-    def _count_cofactors(self, variables: int, clauses: int) -> int:
-        """Count a leaf of k > TABLE_BASE variables over the rows of the
-        TABLE_BASE-variable table.  The k - TABLE_BASE variables in the
-        fewest of its clauses (ties to the lowest id) are split off, and
-        each clause's excluded rows are computed once over the other
-        TABLE_BASE variables, as in _count_table (all rows for a clause of
-        split literals only).  A clause with no split variable excludes its
-        rows under every assignment of the split variables, so these rows
-        are ORed into one shared set; any other clause excludes its rows
-        only under the assignments that falsify its split literals, so it
-        is ORed into the set of its split-literal pattern.  The count sums,
-        over the assignments of the split variables in some clause, the
-        rows outside the shared set and the sets of the patterns the
-        assignment falsifies, doubled once per split variable in no
-        clause."""
-        occ, vars_of, positive, bit = self._occ, self._vars, self._positive, self._bit
+                falsified = complement[low] if pos & low else column[low]
+                while lits:
+                    low = lits & -lits
+                    lits ^= low
+                    falsified &= complement[low] if pos & low else column[low]
+                excluded |= falsified
+            return (1 << k) - excluded.bit_count()
+        occ = self._occ
         order = []
         rest = variables
         while rest:
             low = rest & -rest
             rest ^= low
-            order.append(((occ[low.bit_length() - 1] & clauses).bit_count(), low))
-        order.sort()
-        split = sum(low for _, low in order[:variables.bit_count() - TABLE_BASE])
+            mine = occ[low.bit_length() - 1] & clauses
+            order.append((mine.bit_count(), low, mine))
+        split = taken = 0
+        for _, low, mine in sorted(order):
+            if not mine & taken:
+                split |= low
+                taken |= mine
+                if split.bit_count() == k - TABLE_BASE:
+                    break
+        else:
+            return None
         column, complement = _column_maps(variables ^ split)
-        shared, used = 0, 0
-        patterns: dict[tuple[int, int], int] = {}
+        rows = (1 << (1 << TABLE_BASE)) - 1
+        excluded = 0
+        falsifying: dict[int, list[int]] = {}
         while clauses:
             i = clauses.bit_length() - 1
             clauses ^= bit[i]
@@ -453,26 +456,23 @@ class ComponentCounter:
                     lits ^= low
                     falsified &= complement[low] if pos & low else column[low]
             else:
-                falsified = (1 << (1 << TABLE_BASE)) - 1
+                falsified = rows
             if cut:
-                used |= cut
-                # the split variables and the values that falsify them here
-                key = (cut, cut & ~pos)
-                patterns[key] = patterns.get(key, 0) | falsified
+                falsifying.setdefault(cut, [0, 0])[0 if pos & cut else 1] |= falsified
             else:
-                shared |= falsified
-        excluded = 0
-        assignment = 0
-        while True:
-            rows = shared
-            for (cut, falsifying), pattern in patterns.items():
-                if assignment & cut == falsifying:
-                    rows |= pattern
-            excluded += rows.bit_count()
-            assignment = (assignment - used) & used
-            if not assignment:
-                break
-        return ((1 << (used.bit_count() + TABLE_BASE)) - excluded) << (split ^ used).bit_count()
+                excluded |= falsified
+        for at_zero, at_one in falsifying.values():
+            excluded |= at_zero & at_one
+        layers = [rows ^ excluded]
+        for at_zero, at_one in falsifying.values():
+            either = at_zero | at_one
+            carry = 0
+            for j, layer in enumerate(layers):
+                moved = layer & either
+                layers[j] = layer ^ moved | carry
+                carry = moved
+            layers.append(carry)
+        return sum(layer.bit_count() << (k - TABLE_BASE - j) for j, layer in enumerate(layers))
 
     def _branch(self, free: int, open_: int, shortened: int) -> list[Optional[Residual]]:
         """Decide the variable of highest score both ways: the two

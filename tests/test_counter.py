@@ -31,6 +31,22 @@ def search_reference(clauses, num_vars):
         return ComponentCounter(num_vars, preprocess(clauses, num_vars)).count()
 
 
+def independent_split(clauses, num_vars, size):
+    """size variables of 1..num_vars, no two in one clause, taken from the
+    sparsest (fewest clauses, ties to the lowest id), or None if the
+    clauses leave fewer: the split a leaf of num_vars variables makes."""
+    split, taken = [], set()
+    for v in sorted(range(1, num_vars + 1),
+                    key=lambda v: (sum(v in map(abs, clause) for clause in clauses), v)):
+        if len(split) == size:
+            break
+        mine = {j for j, clause in enumerate(clauses) if v in map(abs, clause)}
+        if not mine & taken:
+            split.append(v)
+            taken |= mine
+    return split if len(split) == size else None
+
+
 def pool_slices(bins):
     """(clauses, num_vars, count) of the benchmark pool's slices in bins."""
     pool = json.loads(SLICE_POOL.read_text())
@@ -155,7 +171,8 @@ class TestTruthTables:
         # a leaf of k variables among k + 3: each open clause has one to
         # three free literals of either sign, and some also have literals
         # of the other variables, assigned so that those are false; above
-        # TABLE_BASE the reference is the search without tables
+        # TABLE_BASE the reference is the search without tables, or None
+        # if the leaf has no split
         num_vars = k + 3
         for _ in range(4 if k <= 10 else 1):
             inside = rng.sample(range(1, num_vars + 1), k)
@@ -174,23 +191,32 @@ class TestTruthTables:
             restricted = [[(1 if lit > 0 else -1) * relabel[abs(lit)]
                            for lit in clause if abs(lit) in relabel] for clause in prepared]
             got = counter._count_table(variables, (1 << len(prepared)) - 1)
-            if k > counter_module.TABLE_BASE:
-                assert got == search_reference(restricted, k)
-            else:
+            if k <= counter_module.TABLE_BASE:
                 assert got == brute_reference(restricted, k)
+            elif independent_split(restricted, k, k - counter_module.TABLE_BASE) is None:
+                assert got is None
+            else:
+                assert got == search_reference(restricted, k)
 
-    @pytest.mark.parametrize("case", ["positive", "negative", "pair", "split only", "no clause"])
+    @pytest.mark.parametrize("case", ["positive", "negative", "pair", "split only", "no clause",
+                                      "both signs", "some in no clause"])
     @pytest.mark.parametrize("k", [counter_module.TABLE_BASE, counter_module.TABLE_BASE + 1,
-                                   counter_module.TABLE_VARS])
+                                   20, counter_module.TABLE_VARS])
     def test_cofactored_leaf(self, rng, k, case):
         # a leaf of k variables: the first TABLE_BASE are dense (a binary
         # chain and random ternary clauses), the k - TABLE_BASE others are
-        # in at most two clauses each, so they are the ones split off:
+        # in at most two clauses each, so they are the sparsest:
         # positive: each in clauses only as a positive literal;
         # negative: only as a negative literal;
         # pair: two of them in one clause, signs drawn at random;
         # split only: also in a clause of split literals only;
-        # no clause: in no clause at all (each doubles the count)
+        # no clause: in no clause at all (each doubles the count);
+        # both signs: in two clauses that differ only in its sign, so the
+        # rows they exclude at its two values meet (those rows weigh 0);
+        # some in no clause: every other one in no clause, the rest in a
+        # clause each, signs drawn at random.
+        # Pairs can leave no k - TABLE_BASE variables that share no clause;
+        # the leaf is then not counted (None) and the search branches
         base = counter_module.TABLE_BASE
         dense, sparse = range(1, base + 1), list(range(base + 1, k + 1))
         for _ in range(3):
@@ -216,23 +242,37 @@ class TestTruthTables:
                     clauses.append(with_dense(rng.choice((1, -1)) * x))
                     if j % 2 == 0:
                         clauses.append(tuple(pair))
+                elif case == "both signs":
+                    clause = with_dense(x)
+                    clauses += [clause, (-x,) + clause[1:]]
+                elif case == "some in no clause" and j % 2:
+                    clauses.append(with_dense(rng.choice((1, -1)) * x))
             occurrences = [sum(v in map(abs, clause) for clause in clauses) for v in range(1, k + 1)]
             assert max(occurrences[base:], default=0) < min(occurrences[:base])
             prepared = preprocess(clauses, k)
             counter = ComponentCounter(k, prepared)
             got = counter._count_table(((1 << k) - 1) << 1, (1 << len(prepared)) - 1)
-            assert got == search_reference(clauses, k)
+            if independent_split(prepared, k, k - base) is None:
+                assert got is None
+            else:
+                assert got == search_reference(clauses, k)
         assert max(counter_module._TABLES) <= base
 
     @pytest.mark.parametrize("extra, decides", [(0, False), (1, True)])
     def test_component_at_the_table_boundary(self, rng, extra, decides):
         # one component of TABLE_VARS (+ extra) variables and no unit
-        # clause: a binary chain joins them, random ternary clauses fill in
+        # clause: a binary chain joins TABLE_BASE of them, random ternary
+        # clauses fill in, and each other variable is in one ternary clause
+        # with two of these, so the leaf at the bound has its split
+        base = counter_module.TABLE_BASE
         k = counter_module.TABLE_VARS + extra
         for _ in range(3):
-            clauses = [(-i, i + 1) if i % 2 else (i, i + 1) for i in range(1, k)]
-            for _ in range(2 * k):
-                picked = rng.sample(range(1, k + 1), 3)
+            clauses = [(-i, i + 1) if i % 2 else (i, i + 1) for i in range(1, base)]
+            for x in range(base + 1, k + 1):
+                picked = [x] + rng.sample(range(1, base + 1), 2)
+                clauses.append(tuple(rng.choice((1, -1)) * v for v in picked))
+            for _ in range(2 * base):
+                picked = rng.sample(range(1, base + 1), 3)
                 clauses.append(tuple(rng.choice((1, -1)) * v for v in picked))
             counter = ComponentCounter(k, preprocess(clauses, k))
             assert counter.count() == search_reference(clauses, k)
@@ -241,17 +281,22 @@ class TestTruthTables:
     @pytest.mark.parametrize("extra", [0, 1])
     def test_residual_at_the_table_boundary(self, rng, extra):
         # TABLE_VARS (+ extra) free variables in two clause parts, the last
-        # two variables in no clause: at the bound the residual is counted
-        # whole as one node; one variable more and it is split first
+        # two variables in no clause: each part is a binary chain and
+        # random ternary clauses over its core, and its last few variables
+        # are in one ternary clause each with two core variables, so that
+        # at the bound the residual has its split and is counted whole as
+        # one node; one variable more and it is split first
         k = counter_module.TABLE_VARS + extra
         half = (k - 2) // 2
+        sparse = -(-(counter_module.TABLE_VARS - counter_module.TABLE_BASE - 2) // 2)
         for _ in range(3):
             clauses = []
             for lo, hi in ((1, half), (half + 1, k - 2)):
-                clauses += [(-i, i + 1) if i % 2 else (i, i + 1) for i in range(lo, hi)]
-                for _ in range(hi - lo + 1):
-                    picked = rng.sample(range(lo, hi + 1), 3)
-                    clauses.append(tuple(rng.choice((1, -1)) * v for v in picked))
+                core = range(lo, hi - sparse + 1)
+                clauses += [(-i, i + 1) if i % 2 else (i, i + 1) for i in core[:-1]]
+                picks = [rng.sample(core, 3) for _ in core]
+                picks += [[v] + rng.sample(core, 2) for v in range(hi - sparse + 1, hi + 1)]
+                clauses += [tuple(rng.choice((1, -1)) * v for v in picked) for picked in picks]
             counter = ComponentCounter(k, preprocess(clauses, k))
             assert counter.count() == search_reference(clauses, k)
             stats = counter.stats
@@ -275,17 +320,14 @@ class TestPoolJobs:
 
 
 class TestWidthSixSlices:
-    """The two easiest slices of the benchmark's verified width-6 pool,
-    counted serially and through the pool split."""
+    """The slices of the benchmark's verified width-6 pool: all six, one
+    per hardness bin, counted serially, and the two easiest through the
+    pool split."""
 
-    @pytest.fixture(scope="class")
-    def slices(self):
-        chosen = pool_slices((0, 1))
-        assert len(chosen) == 2
-        return chosen
-
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_recorded_counts(self, slices, threads):
+    @pytest.mark.parametrize("threads, bins", [(1, range(6)), (2, (0, 1))], ids=["1", "2"])
+    def test_recorded_counts(self, threads, bins):
+        slices = pool_slices(bins)
+        assert len(slices) == len(bins)
         for clauses, num_vars, expected in slices:
             assert count_models(clauses, num_vars, threads=threads) == expected
 
@@ -302,9 +344,9 @@ class TestEngines:
         assert counter.stats.components == 2
 
     # the width-5 searches reach no component twice, so the cache is
-    # exercised on the pool's bin-1 width-6 slice
+    # exercised on the pool's bin-3 width-6 slice
     def test_component_cache_hits(self):
-        [(clauses, num_vars, expected)] = pool_slices((1,))
+        [(clauses, num_vars, expected)] = pool_slices((3,))
         counter = ComponentCounter(num_vars, preprocess(clauses, num_vars))
         assert counter.count() == expected
         assert counter.stats.cache_hits > 0
@@ -419,10 +461,10 @@ class TestDepth:
 
 class TestCountVariant:
     @pytest.mark.parametrize("variant, expected", [
-        ("h", dict(nodes=117, decisions=58, propagations=239, components=0,
-                   cache_hits=0, cache_entries=117)),
-        ("h1", dict(nodes=138, decisions=69, propagations=395, components=0,
-                    cache_hits=0, cache_entries=138)),
+        ("h", dict(nodes=83, decisions=41, propagations=221, components=0,
+                   cache_hits=0, cache_entries=83)),
+        ("h1", dict(nodes=108, decisions=55, propagations=421, components=0,
+                    cache_hits=0, cache_entries=108)),
     ])
     def test_width_five_search_stats(self, variant, expected):
         # the exact search effort: a change here is a different search
@@ -498,7 +540,7 @@ class TestCountWidth:
         # h01 is searched first; h1, h0 and h reach its components
         reports = count_width(5)
         assert list(reports) == [Variant.H01, Variant.H1, Variant.H0, Variant.H]
-        assert reports[Variant.H01].stats.nodes == 138
+        assert reports[Variant.H01].stats.nodes == 108
         for variant in (Variant.H1, Variant.H0, Variant.H):
             assert reports[variant].stats.nodes <= 2
             assert reports[variant].stats.cache_hits >= 1
