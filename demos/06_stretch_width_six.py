@@ -6,8 +6,8 @@ repeated ones and counts each residual or part of at most 26 variables
 from its truth table.  count_width searches h01(6) once; its component
 cache then gives h1(6), h0(6) and h(6) in a node or so each, since the
 four variants differ only in their endpoint predicates.  The whole run
-takes as long as one separate count: 40 s to 2 minutes at a peak RSS of
-0.09 GB (47.5 and 40.2 s over 252,322 nodes in two runs on one core of
+takes as long as one separate count: 30 s to 2 minutes at a peak RSS of
+0.09 GB (34.5 and 38.2 s over 252,322 nodes in two runs on one core of
 a 2-vCPU Xeon whose speed varies over time).
 
 Run with a finite budget first to see the partial statistics report.

@@ -9,16 +9,16 @@ clauses, and the open clauses shortened on the path to it, so the search
 loops touch only ints.  One breadth-first pass over a residual's free
 variables finds its components.  A residual or component of at most
 TABLE_VARS variables is neither split nor branched on: it is counted
-from a truth table with one bit per assignment.  Each open clause
-excludes the assignments that falsify it, the AND of one precomputed
-column per free literal (a variable's column, or its complement for a
-positive literal); the count is the number of assignments outside the
-OR of these sets.  No table is wider than TABLE_BASE variables: a leaf
-of more splits off its extra variables, no two in one clause, and sums
-them out row by row by weights (the elimination step of bucket
-elimination).  A component wider than TABLE_VARS, or a leaf with no such
-split, branches on the variable in the most open clauses, shortened ones
-weighing five times.
+from a truth table with one bit per assignment.  Each leaf splits off
+every variable that shares no open clause with an earlier pick, sparsest
+first, and sums them out row by row by weights (the elimination step of
+bucket elimination) over a table of the others.  Each open clause
+excludes the rows that falsify it, the AND of one precomputed column per
+free literal (a variable's column, or its complement for a positive
+literal).  No table is wider than TABLE_BASE variables.  A component
+wider than TABLE_VARS, or a leaf whose split leaves more than TABLE_BASE
+variables, branches on the variable in the most open clauses, shortened
+ones weighing five times.
 The `dpll` method name refers to this search.
 
 The four variants of a width share their ternary clauses and differ
@@ -65,8 +65,8 @@ DEFAULT_CACHE_LIMIT = 2_000_000
 TABLE_BASE = 16
 
 #: Components of at most this many variables are counted whole, from a
-#: truth table, instead of by branching; those wider than TABLE_BASE
-#: sum their extra variables out over the TABLE_BASE-variable table.
+#: truth table of the variables their split leaves, instead of by
+#: branching.
 TABLE_VARS = 26
 
 #: Environment variable consulted for the external counter command.
@@ -93,9 +93,10 @@ class CounterStats:
         residuals of at most TABLE_VARS variables counted whole, cache
         hits included.
     decisions: branching variables chosen, one per cache miss on a
-        component wider than TABLE_VARS or on a narrower one with no
-        split for its truth table (see _count_table); nodes - cache_hits
-        - decisions is the number of nodes counted by truth table.
+        component wider than TABLE_VARS or on a narrower one whose
+        split leaves more than TABLE_BASE variables (see _count_table);
+        nodes - cache_hits - decisions is the number of nodes counted by
+        truth table.
     propagations: literals implied by unit clauses, the input's own unit
         clauses and a variant's endpoint literals included; a decision
         literal is not counted.
@@ -158,8 +159,8 @@ def preprocess(clauses: Clauses, num_vars: int) -> Optional[list[tuple[int, ...]
     seen = set()
     for clause in clauses:
         for lit in clause:
-            if (not isinstance(lit, int) or isinstance(lit, bool)
-                    or lit == 0 or abs(lit) > num_vars):
+            if (type(lit) is not int and (not isinstance(lit, int) or isinstance(lit, bool))
+                    or not 0 < abs(lit) <= num_vars):
                 raise ValueError(f"literal {lit!r} invalid for {num_vars} variables")
         lits = tuple(sorted(set(clause)))
         if not lits:
@@ -200,7 +201,8 @@ class ComponentCounter:
     these variables in either case.  On a miss, one of at most TABLE_VARS
     variables is counted in one step from its truth table (see
     _count_table), which the same invariant makes exact; a wider one, or
-    one with no split, by branching on the variable of highest score.
+    one whose split leaves more than TABLE_BASE variables, by branching
+    on the variable of highest score.
     """
 
     def __init__(self, num_vars: int, clauses: list[tuple[int, ...]],
@@ -381,45 +383,27 @@ class ComponentCounter:
 
     def _count_table(self, variables: int, clauses: int) -> Optional[int]:
         """Count a component of k <= TABLE_VARS variables from a truth
-        table, or return None if it has no split (below).  Over k <=
-        TABLE_BASE variables, row x of the table assigns bit j of x to the
-        j-th variable.  An open clause has at least one free literal and
-        its assigned literals are all false, so the rows it excludes are
-        those that falsify every free literal: the AND of one column per
-        literal, the variable's column for a negative literal and its
-        complement for a positive one.  The count is 2^k minus the number
-        of rows in the OR of these sets.
+        table, or return None if its split leaves more than TABLE_BASE
+        variables.
 
-        A wider component splits off k - TABLE_BASE variables, no two in
-        one open clause, sparsest first (fewest open clauses, ties to the
-        lowest id), and its rows range over the TABLE_BASE others.  A
-        clause with split variable s excludes its rows (all rows if s is
-        its only free literal) only at the value b of s that falsifies it,
-        into Q[s][b]; any other clause, outright.  Summed over s, row x
-        weighs 2 - [x in Q[s][0]] - [x in Q[s][1]]: rows in both weigh 0
-        and are excluded, and a row in j of the sets Q[s][0] | Q[s][1]
-        weighs 2^(k - TABLE_BASE - j).  Layer j of the tally holds the rows
-        left in exactly j sets so far."""
-        k = variables.bit_count()
-        vars_of, positive, bit = self._vars, self._positive, self._bit
-        if k <= TABLE_BASE:
-            column, complement = _column_maps(variables)
-            excluded = 0
-            while clauses:
-                i = clauses.bit_length() - 1
-                clauses ^= bit[i]
-                lits = vars_of[i] & variables
-                pos = positive[i]
-                low = lits & -lits
-                lits ^= low
-                falsified = complement[low] if pos & low else column[low]
-                while lits:
-                    low = lits & -lits
-                    lits ^= low
-                    falsified &= complement[low] if pos & low else column[low]
-                excluded |= falsified
-            return (1 << k) - excluded.bit_count()
-        occ = self._occ
+        The leaf splits off u variables: every one that shares no open
+        clause with an earlier pick, sparsest first (fewest open clauses,
+        ties to the lowest id), so every one in no open clause.  Row x
+        of the table assigns bit j of x to the j-th of the t = k - u other
+        variables, and the leaf returns None if t > TABLE_BASE.  An open
+        clause has at least one free literal and its assigned literals are
+        all false, so the rows it excludes are those that falsify every
+        free literal: the AND of one column per literal over the t, the
+        variable's column for a negative literal and its complement for a
+        positive one, or all rows if its only free literal is split off.
+        A clause with split variable s excludes these rows only at the
+        value b of s that falsifies it, into Q[s][b]; any other clause,
+        outright.  Summed over s, row x weighs 2 - [x in Q[s][0]] - [x in
+        Q[s][1]]: rows in both weigh 0 and are excluded, and a row in j of
+        the sets Q[s][0] | Q[s][1] weighs 2^(u - j) (the elimination step
+        of bucket elimination).  Layer j of the tally holds the rows left
+        in exactly j sets so far."""
+        occ, vars_of, positive, bit = self._occ, self._vars, self._positive, self._bit
         order = []
         rest = variables
         while rest:
@@ -432,12 +416,12 @@ class ComponentCounter:
             if not mine & taken:
                 split |= low
                 taken |= mine
-                if split.bit_count() == k - TABLE_BASE:
-                    break
-        else:
+        u = split.bit_count()
+        t = len(order) - u
+        if t > TABLE_BASE:
             return None
         column, complement = _column_maps(variables ^ split)
-        rows = (1 << (1 << TABLE_BASE)) - 1
+        rows = (1 << (1 << t)) - 1
         excluded = 0
         falsifying: dict[int, list[int]] = {}
         while clauses:
@@ -472,7 +456,7 @@ class ComponentCounter:
                 layers[j] = layer ^ moved | carry
                 carry = moved
             layers.append(carry)
-        return sum(layer.bit_count() << (k - TABLE_BASE - j) for j, layer in enumerate(layers))
+        return sum(layer.bit_count() << (u - j) for j, layer in enumerate(layers))
 
     def _branch(self, free: int, open_: int, shortened: int) -> list[Optional[Residual]]:
         """Decide the variable of highest score both ways: the two
@@ -735,6 +719,8 @@ def count_variant(n: int, variant: Variant, method: str = "dpll", *,
     variant = Variant.from_name(variant)
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
+    if threads < 1:
+        raise ValueError("threads must be >= 1")
     if method == "identity-derived":
         method = "identity"
     if method not in METHODS:

@@ -63,6 +63,12 @@ class TestCount:
                      "--method", method]) == 2
         assert "n must be nonnegative" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("method", ["dpll", "identity", "bruteforce"])
+    def test_zero_threads_is_usage_error(self, capsys, method):
+        assert main(["count", "--n", "2", "--variant", "h", "--method", method,
+                     "--threads", "0"]) == 2
+        assert "threads must be >= 1" in capsys.readouterr().err
+
     def test_external_stub(self, capsys):
         cmd = f"{sys.executable} {STUB} {{file}}"
         assert main(["count", "--n", "2", "--variant", "h01",

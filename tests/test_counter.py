@@ -31,20 +31,20 @@ def search_reference(clauses, num_vars):
         return ComponentCounter(num_vars, preprocess(clauses, num_vars)).count()
 
 
-def independent_split(clauses, num_vars, size):
-    """size variables of 1..num_vars, no two in one clause, taken from the
-    sparsest (fewest clauses, ties to the lowest id), or None if the
-    clauses leave fewer: the split a leaf of num_vars variables makes."""
+def independent_split(clauses, num_vars):
+    """The split a leaf of variables 1..num_vars makes: every variable
+    that shares no clause with an earlier pick, from the sparsest up
+    (fewest clauses, ties to the lowest id).  The leaf is counted over a
+    table of the num_vars - len(split) others if they are at most
+    TABLE_BASE, and not counted (None) otherwise."""
     split, taken = [], set()
     for v in sorted(range(1, num_vars + 1),
                     key=lambda v: (sum(v in map(abs, clause) for clause in clauses), v)):
-        if len(split) == size:
-            break
         mine = {j for j, clause in enumerate(clauses) if v in map(abs, clause)}
         if not mine & taken:
             split.append(v)
             taken |= mine
-    return split if len(split) == size else None
+    return split
 
 
 def pool_slices(bins):
@@ -78,6 +78,17 @@ class TestPreprocess:
             count_models([(1, "a")], 2)
         with pytest.raises(ValueError):
             count_models([(True,)], 1)
+        with pytest.raises(ValueError):
+            preprocess([(1, -3)], 2)
+        with pytest.raises(ValueError):
+            preprocess([(1.0,)], 2)
+
+    def test_int_subclass_literals_accepted(self):
+        class Literal(int):
+            pass
+
+        assert preprocess([(Literal(-2), Literal(1))], 2) == [(-2, 1)]
+        assert count_models([(Literal(1),)], 2) == 2
 
 
 class TestCountModels:
@@ -172,7 +183,7 @@ class TestTruthTables:
         # three free literals of either sign, and some also have literals
         # of the other variables, assigned so that those are false; above
         # TABLE_BASE the reference is the search without tables, or None
-        # if the leaf has no split
+        # if the split leaves more than TABLE_BASE variables
         num_vars = k + 3
         for _ in range(4 if k <= 10 else 1):
             inside = rng.sample(range(1, num_vars + 1), k)
@@ -193,7 +204,7 @@ class TestTruthTables:
             got = counter._count_table(variables, (1 << len(prepared)) - 1)
             if k <= counter_module.TABLE_BASE:
                 assert got == brute_reference(restricted, k)
-            elif independent_split(restricted, k, k - counter_module.TABLE_BASE) is None:
+            elif k - len(independent_split(restricted, k)) > counter_module.TABLE_BASE:
                 assert got is None
             else:
                 assert got == search_reference(restricted, k)
@@ -202,7 +213,7 @@ class TestTruthTables:
                                       "both signs", "some in no clause"])
     @pytest.mark.parametrize("k", [counter_module.TABLE_BASE, counter_module.TABLE_BASE + 1,
                                    20, counter_module.TABLE_VARS])
-    def test_cofactored_leaf(self, rng, k, case):
+    def test_cofactored_leaf(self, rng, monkeypatch, k, case):
         # a leaf of k variables: the first TABLE_BASE are dense (a binary
         # chain and random ternary clauses), the k - TABLE_BASE others are
         # in at most two clauses each, so they are the sparsest:
@@ -216,7 +227,9 @@ class TestTruthTables:
         # some in no clause: every other one in no clause, the rest in a
         # clause each, signs drawn at random.
         # Pairs can leave no k - TABLE_BASE variables that share no clause;
-        # the leaf is then not counted (None) and the search branches
+        # the leaf is then not counted (None) and the search branches.
+        # Every split variable is summed out: no table is wider than the
+        # variables left
         base = counter_module.TABLE_BASE
         dense, sparse = range(1, base + 1), list(range(base + 1, k + 1))
         for _ in range(3):
@@ -251,12 +264,51 @@ class TestTruthTables:
             assert max(occurrences[base:], default=0) < min(occurrences[:base])
             prepared = preprocess(clauses, k)
             counter = ComponentCounter(k, prepared)
+            monkeypatch.setattr(counter_module, "_TABLES", {})
             got = counter._count_table(((1 << k) - 1) << 1, (1 << len(prepared)) - 1)
-            if independent_split(prepared, k, k - base) is None:
+            rest = k - len(independent_split(prepared, k))
+            if rest > base:
                 assert got is None
+                assert not counter_module._TABLES
             else:
                 assert got == search_reference(clauses, k)
-        assert max(counter_module._TABLES) <= base
+                assert max(counter_module._TABLES) <= rest
+
+    @pytest.mark.parametrize("core, sparse", [(2, 3), (3, 6), (6, 6), (9, 3)])
+    def test_narrow_leaf_sums_out_every_independent_variable(self, rng, monkeypatch,
+                                                              core, sparse):
+        # a leaf of at most TABLE_BASE variables: a dense core (a binary
+        # chain and random binary clauses) and sparser variables that
+        # share no clause, cycling through three kinds: in no clause (a
+        # doubling), in one clause with two core variables, and in two
+        # clauses that differ only in its sign; the core variables left
+        # over may join the split too.  The table is only as wide as the
+        # variables the split leaves
+        k = core + sparse
+        assert k <= counter_module.TABLE_BASE
+        for _ in range(4):
+            clauses = [(-i, i + 1) if i % 2 else (i, i + 1) for i in range(1, core)]
+            clauses += [tuple(rng.choice((1, -1)) * v for v in rng.sample(range(1, core + 1), 2))
+                        for _ in range(2 * core)]
+            for x in range(core + 1, k + 1):
+                clause = (rng.choice((1, -1)) * x,) + tuple(
+                    rng.choice((1, -1)) * v for v in rng.sample(range(1, core + 1), 2))
+                if x % 3 == 1:
+                    clauses.append(clause)
+                elif x % 3 == 2:
+                    clauses += [clause, (-clause[0],) + clause[1:]]
+            prepared = preprocess(clauses, k)
+            split = independent_split(prepared, k)
+            assert set(range(core + 1, k + 1)) <= set(split)
+            counter = ComponentCounter(k, prepared)
+            monkeypatch.setattr(counter_module, "_TABLES", {})
+            got = counter._count_table(((1 << k) - 1) << 1, (1 << len(prepared)) - 1)
+            assert got == brute_reference(clauses, k)
+            assert max(counter_module._TABLES) <= k - len(split)
+        # unit clauses only: every variable is split off, over a table of
+        # no variable and one row
+        counter = ComponentCounter(3, [(1,), (-2,)])
+        assert counter._count_table(0b1110, 0b11) == 2
 
     @pytest.mark.parametrize("extra, decides", [(0, False), (1, True)])
     def test_component_at_the_table_boundary(self, rng, extra, decides):
@@ -495,6 +547,12 @@ class TestCountVariant:
         for variant in Variant:
             with pytest.raises(ValueError, match="n must be nonnegative"):
                 count_variant(-1, variant, method, external_cmd=STUB_CMD)
+
+    @pytest.mark.parametrize("method", ["dpll", "bruteforce", "identity", "external"])
+    def test_bad_threads_rejected(self, method):
+        for threads in (0, -1):
+            with pytest.raises(ValueError, match="threads must be >= 1"):
+                count_variant(2, Variant.H, method, threads=threads, external_cmd=STUB_CMD)
 
     def test_identity_h0_undefined_at_width_zero(self):
         with pytest.raises(ValueError):
