@@ -1,14 +1,15 @@
 """Width 6 with the component-caching search.
 
 At n = 6 the instance has 64 predicates and 1351 ternary clauses.  The
-search decomposes residual subproblems into independent parts, caches
-repeated ones and counts each residual or part of at most 26 variables
-from its truth table.  count_width searches h01(6) once; its component
+search propagates units, closes the clauses that a new binary clause
+subsumes, decomposes residual subproblems into independent parts,
+caches repeated ones and counts each residual or part of at most 26
+variables from its truth table.  count_width searches h01(6) once; its component
 cache then gives h1(6), h0(6) and h(6) in a node or so each, since the
 four variants differ only in their endpoint predicates.  The whole run
-takes as long as one separate count: 30 s to 2 minutes at a peak RSS of
-0.09 GB (34.5 and 38.2 s over 252,322 nodes in two runs on one core of
-a 2-vCPU Xeon whose speed varies over time).
+takes as long as one separate count: 20 s to 1.5 minutes at a peak RSS
+of 0.07 GB (25.4, 27.3 and 31.4 s over 186,758 nodes in three runs on
+one core of a 2-vCPU Xeon whose speed varies over time).
 
 Run with a finite budget first to see the partial statistics report.
 """

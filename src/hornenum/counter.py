@@ -6,19 +6,23 @@ multiplies their counts, and memoizes components under a bounded cache
 (the component-caching design of sharpSAT).  A residual is three
 bitmasks over a static clause table: its free variables, its open
 clauses, and the open clauses shortened on the path to it, so the search
-loops touch only ints.  One breadth-first pass over a residual's free
-variables finds its components.  A residual or component of at most
-TABLE_VARS variables is neither split nor branched on: it is counted
-from a truth table with one bit per assignment.  Each leaf splits off
-every variable that shares no open clause with an earlier pick, sparsest
-first, and sums them out row by row by weights (the elimination step of
-bucket elimination) over a table of the others.  Each open clause
-excludes the rows that falsify it, the AND of one precomputed column per
-free literal (a variable's column, or its complement for a positive
-literal).  No table is wider than TABLE_BASE variables.  A component
-wider than TABLE_VARS, or a leaf whose split leaves more than TABLE_BASE
-variables, branches on the variable in the most open clauses, shortened
-ones weighing five times.
+loops touch only ints.  Unit propagation also closes the clauses that a
+new binary clause subsumes: once an open clause has two free literals
+left, every other open clause that holds both is implied by it and
+drops out (on-the-fly subsumption; Han & Somenzi, SAT 2009), so fewer
+clauses tie the free variables together.  One breadth-first pass over
+a residual's free variables finds its components.  A residual or
+component of at most TABLE_VARS variables is neither split nor branched
+on: it is counted from a truth table with one bit per assignment.  Each
+leaf splits off every variable that shares no open clause with an
+earlier pick, sparsest first, and sums them out row by row by weights
+(the elimination step of bucket elimination) over a table of the
+others.  Each open clause excludes the rows that falsify it, the AND of
+one precomputed column per free literal (a variable's column, or its
+complement for a positive literal).  No table is wider than TABLE_BASE
+variables.  A component wider than TABLE_VARS, or a leaf whose split
+leaves more than TABLE_BASE variables, branches on the variable in the
+most open clauses, shortened ones weighing five times.
 The `dpll` method name refers to this search.
 
 The four variants of a width share their ternary clauses and differ
@@ -102,7 +106,9 @@ class CounterStats:
         literal is not counted.
     components: parts of residuals wider than TABLE_VARS that split into
         more than one component (a residual in one piece, or one counted
-        whole, adds nothing).
+        whole, adds nothing).  The parts are those of the open clauses
+        left after propagation has closed every clause that a binary
+        clause subsumes.
     cache_hits: nodes answered from the component cache.
     cache_entries: entries in the cache when the count ended.
     cache_evictions: times the full cache was cleared.
@@ -191,10 +197,14 @@ class ComponentCounter:
     false, so the residual of an open clause is the clause restricted to
     the free variables.  The third only guides branching.
 
-    Assigning a literal propagates the units it implies.  A residual of
-    at most TABLE_VARS free variables is counted whole.  A wider one
-    splits into variable-connected components whose counts multiply, and
-    each free variable in no open clause doubles the count.  A component,
+    Assigning a literal propagates the units it implies, and closes each
+    open clause that a clause it leaves binary subsumes (both hold the
+    two free literals), which keeps the open mask exact: while the binary
+    clause is open, every assignment that satisfies it satisfies the
+    clauses it subsumes.  A residual of at most TABLE_VARS free
+    variables is counted whole.  A wider one splits into
+    variable-connected components whose counts multiply, and each free
+    variable in no open clause doubles the count.  A component,
     or a residual counted whole, is looked up in a bounded cache under
     the one int `clauses << (num_vars + 1) | variables` (the sharpSAT
     component key), which means the count of these clauses over exactly
@@ -285,8 +295,12 @@ class ComponentCounter:
         empty.  A unit is assigned when it is found, so a clause that a
         later unit closes leaves the scan, and one that a later unit
         falsifies is found empty when that unit's clauses are scanned.
-        Each implied variable's clauses join shortened.  Returns the
-        residual (free, open, shortened), or None on a conflict."""
+        A scanned clause left with exactly two free literals closes every
+        other open clause that holds both of them (the AND of the two
+        literals' satisfied-clause masks), as it implies each of them;
+        a clause with one of them, or with one of the opposite sign,
+        stays.  Each implied variable's clauses join shortened.  Returns
+        the residual (free, open, shortened), or None on a conflict."""
         vars_of, positive, occ, bit = self._vars, self._positive, self._occ, self._bit
         sat_pos, sat_neg = self._sat_pos, self._sat_neg
         implied = 0
@@ -296,7 +310,16 @@ class ComponentCounter:
                 i = scan.bit_length() - 1
                 scan ^= bit[i]
                 rest = vars_of[i] & free
-                if rest & (rest - 1):
+                high = rest & (rest - 1)
+                if high:
+                    if high & (high - 1):
+                        continue
+                    low = rest ^ high
+                    a, b, pos = low.bit_length() - 1, high.bit_length() - 1, positive[i]
+                    subsumed = ((sat_pos[a] if pos & low else sat_neg[a])
+                                & (sat_pos[b] if pos & high else sat_neg[b]) & open_)
+                    open_ ^= subsumed ^ bit[i]
+                    scan &= open_
                     continue
                 if not rest:
                     self.stats.propagations += implied
@@ -388,21 +411,22 @@ class ComponentCounter:
 
         The leaf splits off u variables: every one that shares no open
         clause with an earlier pick, sparsest first (fewest open clauses,
-        ties to the lowest id), so every one in no open clause.  Row x
-        of the table assigns bit j of x to the j-th of the t = k - u other
-        variables, and the leaf returns None if t > TABLE_BASE.  An open
-        clause has at least one free literal and its assigned literals are
-        all false, so the rows it excludes are those that falsify every
-        free literal: the AND of one column per literal over the t, the
-        variable's column for a negative literal and its complement for a
-        positive one, or all rows if its only free literal is split off.
-        A clause with split variable s excludes these rows only at the
-        value b of s that falsifies it, into Q[s][b]; any other clause,
-        outright.  Summed over s, row x weighs 2 - [x in Q[s][0]] - [x in
-        Q[s][1]]: rows in both weigh 0 and are excluded, and a row in j of
-        the sets Q[s][0] | Q[s][1] weighs 2^(u - j) (the elimination step
-        of bucket elimination).  Layer j of the tally holds the rows left
-        in exactly j sets so far."""
+        ties to the lowest id), so every one in no open clause.  Row x of
+        the table assigns bit j of x to the j-th of the t = k - u other
+        variables, and the leaf returns None as soon as the pick has
+        rejected more than TABLE_BASE variables.  An open clause has at
+        least one free literal and its assigned literals are all false, so
+        the rows it excludes are those that falsify every free literal:
+        the AND of one column per literal over the t, the variable's
+        column for a negative literal and its complement for a positive
+        one, or all rows if its only free literal is split off.  A clause
+        with split variable s excludes these rows only at the value b of s
+        that falsifies it, into Q[s][b]; any other clause, outright.
+        Summed over s, row x weighs 2 - [x in Q[s][0]] - [x in Q[s][1]]:
+        rows in both weigh 0 and are excluded, and a row in j of the sets
+        Q[s][0] | Q[s][1] weighs 2^(u - j) (the elimination step of bucket
+        elimination).  Layer j of the tally holds the rows left in exactly
+        j sets so far."""
         occ, vars_of, positive, bit = self._occ, self._vars, self._positive, self._bit
         order = []
         rest = variables
@@ -411,15 +435,16 @@ class ComponentCounter:
             rest ^= low
             mine = occ[low.bit_length() - 1] & clauses
             order.append((mine.bit_count(), low, mine))
-        split = taken = 0
+        split = taken = t = 0
         for _, low, mine in sorted(order):
             if not mine & taken:
                 split |= low
                 taken |= mine
-        u = split.bit_count()
-        t = len(order) - u
-        if t > TABLE_BASE:
-            return None
+            else:
+                t += 1
+                if t > TABLE_BASE:
+                    return None
+        u = len(order) - t
         column, complement = _column_maps(variables ^ split)
         rows = (1 << (1 << t)) - 1
         excluded = 0

@@ -31,6 +31,9 @@ EXPECTED_H = (1, 1, 4, 45, 2271, 1373701)
 EXPECTED_H1 = (1, 2, 7, 61, 2480, 1385552)
 STRETCH_H1_6 = 75_973_751_474
 STRETCH_H_6 = 75_965_474_236
+# the h01(6) search that check 8 runs, (nodes, decisions): a change here
+# is a different search, and the headline time in README.md moves with it
+STRETCH_H01_6_SEARCH = (186_758, 92_423)
 PUBLISHED_ORBITS = {
     Variant.H1: ("A108798", (1, 2, 5, 19, 184)),
     Variant.H01: ("A108799", (2, 4, 10, 38, 368)),
@@ -270,7 +273,7 @@ def test_criterion_7_golden_dimacs(announce):
 def test_criterion_8_stretch_width_six(announce):
     if os.environ.get("HORNENUM_STRETCH") != "1":
         announce(8, "SKIP", "stretch width 6",
-                 "set HORNENUM_STRETCH=1 to run; expect 30 s to 2 minutes "
+                 "set HORNENUM_STRETCH=1 to run; expect 20 s to 1.5 minutes "
                  "for all four counts, which share one search")
         pytest.skip("stretch run not requested")
     with verdict(announce, 8, "stretch width 6") as record:
@@ -287,6 +290,10 @@ def test_criterion_8_stretch_width_six(announce):
         for variant, report in reports.items():
             assert report.count == expected[variant], (
                 f"{variant.value}(6): expected {expected[variant]}, got {report.count}")
+        search = reports[Variant.H01].stats
+        assert (search.nodes, search.decisions) == STRETCH_H01_6_SEARCH, (
+            f"h01(6) searched {search.nodes} nodes and {search.decisions} decisions, "
+            f"expected {STRETCH_H01_6_SEARCH[0]} and {STRETCH_H01_6_SEARCH[1]}")
 
 
 def test_criterion_9_nonisomorphic_census(announce):

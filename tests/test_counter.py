@@ -166,6 +166,26 @@ class TestCounterLawsBranchingOnly(TestCounterLaws):
     default, the random instances of at most 10 variables never branch."""
 
 
+class TestSubsumedClauses:
+    @pytest.mark.parametrize("signs", [(1, 1), (1, -1), (-1, 1), (-1, -1)])
+    def test_new_binary_clause_closes_what_it_subsumes(self, signs):
+        # x1 true leaves clause 0 the binary clause (a b), a = +-2 and
+        # b = +-3.  It closes every other open clause that holds both a
+        # and b, the identical (a b) included, and keeps those that hold
+        # only one of them or one with the opposite sign
+        a, b = signs[0] * 2, signs[1] * 3
+        clauses = [(-1, a, b), (a, b), (a, b, 4), (a, -5, b, 6),
+                   (a, 4, 6), (-a, b, 4), (a, -b, 6), (1, 4, 6)]
+        counter = ComponentCounter(6, preprocess(clauses, 6))
+        free = ((1 << 7) - 1) ^ 0b11
+        open_ = ((1 << len(clauses)) - 1) & ~counter._sat_pos[1]
+        residual = counter._propagate(free, open_, counter._occ[1], [1])
+        assert residual is not None
+        assert {i for i in range(len(clauses)) if residual[1] >> i & 1} == {0, 4, 5, 6}
+        assert counter.count(residual) == brute_reference(clauses + [(1,)], 6)
+        assert ComponentCounter(6, preprocess(clauses, 6)).count() == brute_reference(clauses, 6)
+
+
 class TestTruthTables:
     @pytest.mark.parametrize("k", [*range(6), counter_module.TABLE_BASE])
     def test_columns_definition(self, k):
@@ -396,9 +416,9 @@ class TestEngines:
         assert counter.stats.components == 2
 
     # the width-5 searches reach no component twice, so the cache is
-    # exercised on the pool's bin-3 width-6 slice
+    # exercised on the pool's bin-4 width-6 slice
     def test_component_cache_hits(self):
-        [(clauses, num_vars, expected)] = pool_slices((3,))
+        [(clauses, num_vars, expected)] = pool_slices((4,))
         counter = ComponentCounter(num_vars, preprocess(clauses, num_vars))
         assert counter.count() == expected
         assert counter.stats.cache_hits > 0
@@ -513,10 +533,10 @@ class TestDepth:
 
 class TestCountVariant:
     @pytest.mark.parametrize("variant, expected", [
-        ("h", dict(nodes=83, decisions=41, propagations=221, components=0,
-                   cache_hits=0, cache_entries=83)),
-        ("h1", dict(nodes=108, decisions=55, propagations=421, components=0,
-                    cache_hits=0, cache_entries=108)),
+        ("h", dict(nodes=77, decisions=38, propagations=200, components=0,
+                   cache_hits=0, cache_entries=77)),
+        ("h1", dict(nodes=102, decisions=52, propagations=400, components=0,
+                    cache_hits=0, cache_entries=102)),
     ])
     def test_width_five_search_stats(self, variant, expected):
         # the exact search effort: a change here is a different search
@@ -528,8 +548,8 @@ class TestCountVariant:
         # every component
         report = count_variant(5, "h")
         assert report.stats.to_dict() == dict(
-            nodes=12927, decisions=6989, propagations=10017, components=2984,
-            cache_hits=5938, cache_entries=6989, cache_evictions=0, subproblems=1)
+            nodes=11519, decisions=5884, propagations=8689, components=3699,
+            cache_hits=5635, cache_entries=5884, cache_evictions=0, subproblems=1)
 
     @pytest.mark.parametrize("n", range(4))
     def test_methods_agree(self, n):
@@ -598,7 +618,7 @@ class TestCountWidth:
         # h01 is searched first; h1, h0 and h reach its components
         reports = count_width(5)
         assert list(reports) == [Variant.H01, Variant.H1, Variant.H0, Variant.H]
-        assert reports[Variant.H01].stats.nodes == 108
+        assert reports[Variant.H01].stats.nodes == 102
         for variant in (Variant.H1, Variant.H0, Variant.H):
             assert reports[variant].stats.nodes <= 2
             assert reports[variant].stats.cache_hits >= 1
