@@ -403,6 +403,19 @@ class TestWidthSixSlices:
         for clauses, num_vars, expected in slices:
             assert count_models(clauses, num_vars, threads=threads) == expected
 
+    def test_search_stats(self):
+        # the exact width-6 search effort per bin, (nodes, decisions,
+        # propagations, components, cache_hits): a change here is a
+        # different search, whatever the leaves cost
+        expected = [(95, 46, 275, 4, 0), (100, 47, 329, 10, 2), (137, 68, 389, 0, 0),
+                    (317, 156, 860, 8, 0), (359, 171, 744, 32, 7), (478, 237, 961, 6, 0)]
+        for (clauses, num_vars, count), pinned in zip(pool_slices(range(6)), expected):
+            counter = ComponentCounter(num_vars, preprocess(clauses, num_vars))
+            assert counter.count() == count
+            stats = counter.stats
+            assert (stats.nodes, stats.decisions, stats.propagations, stats.components,
+                    stats.cache_hits) == pinned
+
 
 class TestEngines:
     def test_component_engine_multiplies_disjoint_parts(self):
