@@ -18,9 +18,12 @@ leaf splits off every variable that shares no open clause with an
 earlier pick, sparsest first, and sums them out row by row by weights
 (the elimination step of bucket elimination) over a table of the
 others.  Each open clause excludes the rows that falsify it, the AND of
-one precomputed column per free literal (a variable's column, or its
-complement for a positive literal).  No table is wider than TABLE_BASE
-variables.  A component wider than TABLE_VARS, or a leaf whose split
+one precomputed column per table literal (a variable's column, or its
+complement for a positive literal).  A row's weight depends on how many
+split variables exclude it at one of their values; a bit-sliced binary
+counter (carry-save, as in the Harley-Seal popcount) keeps that count in
+a few digit ints, and the rows are then summed by cells of equal count.
+No table is wider than TABLE_BASE variables.  A component wider than TABLE_VARS, or a leaf whose split
 leaves more than TABLE_BASE variables, branches on the variable in the
 most open clauses, shortened ones weighing five times.
 The `dpll` method name refers to this search.
@@ -210,7 +213,9 @@ class ComponentCounter:
     component key), which means the count of these clauses over exactly
     these variables in either case.  On a miss, one of at most TABLE_VARS
     variables is counted in one step from its truth table (see
-    _count_table), which the same invariant makes exact; a wider one, or
+    _count_table: split variables summed out by weight, the weights read
+    from a bit-sliced binary count of each row's exclusions), which the
+    same invariant makes exact; a wider one, or
     one whose split leaves more than TABLE_BASE variables, by branching
     on the variable of highest score.
     """
@@ -411,77 +416,94 @@ class ComponentCounter:
 
         The leaf splits off u variables: every one that shares no open
         clause with an earlier pick, sparsest first (fewest open clauses,
-        ties to the lowest id), so every one in no open clause.  Row x of
-        the table assigns bit j of x to the j-th of the t = k - u other
-        variables, and the leaf returns None as soon as the pick has
-        rejected more than TABLE_BASE variables.  An open clause has at
-        least one free literal and its assigned literals are all false, so
-        the rows it excludes are those that falsify every free literal:
-        the AND of one column per literal over the t, the variable's
-        column for a negative literal and its complement for a positive
-        one, or all rows if its only free literal is split off.  A clause
-        with split variable s excludes these rows only at the value b of s
-        that falsifies it, into Q[s][b]; any other clause, outright.
-        Summed over s, row x weighs 2 - [x in Q[s][0]] - [x in Q[s][1]]:
-        rows in both weigh 0 and are excluded, and a row in j of the sets
-        Q[s][0] | Q[s][1] weighs 2^(u - j) (the elimination step of bucket
-        elimination).  Layer j of the tally holds the rows left in exactly
-        j sets so far."""
-        occ, vars_of, positive, bit = self._occ, self._vars, self._positive, self._bit
+        ties to the lowest id), so every one in no open clause.  The t =
+        k - u others take columns 0..t-1 of _tables(t) in pick order, and
+        the leaf returns None as soon as the pick has rejected more than
+        TABLE_BASE variables.  An open clause has at least one free
+        literal and its assigned literals are all false, so the rows it
+        excludes are those that falsify every free literal: the AND of
+        the rows falsifying each of its table literals (a variable's
+        column for a negative literal, its complement for a positive one),
+        or all rows if its only free literal is split off.  A clause with
+        split variable s excludes these rows only at the value b of s that
+        falsifies it, into Q[s][b]; any other clause, outright.  Summed
+        over s, row x weighs 2 - [x in Q[s][0]] - [x in Q[s][1]]: rows in
+        both weigh 0 and are excluded, and a row in c of the sets Q[s][0]
+        | Q[s][1] weighs 2^(u - c) (the elimination step of bucket
+        elimination).  The digits count c in binary, bit-sliced: digit j
+        holds the rows whose count has bit j set, and each set is added by
+        ripple carry (a carry-save counter).  The kept rows then split
+        into cells of equal c, top digit first."""
+        occ, bit, sat_pos, lits_of = self._occ, self._bit, self._sat_pos, self.clauses
         order = []
         rest = variables
         while rest:
             low = rest & -rest
             rest ^= low
-            mine = occ[low.bit_length() - 1] & clauses
-            order.append((mine.bit_count(), low, mine))
-        split = taken = t = 0
-        for _, low, mine in sorted(order):
+            v = low.bit_length() - 1
+            mine = occ[v] & clauses
+            order.append((mine.bit_count(), v, mine))
+        split, table = [], []
+        taken = 0
+        for _, v, mine in sorted(order):
             if not mine & taken:
-                split |= low
+                split.append((v, mine))
                 taken |= mine
             else:
-                t += 1
-                if t > TABLE_BASE:
+                table.append(v)
+                if len(table) > TABLE_BASE:
                     return None
-        u = len(order) - t
-        column, complement = _column_maps(variables ^ split)
-        rows = (1 << (1 << t)) - 1
-        excluded = 0
-        falsifying: dict[int, list[int]] = {}
-        while clauses:
-            i = clauses.bit_length() - 1
-            clauses ^= bit[i]
-            lits = vars_of[i] & variables
-            pos = positive[i]
-            cut = lits & split
-            lits ^= cut
-            if lits:
-                low = lits & -lits
-                lits ^= low
-                falsified = complement[low] if pos & low else column[low]
-                while lits:
-                    low = lits & -lits
-                    lits ^= low
-                    falsified &= complement[low] if pos & low else column[low]
-            else:
-                falsified = rows
-            if cut:
-                falsifying.setdefault(cut, [0, 0])[0 if pos & cut else 1] |= falsified
-            else:
-                excluded |= falsified
-        for at_zero, at_one in falsifying.values():
+        falsify = {}
+        for v, column, complement in zip(table, *_tables(len(table))):
+            falsify[-v] = column
+            falsify[v] = complement
+        rows_of = falsify.get
+        # the clauses without a split variable, then for each split
+        # variable v in a clause its clauses with +v (Q[v][0]) and -v
+        groups = [clauses ^ taken]
+        for v, mine in split:
+            if mine:
+                pos = sat_pos[v] & mine
+                groups += (pos, mine ^ pos)
+        rows = (1 << (1 << len(table))) - 1
+        sets = []
+        for mask in groups:
+            union = 0
+            while mask:
+                i = mask.bit_length() - 1
+                mask ^= bit[i]
+                falsified = None
+                for lit in lits_of[i]:
+                    lit_rows = rows_of(lit)
+                    if lit_rows is not None:
+                        falsified = lit_rows if falsified is None else falsified & lit_rows
+                union |= rows if falsified is None else falsified
+            sets.append(union)
+        excluded = sets[0]
+        digits = []
+        for s in range(1, len(sets), 2):
+            at_zero, at_one = sets[s], sets[s + 1]
             excluded |= at_zero & at_one
-        layers = [rows ^ excluded]
-        for at_zero, at_one in falsifying.values():
-            either = at_zero | at_one
-            carry = 0
-            for j, layer in enumerate(layers):
-                moved = layer & either
-                layers[j] = layer ^ moved | carry
-                carry = moved
-            layers.append(carry)
-        return sum(layer.bit_count() << (u - j) for j, layer in enumerate(layers))
+            carry = at_zero | at_one
+            for j, digit in enumerate(digits):
+                digits[j] = digit ^ carry
+                carry &= digit
+                if not carry:
+                    break
+            else:
+                digits.append(carry)
+        cells = [(rows ^ excluded, 0)]
+        for j in reversed(range(len(digits))):
+            digit, parts = digits[j], []
+            for cell, c in cells:
+                inside = cell & digit
+                if inside:
+                    parts.append((inside, c + (1 << j)))
+                    cell ^= inside
+                if cell:
+                    parts.append((cell, c))
+            cells = parts
+        return sum(cell.bit_count() << (len(split) - c) for cell, c in cells)
 
     def _branch(self, free: int, open_: int, shortened: int) -> list[Optional[Residual]]:
         """Decide the variable of highest score both ways: the two
@@ -516,7 +538,10 @@ def _tables(k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     int (bit x of column j is bit j of x), and their complements within
     the rows.  Adding variable j doubles the rows: the upper half repeats
     the columns so far and sets column j, so a table costs shifts and ORs
-    of its own size.  The engine asks for k <= TABLE_BASE only: the
+    of its own size.  A leaf's j-th table variable v takes column j: the
+    rows that falsify -v, and the complement those that falsify +v; the
+    leaf's digits and cells are sets of the same rows.  The engine asks
+    for k <= TABLE_BASE only: the
     columns at TABLE_BASE = 16 take 16 x 8 KiB, and their complements as
     much again."""
     tables = _TABLES.get(k)
@@ -529,20 +554,6 @@ def _tables(k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
         rows = (1 << (1 << k)) - 1
         tables = _TABLES[k] = columns, tuple(rows ^ column for column in columns)
     return tables
-
-
-def _column_maps(variables: int) -> tuple[dict[int, int], dict[int, int]]:
-    """The columns of _tables(k) for the k variables of a mask, the j-th
-    lowest taking column j: each variable's one-bit mask mapped to its
-    column, and to its complement."""
-    column, complement = {}, {}
-    rest = variables
-    for col, comp in zip(*_tables(variables.bit_count())):
-        low = rest & -rest
-        rest ^= low
-        column[low] = col
-        complement[low] = comp
-    return column, complement
 
 
 def _count_job(num_vars: int, clauses: list[tuple[int, ...]], deadline: Optional[float],

@@ -330,6 +330,23 @@ class TestTruthTables:
         counter = ComponentCounter(3, [(1,), (-2,)])
         assert counter._count_table(0b1110, 0b11) == 2
 
+    @pytest.mark.parametrize("u", range(1, counter_module.TABLE_VARS - counter_module.TABLE_BASE + 1))
+    def test_tally_carries(self, rng, monkeypatch, u):
+        # split variables 1..u, each in one clause with the same two table
+        # literals: every split set is the same quarter of the rows, whose
+        # count reaches u, so the binary count of that quarter carries
+        # across every digit boundary below u; the split variables' signs
+        # are drawn at random, so both Q[s][0] and Q[s][1] are used
+        a, b = u + 1, u + 2
+        for _ in range(3):
+            pair = (rng.choice((1, -1)) * a, rng.choice((1, -1)) * b)
+            clauses = [(rng.choice((1, -1)) * s,) + pair for s in range(1, u + 1)]
+            counter = ComponentCounter(b, preprocess(clauses, b))
+            monkeypatch.setattr(counter_module, "_TABLES", {})
+            got = counter._count_table(((1 << b) - 1) << 1, (1 << u) - 1)
+            assert got == brute_reference(clauses, b) == 3 * 2 ** u + 1
+            assert list(counter_module._TABLES) == [2]
+
     @pytest.mark.parametrize("extra, decides", [(0, False), (1, True)])
     def test_component_at_the_table_boundary(self, rng, extra, decides):
         # one component of TABLE_VARS (+ extra) variables and no unit
