@@ -23,9 +23,10 @@ complement for a positive literal).  A row's weight depends on how many
 split variables exclude it at one of their values; a bit-sliced binary
 counter (carry-save, as in the Harley-Seal popcount) keeps that count in
 a few digit ints, and the rows are then summed by cells of equal count.
-No table is wider than TABLE_BASE variables.  A component wider than TABLE_VARS, or a leaf whose split
-leaves more than TABLE_BASE variables, branches on the variable in the
-most open clauses, shortened ones weighing five times.
+No table is wider than TABLE_BASE variables.  A component wider than
+TABLE_VARS, or a leaf whose split leaves more than TABLE_BASE variables,
+branches on the variable in the most open clauses, shortened ones
+weighing five times.
 The `dpll` method name refers to this search.
 
 The four variants of a width share their ternary clauses and differ
