@@ -410,8 +410,8 @@ class TestPoolJobs:
 
 class TestWidthSixSlices:
     """The slices of the benchmark's verified width-6 pool: all six, one
-    per hardness bin, counted serially, and the two easiest through the
-    pool split."""
+    per hardness bin, counted serially with their search effort pinned,
+    and the two easiest through the pool split."""
 
     @pytest.mark.parametrize("threads, bins", [(1, range(6)), (2, (0, 1))], ids=["1", "2"])
     def test_recorded_counts(self, threads, bins):
