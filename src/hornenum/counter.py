@@ -29,14 +29,26 @@ branches on the variable in the most open clauses, shortened ones
 weighing five times.
 The `dpll` method name refers to this search.
 
+An engine's start assigns the input's unit clauses and any assumed
+literals and propagates them.  It scans only the clauses of the
+variables that these assign, of the variables of binary clauses, and of
+the variables that share an open clause with an assumed one: a clause
+of three or more free literals has nothing to propagate or close.  An
+engine that counts from its own start (count() with no residual, as
+count_models does) and whose start closed a clause searches a table
+rebuilt over only the open clauses, in their order: the same search, on
+clause masks a fifth as wide for the unit-clause slices of a width-6
+instance.  Pool jobs count their residuals over such tables too.
+
 The four variants of a width share their ternary clauses and differ
 only in their endpoint unit clauses, so count_width counts all four in
 one engine over the clauses of h01, which has none: each variant starts
 from the residual that assumes its endpoint literals.  h01 is counted
 first; h1, h0 and h are then answered from its component cache, whose
 keys name a subproblem of the shared clause table whichever variant
-reached it.  count_variant counts one variant the same way, in an
-engine of its own.
+reached it.  Each variant's residual is passed to count(), so all four
+are searched over that one table and none is rebuilt.  count_variant
+counts one variant the same way, in an engine of its own.
 
 Counts are over ALL declared variables, so a variable appearing in no
 clause doubles the count.  There is deliberately no pure-literal rule:
@@ -54,7 +66,8 @@ import re
 import sys
 import time
 from dataclasses import dataclass, field, fields
-from functools import partial
+from functools import partial, reduce
+from operator import neg, or_
 from typing import Optional, Sequence, Union
 
 from .encoder import ENCODE_CAP, CnfInstance, emit_dimacs, encode, endpoint_units
@@ -161,26 +174,40 @@ class CountReport:
 
 def preprocess(clauses: Clauses, num_vars: int) -> Optional[list[tuple[int, ...]]]:
     """Canonicalize clauses: sort and dedupe literals, drop tautologies,
-    dedupe clauses.  Returns None if an empty clause is present (count 0).
-    Raises ValueError on a literal that is not a nonzero int (a bool is
-    not a literal) of magnitude at most num_vars.
+    dedupe clauses, keeping their first order.  Returns None if an empty
+    clause is present (count 0).  Raises ValueError on a literal that is
+    not a nonzero int (a bool is not a literal) of magnitude at most
+    num_vars.  Clauses are read in order, so an empty clause before an
+    invalid literal gives None and one after it the error.
     """
+    valid = frozenset(range(-num_vars, num_vars + 1)) - {0}
+    ints = {int}
     out = []
-    seen = set()
     for clause in clauses:
-        for lit in clause:
-            if (type(lit) is not int and (not isinstance(lit, int) or isinstance(lit, bool))
-                    or not 0 < abs(lit) <= num_vars):
-                raise ValueError(f"literal {lit!r} invalid for {num_vars} variables")
-        lits = tuple(sorted(set(clause)))
+        # the set tests run in C; a literal that is a bool, a float or an
+        # int subclass equals an int, so the types are tested too
+        try:
+            lits = set(clause)
+        except TypeError:
+            lits = None
+        if lits is None or not (valid.issuperset(lits) and ints.issuperset(map(type, clause))):
+            _check_literals(clause, num_vars)
+            lits = set(clause)
         if not lits:
             return None
-        if any(-lit in lits for lit in lits):
-            continue
-        if lits not in seen:
-            seen.add(lits)
-            out.append(lits)
-    return out
+        if lits.isdisjoint(map(neg, lits)):
+            out.append(tuple(sorted(lits)))
+    return list(dict.fromkeys(out))
+
+
+def _check_literals(clause: Sequence[int], num_vars: int) -> None:
+    """Raise ValueError on the first literal of the clause that is not a
+    nonzero int of magnitude at most num_vars; an int subclass other than
+    bool passes."""
+    for lit in clause:
+        if (type(lit) is not int and (not isinstance(lit, int) or isinstance(lit, bool))
+                or not 0 < abs(lit) <= num_vars):
+            raise ValueError(f"literal {lit!r} invalid for {num_vars} variables")
 
 
 class ComponentCounter:
@@ -194,7 +221,8 @@ class ComponentCounter:
     (loops over a clause mask take its top bit and clear it through that
     mask, one wide-int operation per clause); each variable has the
     mask of the clauses it occurs in; each literal has the mask of the
-    clauses it satisfies.  A residual subproblem is then three ints
+    clauses it satisfies, OR-ed once from the list of their ids.  A
+    residual subproblem is then three ints
     (free, open, shortened): its free variables, its open clauses, and
     those open clauses that lost a literal on the path to it.  The first
     two identify it exactly: every assigned literal of an open clause is
@@ -219,6 +247,14 @@ class ComponentCounter:
     same invariant makes exact; a wider one, or
     one whose split leaves more than TABLE_BASE variables, by branching
     on the variable of highest score.
+
+    The start (_start) propagates the input's unit clauses and any
+    assumed literals.  count() from the engine's own start, once the
+    start has closed a clause, hands the search to an engine over only
+    the open clauses (_open_table) that shares this one's stats, deadline
+    and cache limit.  A residual given to count() is searched over this
+    table, so that the counts of several residuals share one cache, as
+    count_width's four variants do.
     """
 
     def __init__(self, num_vars: int, clauses: list[tuple[int, ...]],
@@ -231,36 +267,53 @@ class ComponentCounter:
         self.cache: dict[int, int] = {}
         self.stats = CounterStats()
         self._key_shift = num_vars + 1
-        self._bit = [1 << i for i in range(len(clauses))]
+        self._bit = bit = [1 << i for i in range(len(clauses))]
         self._vars: list[int] = []
         self._positive: list[int] = []
-        self._occ = [0] * (num_vars + 1)
-        self._sat_pos = [0] * (num_vars + 1)
-        self._sat_neg = [0] * (num_vars + 1)
+        # each variable's clause ids, per sign, each list OR-ed once below
+        pos_ids: list[list[int]] = [[] for _ in range(num_vars + 1)]
+        neg_ids: list[list[int]] = [[] for _ in range(num_vars + 1)]
+        short = 0
         for i, clause in enumerate(clauses):
             vars_mask = positive = 0
             for lit in clause:
-                v = abs(lit)
-                vars_mask |= 1 << v
-                self._occ[v] |= 1 << i
                 if lit > 0:
-                    positive |= 1 << v
-                    self._sat_pos[v] |= 1 << i
+                    positive |= 1 << lit
+                    pos_ids[lit].append(i)
                 else:
-                    self._sat_neg[v] |= 1 << i
+                    vars_mask |= 1 << -lit
+                    neg_ids[-lit].append(i)
+            vars_mask |= positive
             self._vars.append(vars_mask)
             self._positive.append(positive)
+            if len(clause) <= 2:
+                short |= vars_mask
+        self._short_vars = short
+        self._sat_pos = [reduce(or_, map(bit.__getitem__, ids), 0) for ids in pos_ids]
+        self._sat_neg = [reduce(or_, map(bit.__getitem__, ids), 0) for ids in neg_ids]
+        self._occ = list(map(or_, self._sat_pos, self._sat_neg))
 
     def count(self, residual: Optional[Residual] = None) -> int:
         """The model count of a residual (free, open, shortened) of this
-        table, by default the whole instance.  A deadline already past on
-        entry (a queued pool job, an instance its unit clauses settle) or
-        reached later, and a search deeper than the interpreter's stack
-        (two frames per decision level), raise ResourceLimitError."""
+        table, by default the whole instance.  Counted from its own start,
+        an instance whose start closed a clause (a unit clause satisfies
+        some) is searched over a table of only the open clauses, in their
+        order (_open_table): the same search on narrower clause masks, in
+        an engine that shares these stats, deadline and cache limit.  A
+        residual given here is counted over this table, so that counts of
+        residuals share its cache.  A deadline already past on entry (a
+        queued pool job, an instance its unit clauses settle) or reached
+        later, and a search deeper than the interpreter's stack (two
+        frames per decision level), raise ResourceLimitError."""
         self._check_budget()
+        if residual is None:
+            residual = self._start()
+            if residual is not None and residual[1] != (1 << len(self.clauses)) - 1:
+                engine, residual = _open_table(self.num_vars, self.clauses, residual,
+                                               self.deadline, self.cache_limit)
+                engine.stats = self.stats
+                return engine.count(residual)
         try:
-            if residual is None:
-                residual = self._start()
             result = 0 if residual is None else self._count_residual(*residual)
         except RecursionError:
             raise ResourceLimitError(
@@ -273,10 +326,18 @@ class ComponentCounter:
     def _start(self, assumed: Sequence[int] = ()) -> Optional[Residual]:
         """The residual after the assumed literals and the input's unit
         clauses, or None on a conflict.  An assumed literal counts as a
-        propagation, as a unit clause does.  Scanning every variable's
-        clauses once then finds the unit clauses and what the assumed
-        literals imply."""
-        free, open_, shortened = ((1 << self.num_vars) - 1) << 1, (1 << len(self._vars)) - 1, 0
+        propagation, as a unit clause does.  Propagation then scans the
+        clauses of the assumed variables, of the variables of the input's
+        unit and binary clauses, and of every variable in an open clause
+        with an assumed one, highest variable first.  Any other clause has
+        three or more free literals until an implied variable's scan
+        reaches it, so it has nothing to propagate or close, and a scan of
+        every variable in the same order reaches the same residual by the
+        same steps (the scan order decides which of two clauses left with
+        the same two free literals stays open)."""
+        occ, vars_of, bit = self._occ, self._vars, self._bit
+        free, open_, shortened = ((1 << self.num_vars) - 1) << 1, (1 << len(vars_of)) - 1, 0
+        touched = self._short_vars
         for lit in assumed:
             v = abs(lit)
             if not free >> v & 1:
@@ -285,9 +346,16 @@ class ComponentCounter:
                 continue
             free ^= 1 << v
             open_ &= ~(self._sat_pos[v] if lit > 0 else self._sat_neg[v])
-            shortened |= self._occ[v]
+            shortened |= occ[v]
+            touched |= 1 << v
             self.stats.propagations += 1
-        return self._propagate(free, open_, shortened, list(range(1, self.num_vars + 1)))
+        reached = shortened & open_
+        while reached:
+            i = reached.bit_length() - 1
+            reached ^= bit[i]
+            touched |= vars_of[i]
+        queue = [v for v in range(1, self.num_vars + 1) if touched >> v & 1]
+        return self._propagate(free, open_, shortened, queue)
 
     def _check_budget(self) -> None:
         self.stats.cache_entries = len(self.cache)
@@ -557,15 +625,27 @@ def _tables(k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tables
 
 
+def _open_table(num_vars: int, clauses: list[tuple[int, ...]], residual: Residual,
+                deadline: Optional[float],
+                cache_limit: int = DEFAULT_CACHE_LIMIT) -> tuple[ComponentCounter, Residual]:
+    """An engine over only the residual's open clauses, in their order,
+    and the residual re-indexed onto it.  Clause j of the new table is the
+    j-th open clause, so every loop meets the clauses in the same order
+    and the search is the same, on narrower clause masks."""
+    free, open_, shortened = residual
+    ids = [i for i in range(open_.bit_length()) if open_ >> i & 1]
+    engine = ComponentCounter(num_vars, [clauses[i] for i in ids],
+                              deadline=deadline, cache_limit=cache_limit)
+    shortened = sum(1 << j for j, i in enumerate(ids) if shortened >> i & 1)
+    return engine, (free, (1 << len(ids)) - 1, shortened)
+
+
 def _count_job(num_vars: int, clauses: list[tuple[int, ...]], deadline: Optional[float],
                residual: Residual) -> tuple[int, dict]:
     """One pool job: count one residual of the instance's clause table,
     over a table of only its open clauses."""
-    free, open_, shortened = residual
-    ids = [i for i in range(open_.bit_length()) if open_ >> i & 1]
-    counter = ComponentCounter(num_vars, [clauses[i] for i in ids], deadline=deadline)
-    shortened = sum(1 << j for j, i in enumerate(ids) if shortened >> i & 1)
-    return counter.count((free, (1 << len(ids)) - 1, shortened)), counter.stats.to_dict()
+    engine, residual = _open_table(num_vars, clauses, residual, deadline)
+    return engine.count(residual), engine.stats.to_dict()
 
 
 def _split_residuals(table: ComponentCounter, start: Optional[Residual],
@@ -634,7 +714,10 @@ def _count_clauses(clauses: Clauses, num_vars: int, *, threads: int = 1,
     _check_deadline(deadline, CounterStats())
     if prepared is None:
         return 0, CounterStats()
-    return _count_assuming(ComponentCounter(num_vars, prepared, deadline=deadline), (), threads)
+    engine = ComponentCounter(num_vars, prepared, deadline=deadline)
+    if threads == 1:
+        return engine.count(), engine.stats
+    return _count_assuming(engine, (), threads)
 
 
 def _count_width(n: int, variants: Sequence[Variant], threads: int,

@@ -89,6 +89,26 @@ class TestPreprocess:
 
         assert preprocess([(Literal(-2), Literal(1))], 2) == [(-2, 1)]
         assert count_models([(Literal(1),)], 2) == 2
+        assert preprocess([(1, 2), (Literal(2), 1, Literal(-3))], 3) == [(1, 2), (-3, 1, 2)]
+
+    def test_clauses_are_read_in_order(self):
+        # an empty clause settles the count before a later clause is
+        # read, and an invalid literal raises before a later empty clause
+        assert preprocess([(), (0,)], 1) is None
+        with pytest.raises(ValueError):
+            preprocess([(0,), ()], 1)
+
+    @pytest.mark.parametrize("bad", [True, 1.0, 3, -3, "a", [1]])
+    def test_bad_literal_among_valid_clauses(self, bad):
+        # a bool or a float equals an int literal, so a set of literals
+        # alone would take it for one, alone or beside that literal
+        for clauses in ([(1, 2), (bad,)], [(bad, 2), (1, -2)], [(1,), (1, bad)], [(-1, bad, 2)]):
+            with pytest.raises(ValueError, match="invalid for 2 variables"):
+                preprocess(clauses, 2)
+
+    def test_first_order_kept(self):
+        assert preprocess([(3, 1), (2,), (1, 3, 1), (-2, 2, 1), (2,), (1,)], 3) == [
+            (1, 3), (2,), (1,)]
 
 
 class TestCountModels:
@@ -496,6 +516,33 @@ class TestBudget:
         with pytest.raises(ResourceLimitError):
             count_models([(1,), ()], 1, threads=threads, budget_seconds=-1)
 
+    def test_spent_budget_raises_on_unit_clauses(self):
+        # the unit clauses close clauses at the start, so the count runs
+        # in an engine over the open ones, under the same deadline
+        clauses = [(1,), (-2,), (-1, 2, 3), (3, 4, 5), (-3, -4, 6)]
+        with pytest.raises(ResourceLimitError):
+            count_models(clauses, 6, budget_seconds=-1)
+        counter = ComponentCounter(6, preprocess(clauses, 6), deadline=time.monotonic() - 1)
+        with pytest.raises(ResourceLimitError):
+            counter.count()
+
+    def test_compacted_count_keeps_the_deadline(self, monkeypatch):
+        # the deadline passes after the engine read it on entry and
+        # before the engine over the open clauses starts its search
+        instance = encode(5, Variant.H1)
+        num_vars = instance.predicate_count
+        counter = ComponentCounter(num_vars, preprocess(instance.clauses, num_vars),
+                                   deadline=time.monotonic() + 0.05)
+        start = ComponentCounter._start
+
+        def slow_start(self, assumed=()):
+            time.sleep(0.1)
+            return start(self, assumed)
+
+        monkeypatch.setattr(ComponentCounter, "_start", slow_start)
+        with pytest.raises(ResourceLimitError):
+            counter.count()
+
     def test_no_budget(self):
         assert count_models(encode(3, Variant.H), budget_seconds=None) == 45
 
@@ -708,6 +755,112 @@ class TestAssumedLiterals:
                 expected = brute_reference(list(clauses) + [(lit,) for lit in assumed],
                                            num_vars)
                 assert counter_module._count_assuming(counter, assumed, 1)[0] == expected
+
+
+def effort(stats):
+    """The search effort that identifies a search: (nodes, decisions,
+    propagations, components, cache_hits)."""
+    return (stats.nodes, stats.decisions, stats.propagations, stats.components,
+            stats.cache_hits)
+
+
+def full_scan_start(counter, assumed=()):
+    """The start residual reached by scanning every variable's clauses,
+    highest variable first, after the assumed literals."""
+    free, open_, shortened = ((1 << counter.num_vars) - 1) << 1, (1 << len(counter.clauses)) - 1, 0
+    for lit in assumed:
+        v = abs(lit)
+        if not free >> v & 1:
+            if -lit in assumed:
+                return None
+            continue
+        free ^= 1 << v
+        open_ &= ~(counter._sat_pos[v] if lit > 0 else counter._sat_neg[v])
+        shortened |= counter._occ[v]
+        counter.stats.propagations += 1
+    return counter._propagate(free, open_, shortened, list(range(1, counter.num_vars + 1)))
+
+
+class TestStart:
+    def test_same_residual_as_a_scan_of_every_variable(self, rng):
+        # units, binary clauses and assumed literals, so that subsumed
+        # clauses close in an order that a different scan could change
+        for _ in range(400):
+            num_vars, clauses = random_instance(rng, max_vars=8, max_clauses=24, max_width=4)
+            prepared = preprocess(clauses, num_vars)
+            if prepared is None:
+                continue
+            assumed = tuple(rng.choice((1, -1)) * rng.randint(1, num_vars)
+                            for _ in range(rng.randint(0, 3)))
+            counter, reference = (ComponentCounter(num_vars, prepared) for _ in range(2))
+            assert counter._start(assumed) == full_scan_start(reference, assumed)
+            assert counter.stats.propagations == reference.stats.propagations
+
+    def test_same_binary_clause_from_two_assumptions(self):
+        # -1 and -2 leave both clauses the binary clause (3 7), and the
+        # first one scanned closes the other: variable 7's scan meets
+        # clause 1 first, so clause 1 stays open, not clause 0
+        counter = ComponentCounter(7, preprocess([(2, 3, 7), (1, 3, 7)], 7))
+        assert counter._start((-1, -2)) == (0b11111000, 0b10, 0b10)
+
+    def test_open_table_reindexes_the_residual(self):
+        instance = encode(4, Variant.H)
+        num_vars = instance.predicate_count
+        prepared = preprocess(instance.clauses, num_vars)
+        table = ComponentCounter(num_vars, prepared)
+        for residual in counter_module._split_residuals(table, table._start(), 6):
+            free, open_, shortened = residual
+            ids = [i for i in range(len(prepared)) if open_ >> i & 1]
+            engine, compact = counter_module._open_table(num_vars, prepared, residual, None, 7)
+            assert engine.clauses == [prepared[i] for i in ids]
+            assert engine.cache_limit == 7
+            assert compact[:2] == (free, (1 << len(ids)) - 1)
+            assert [compact[2] >> j & 1 for j in range(len(ids))] == [
+                shortened >> i & 1 for i in ids]
+            assert engine.count(compact) == table.count(residual)
+
+
+class TestCompactedStart:
+    """An engine counting from its own start searches a table of only the
+    clauses the start left open: the same search as over the whole
+    table."""
+
+    @pytest.mark.parametrize("tables", [True, False])
+    def test_same_search_as_the_full_table(self, rng, request, tables):
+        if not tables:
+            request.getfixturevalue("branching_only")
+        compacted = 0
+        for _ in range(200):
+            num_vars, clauses = random_instance(rng, max_vars=10, max_clauses=24)
+            assert count_models(clauses, num_vars) == brute_reference(clauses, num_vars)
+            prepared = preprocess(clauses, num_vars)
+            if prepared is None:
+                continue
+            full = ComponentCounter(num_vars, prepared)
+            start = full._start()
+            own = ComponentCounter(num_vars, prepared)
+            assert own.count() == (0 if start is None else full.count(start))
+            assert effort(own.stats) == effort(full.stats)
+            compacted += start is not None and start[1] != (1 << len(prepared)) - 1
+        assert compacted >= 50
+
+    @pytest.mark.parametrize("source", [Variant.H, Variant.H1, 0, 4],
+                             ids=["h(5)", "h1(5)", "bin 0", "bin 4"])
+    def test_same_search_on_encoded_instances(self, source):
+        # the width-5 instances, and two slices of the width-6 pool
+        if isinstance(source, Variant):
+            encoded = encode(5, source)
+            clauses, num_vars = encoded.clauses, encoded.predicate_count
+        else:
+            [(clauses, num_vars, _)] = pool_slices((source,))
+        prepared = preprocess(clauses, num_vars)
+        full = ComponentCounter(num_vars, prepared)
+        start = full._start()
+        assert start[1] != (1 << len(prepared)) - 1
+        own = ComponentCounter(num_vars, prepared)
+        assert own.count() == full.count(start)
+        assert effort(own.stats) == effort(full.stats)
+        assert own.stats.cache_entries == full.stats.cache_entries > 0
 
 
 class TestExternalMethod:
