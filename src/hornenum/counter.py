@@ -310,8 +310,7 @@ class ComponentCounter:
             residual = self._start()
             if residual is not None and residual[1] != (1 << len(self.clauses)) - 1:
                 engine, residual = _open_table(self.num_vars, self.clauses, residual,
-                                               self.deadline, self.cache_limit)
-                engine.stats = self.stats
+                                               self.deadline, self.cache_limit, self.stats)
                 return engine.count(residual)
         try:
             result = 0 if residual is None else self._count_residual(*residual)
@@ -626,16 +625,19 @@ def _tables(k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 
 def _open_table(num_vars: int, clauses: list[tuple[int, ...]], residual: Residual,
-                deadline: Optional[float],
-                cache_limit: int = DEFAULT_CACHE_LIMIT) -> tuple[ComponentCounter, Residual]:
+                deadline: Optional[float], cache_limit: int = DEFAULT_CACHE_LIMIT,
+                stats: Optional[CounterStats] = None) -> tuple[ComponentCounter, Residual]:
     """An engine over only the residual's open clauses, in their order,
     and the residual re-indexed onto it.  Clause j of the new table is the
     j-th open clause, so every loop meets the clauses in the same order
-    and the search is the same, on narrower clause masks."""
+    and the search is the same, on narrower clause masks.  Given stats,
+    the engine adds its search to them; otherwise it starts fresh ones."""
     free, open_, shortened = residual
     ids = [i for i in range(open_.bit_length()) if open_ >> i & 1]
     engine = ComponentCounter(num_vars, [clauses[i] for i in ids],
                               deadline=deadline, cache_limit=cache_limit)
+    if stats is not None:
+        engine.stats = stats
     shortened = sum(1 << j for j, i in enumerate(ids) if shortened >> i & 1)
     return engine, (free, (1 << len(ids)) - 1, shortened)
 

@@ -126,7 +126,8 @@ def verify_matrix(n_max: int, *, threads: int = 1,
     each oracle count is taken once per run.
 
     budget_seconds bounds the whole run, not each count: every count gets
-    only the time left, and ResourceLimitError is raised once it is spent.
+    only the time left, and ResourceLimitError is raised once it is spent,
+    also when only the end of the run finds it spent.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be nonnegative, got {n_max}")
@@ -222,4 +223,5 @@ def verify_matrix(n_max: int, *, threads: int = 1,
                        prefix[n], census(variant, n).orbit_count,
                        warning=True, elapsed=time.monotonic() - t0)
 
+    time_left()  # a run that overran after its last count still fails
     return run

@@ -1,5 +1,6 @@
 import json
 import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -96,6 +97,19 @@ class TestVerifyMatrix:
         with pytest.raises(ResourceLimitError):
             verify_matrix(5, budget_seconds=0.01)
         assert widths == [0]
+
+    def test_overrun_after_the_last_check_fails_the_run(self, monkeypatch):
+        last = verify_matrix(2).checks[-1].name
+        skew = [0.0]
+
+        def jump_at_last_check(result):
+            if result.name == last:
+                skew[0] = 3600.0  # the clock jumps past the deadline here
+
+        monkeypatch.setattr(validation, "time", SimpleNamespace(
+            monotonic=lambda: time.monotonic() + skew[0]))
+        with pytest.raises(ResourceLimitError, match="after"):
+            verify_matrix(2, budget_seconds=60.0, progress=jump_at_last_check)
 
     def test_serializes(self):
         run = verify_matrix(1)
