@@ -14,19 +14,23 @@ clauses tie the free variables together.  One breadth-first pass over
 a residual's free variables finds its components.  A residual or
 component of at most TABLE_VARS variables is neither split nor branched
 on: it is counted from a truth table with one bit per assignment.  Each
-leaf splits off every variable that shares no open clause with an
-earlier pick, sparsest first, and sums them out row by row by weights
-(the elimination step of bucket elimination) over a table of the
-others.  Each open clause excludes the rows that falsify it, the AND of
-one precomputed column per table literal (a variable's column, or its
-complement for a positive literal).  A row's weight depends on how many
-split variables exclude it at one of their values; a bit-sliced binary
-counter (carry-save, as in the Harley-Seal popcount) keeps that count in
-a few digit ints, and the rows are then summed by cells of equal count.
-No table is wider than TABLE_BASE variables.  A component wider than
-TABLE_VARS, or a leaf whose split leaves more than TABLE_BASE variables,
-branches on the variable in the most open clauses, shortened ones
-weighing five times.
+leaf splits off groups of one or two variables, no two groups sharing an
+open clause: every variable that shares no open clause with an earlier
+pick, sparsest first, and then each other variable whose open clauses
+meet those of exactly one such single, as its partner.  It sums the
+groups out row by row by weights (the elimination step of bucket
+elimination, Dechter 1999, over buckets of one or two variables) over a
+table of the others.  Each open clause excludes the rows that falsify
+it, the AND of one precomputed column per table literal (a variable's
+column, or its complement for a positive literal).  A row weighs the
+product over the groups of the values of each group that exclude it
+nowhere; bit-sliced binary counters (carry-save, as in the Harley-Seal
+popcount) keep, in a few digit ints, the number of halvings and of
+weight-3 pairs of every row, and the rows are then summed by cells of
+equal counts.  No table is wider than TABLE_BASE variables.  A component
+wider than TABLE_VARS, or a leaf whose split leaves more than TABLE_BASE
+variables, branches on the variable in the most open clauses, shortened
+ones weighing five times.
 The `dpll` method name refers to this search.
 
 An engine's start assigns the input's unit clauses and any assumed
@@ -114,10 +118,10 @@ class CounterStats:
         residuals of at most TABLE_VARS variables counted whole, cache
         hits included.
     decisions: branching variables chosen, one per cache miss on a
-        component wider than TABLE_VARS or on a narrower one whose
-        split leaves more than TABLE_BASE variables (see _count_table);
-        nodes - cache_hits - decisions is the number of nodes counted by
-        truth table.
+        component wider than TABLE_VARS or on a narrower one whose split
+        into singles and pairs leaves more than TABLE_BASE variables
+        (see _count_table); nodes - cache_hits - decisions is the number
+        of nodes counted by truth table.
     propagations: literals implied by unit clauses, the input's own unit
         clauses and a variant's endpoint literals included; a decision
         literal is not counted.
@@ -242,8 +246,9 @@ class ComponentCounter:
     component key), which means the count of these clauses over exactly
     these variables in either case.  On a miss, one of at most TABLE_VARS
     variables is counted in one step from its truth table (see
-    _count_table: split variables summed out by weight, the weights read
-    from a bit-sliced binary count of each row's exclusions), which the
+    _count_table: split variables summed out in groups of one or two by
+    weight, the weights read from bit-sliced binary counts over the
+    rows), which the
     same invariant makes exact; a wider one, or
     one whose split leaves more than TABLE_BASE variables, by branching
     on the variable of highest score.
@@ -482,26 +487,45 @@ class ComponentCounter:
         table, or return None if its split leaves more than TABLE_BASE
         variables.
 
-        The leaf splits off u variables: every one that shares no open
-        clause with an earlier pick, sparsest first (fewest open clauses,
-        ties to the lowest id), so every one in no open clause.  The t =
-        k - u others take columns 0..t-1 of _tables(t) in pick order, and
-        the leaf returns None as soon as the pick has rejected more than
-        TABLE_BASE variables.  An open clause has at least one free
-        literal and its assigned literals are all false, so the rows it
-        excludes are those that falsify every free literal: the AND of
-        the rows falsifying each of its table literals (a variable's
-        column for a negative literal, its complement for a positive one),
-        or all rows if its only free literal is split off.  A clause with
-        split variable s excludes these rows only at the value b of s that
-        falsifies it, into Q[s][b]; any other clause, outright.  Summed
-        over s, row x weighs 2 - [x in Q[s][0]] - [x in Q[s][1]]: rows in
-        both weigh 0 and are excluded, and a row in c of the sets Q[s][0]
-        | Q[s][1] weighs 2^(u - c) (the elimination step of bucket
-        elimination).  The digits count c in binary, bit-sliced: digit j
-        holds the rows whose count has bit j set, and each set is added by
-        ripple carry (a carry-save counter).  The kept rows then split
-        into cells of equal c, top digit first."""
+        The leaf splits off groups of one or two variables, no two groups
+        sharing an open clause.  The singles are every variable that
+        shares no open clause with an earlier pick, sparsest first
+        (fewest open clauses, ties to the lowest id), so every one in no
+        open clause.  Then each rejected variable r, in the same order,
+        whose open clauses meet those of exactly one group, a single s,
+        joins it: s and r become a pair, and r's clauses join the
+        group's.  The t others take columns 0..t-1 of _tables(t) in pick
+        order.  The leaf returns None, before it builds a table, once more
+        than TABLE_BASE are sure to be left: after the singles, if the
+        rejected variables outnumber them by more (each single takes at
+        most one partner), and then as soon as the table has more.
+
+        An open clause has at least one free literal and its assigned
+        literals are all false, so the rows it excludes are those that
+        falsify every free literal left in the table: the AND of the rows
+        falsifying each of its table literals (a variable's column for a
+        negative literal, its complement for a positive one), or all rows
+        if it has none.  Such a clause excludes these rows outright if it
+        has no split variable, and otherwise only at the values of its
+        group that falsify its split literals.
+
+        A single s sums out into the row weight 2 - [x in Q_0] - [x in
+        Q_1], where Q_b holds the rows excluded at s = b: rows in both
+        are excluded, and a row in one is halved.  For a pair (s, r), let
+        X_ab hold the rows excluded at s = a, r = b: a clause of s only
+        goes into X_a0 and X_a1, one of r only into X_0b and X_1b, and one
+        of both into one X_ab.  A row in n of the four sets weighs 4 - n:
+        at n = 4 it is excluded, at n = 1 it counts one weight-3 pair, at
+        n = 2 one halving and at n = 3 two.  A bit-sliced adder gives n in
+        three digit ints.  Over all groups a row then weighs 3^t3 * 2^(U
+        - h - 2 t3), with U = singles + 2 * pairs, h its halvings and t3
+        its weight-3 pairs (the elimination step of bucket elimination).
+        Two counters hold h and t3 in binary, bit-sliced: digit j holds
+        the rows whose count has bit j set, and each set of rows is added
+        by ripple carry (a carry-save counter, see _add), at digit 1 for
+        the two halvings of n = 3.  The kept rows then split into cells of
+        equal (h, t3), top digits first, and each cell adds its popcount
+        times its weight."""
         occ, bit, sat_pos, lits_of = self._occ, self._bit, self._sat_pos, self.clauses
         order = []
         rest = variables
@@ -511,28 +535,55 @@ class ComponentCounter:
             v = low.bit_length() - 1
             mine = occ[v] & clauses
             order.append((mine.bit_count(), v, mine))
-        split, table = [], []
+        singles, rejected = [], []
         taken = 0
         for _, v, mine in sorted(order):
             if not mine & taken:
-                split.append((v, mine))
+                singles.append((v, mine))
                 taken |= mine
             else:
-                table.append(v)
-                if len(table) > TABLE_BASE:
-                    return None
+                rejected.append((v, mine))
+        if len(rejected) - len(singles) > TABLE_BASE:
+            return None
+        pairs, table = [], []
+        paired = 0
+        for r, mine in rejected:
+            hit = mine & taken
+            if not hit & paired:
+                # hit is in the clauses of singles only, so one meets it
+                for j, (s, group) in enumerate(singles):
+                    if group & hit:
+                        break
+                if group & hit == hit:
+                    del singles[j]
+                    pairs.append((s, group, r, mine))
+                    paired |= group | mine
+                    taken |= mine
+                    continue
+            table.append(r)
+            if len(table) > TABLE_BASE:
+                return None
         falsify = {}
         for v, column, complement in zip(table, *_tables(len(table))):
             falsify[-v] = column
             falsify[v] = complement
         rows_of = falsify.get
-        # the clauses without a split variable, then for each split
-        # variable v in a clause its clauses with +v (Q[v][0]) and -v
+        # the clauses of no group; per single s in a clause its clauses
+        # with +s, failing at s = 0, and with -s; per pair (s, r) its
+        # clauses of s only, then of r only, by the value failing them,
+        # then those of both by the pair of values (0 0, 0 1, 1 0, 1 1)
         groups = [clauses ^ taken]
-        for v, mine in split:
+        for v, mine in singles:
             if mine:
                 pos = sat_pos[v] & mine
                 groups += (pos, mine ^ pos)
+        singles_end = len(groups)
+        for s, at_s, r, at_r in pairs:
+            both = at_s & at_r
+            at_0 = both & sat_pos[s]
+            for mask, v in ((at_s ^ both, s), (at_r ^ both, r), (at_0, r), (both ^ at_0, r)):
+                pos = mask & sat_pos[v]
+                groups += (pos, mask ^ pos)
         rows = (1 << (1 << len(table))) - 1
         sets = []
         for mask in groups:
@@ -548,30 +599,44 @@ class ComponentCounter:
                 union |= rows if falsified is None else falsified
             sets.append(union)
         excluded = sets[0]
-        digits = []
-        for s in range(1, len(sets), 2):
-            at_zero, at_one = sets[s], sets[s + 1]
+        digits, threes = [], []
+        for j in range(1, singles_end, 2):
+            at_zero, at_one = sets[j], sets[j + 1]
             excluded |= at_zero & at_one
-            carry = at_zero | at_one
-            for j, digit in enumerate(digits):
-                digits[j] = digit ^ carry
-                carry &= digit
-                if not carry:
-                    break
-            else:
-                digits.append(carry)
-        cells = [(rows ^ excluded, 0)]
-        for j in reversed(range(len(digits))):
-            digit, parts = digits[j], []
-            for cell, c in cells:
+            _add(digits, at_zero | at_one, 0)
+        for j in range(singles_end, len(sets), 8):
+            s_0, s_1, r_0, r_1, both_00, both_01, both_10, both_11 = sets[j:j + 8]
+            # n = the number of the sets X_ab = S_a | R_b | B_ab that hold a
+            # row, by a bit-sliced adder: digit 0, digit 1, and n = 4
+            x_00, x_01 = s_0 | r_0 | both_00, s_0 | r_1 | both_01
+            x_10, x_11 = s_1 | r_0 | both_10, s_1 | r_1 | both_11
+            low, high = x_00 ^ x_01, x_10 ^ x_11
+            carry_0, carry_1 = x_00 & x_01, x_10 & x_11
+            n_0 = low ^ high
+            n_1 = carry_0 ^ carry_1 ^ (low & high)
+            excluded |= carry_0 & carry_1
+            three = n_0 & n_1
+            _add(threes, n_0 ^ three, 0)
+            _add(digits, n_1 ^ three, 0)
+            _add(digits, three, 1)
+        # each cell's weight, 3^t3 * 2^(U - h - 2 t3), follows it through
+        # the splits: 3/4 per weight-3 pair and a halving per h.  The top
+        # digits hold few rows, so splitting by them first keeps the cells
+        # few until the last layers
+        cells = [(rows ^ excluded, 1 << (len(singles) + 2 * len(pairs)))]
+        layers = ([(threes[j], 3 ** (1 << j), 2 << j) for j in reversed(range(len(threes)))]
+                  + [(digits[j], 1, 1 << j) for j in reversed(range(len(digits)))])
+        for digit, times, shift in layers:
+            parts = []
+            for cell, weight in cells:
                 inside = cell & digit
                 if inside:
-                    parts.append((inside, c + (1 << j)))
+                    parts.append((inside, weight * times >> shift))
                     cell ^= inside
                 if cell:
-                    parts.append((cell, c))
+                    parts.append((cell, weight))
             cells = parts
-        return sum(cell.bit_count() << (len(split) - c) for cell, c in cells)
+        return sum(cell.bit_count() * weight for cell, weight in cells)
 
     def _branch(self, free: int, open_: int, shortened: int) -> list[Optional[Residual]]:
         """Decide the variable of highest score both ways: the two
@@ -593,6 +658,20 @@ class ComponentCounter:
         shortened |= occ[v]
         return [self._propagate(free, open_ & ~satisfied, shortened, [v])
                 for satisfied in (self._sat_pos[v], self._sat_neg[v])]
+
+
+def _add(digits: list[int], rows: int, j: int) -> None:
+    """Add 2^j to the bit-sliced binary count of each row in rows: digit i
+    holds the rows whose count has bit i set, and the carry ripples up
+    from digit j until it is empty."""
+    while rows:
+        if j >= len(digits):
+            digits += [0] * (j - len(digits)) + [rows]
+            return
+        digit = digits[j]
+        digits[j] = digit ^ rows
+        rows &= digit
+        j += 1
 
 
 #: _tables(k) by k <= TABLE_BASE, filled on first use.  The tables are

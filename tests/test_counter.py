@@ -32,11 +32,9 @@ def search_reference(clauses, num_vars):
 
 
 def independent_split(clauses, num_vars):
-    """The split a leaf of variables 1..num_vars makes: every variable
-    that shares no clause with an earlier pick, from the sparsest up
-    (fewest clauses, ties to the lowest id).  The leaf is counted over a
-    table of the num_vars - len(split) others if they are at most
-    TABLE_BASE, and not counted (None) otherwise."""
+    """The singles a leaf of variables 1..num_vars splits off: every
+    variable that shares no clause with an earlier pick, from the
+    sparsest up (fewest clauses, ties to the lowest id)."""
     split, taken = [], set()
     for v in sorted(range(1, num_vars + 1),
                     key=lambda v: (sum(v in map(abs, clause) for clause in clauses), v)):
@@ -45,6 +43,31 @@ def independent_split(clauses, num_vars):
             split.append(v)
             taken |= mine
     return split
+
+
+def grouped_split(clauses, num_vars):
+    """The groups a leaf of variables 1..num_vars splits off: the
+    singles of independent_split, then each other variable, from the
+    sparsest up, whose clauses meet those of exactly one group, a
+    single, as its partner.  The leaf is counted over a table of the
+    variables in no group if they are at most TABLE_BASE, and not
+    counted (None) otherwise."""
+    def mine(v):
+        return {j for j, clause in enumerate(clauses) if v in map(abs, clause)}
+
+    singles = independent_split(clauses, num_vars)
+    groups = [[v] for v in singles]
+    for v in sorted(set(range(1, num_vars + 1)) - set(singles), key=lambda v: (len(mine(v)), v)):
+        met = [group for group in groups if mine(v) & set().union(*map(mine, group))]
+        if len(met) == 1 and len(met[0]) == 1:
+            met[0].append(v)
+    return groups
+
+
+def table_width(clauses, num_vars):
+    """The number of variables a leaf of variables 1..num_vars leaves in
+    its table: those in no group of grouped_split."""
+    return num_vars - sum(map(len, grouped_split(clauses, num_vars)))
 
 
 def pool_slices(bins):
@@ -223,7 +246,7 @@ class TestTruthTables:
         # three free literals of either sign, and some also have literals
         # of the other variables, assigned so that those are false; above
         # TABLE_BASE the reference is the search without tables, or None
-        # if the split leaves more than TABLE_BASE variables
+        # if the singles and pairs leave more than TABLE_BASE variables
         num_vars = k + 3
         for _ in range(4 if k <= 10 else 1):
             inside = rng.sample(range(1, num_vars + 1), k)
@@ -244,7 +267,7 @@ class TestTruthTables:
             got = counter._count_table(variables, (1 << len(prepared)) - 1)
             if k <= counter_module.TABLE_BASE:
                 assert got == brute_reference(restricted, k)
-            elif k - len(independent_split(restricted, k)) > counter_module.TABLE_BASE:
+            elif table_width(restricted, k) > counter_module.TABLE_BASE:
                 assert got is None
             else:
                 assert got == search_reference(restricted, k)
@@ -267,9 +290,11 @@ class TestTruthTables:
         # some in no clause: every other one in no clause, the rest in a
         # clause each, signs drawn at random.
         # Pairs can leave no k - TABLE_BASE variables that share no clause;
-        # the leaf is then not counted (None) and the search branches.
-        # Every split variable is summed out: no table is wider than the
-        # variables left
+        # a partner whose clauses meet only its single's is summed out with
+        # it, and the leaf is not counted (None) if the variables in no
+        # group are more than TABLE_BASE, and then builds no table.
+        # Every group is summed out: no table is wider than the variables
+        # left
         base = counter_module.TABLE_BASE
         dense, sparse = range(1, base + 1), list(range(base + 1, k + 1))
         for _ in range(3):
@@ -306,7 +331,7 @@ class TestTruthTables:
             counter = ComponentCounter(k, prepared)
             monkeypatch.setattr(counter_module, "_TABLES", {})
             got = counter._count_table(((1 << k) - 1) << 1, (1 << len(prepared)) - 1)
-            rest = k - len(independent_split(prepared, k))
+            rest = table_width(prepared, k)
             if rest > base:
                 assert got is None
                 assert not counter_module._TABLES
@@ -356,7 +381,10 @@ class TestTruthTables:
         # literals: every split set is the same quarter of the rows, whose
         # count reaches u, so the binary count of that quarter carries
         # across every digit boundary below u; the split variables' signs
-        # are drawn at random, so both Q[s][0] and Q[s][1] are used
+        # are drawn at random, so both Q[s][0] and Q[s][1] are used.  At
+        # u = 1 the clause of a meets only the single 1's, so a joins it as
+        # its partner and the table holds b alone (test_pair_weights
+        # carries both counters of pairs)
         a, b = u + 1, u + 2
         for _ in range(3):
             pair = (rng.choice((1, -1)) * a, rng.choice((1, -1)) * b)
@@ -365,7 +393,102 @@ class TestTruthTables:
             monkeypatch.setattr(counter_module, "_TABLES", {})
             got = counter._count_table(((1 << b) - 1) << 1, (1 << u) - 1)
             assert got == brute_reference(clauses, b) == 3 * 2 ** u + 1
+            assert list(counter_module._TABLES) == [2 if u > 1 else 1]
+
+    @pytest.mark.parametrize("kinds", ["both", "both, s only", "both, r only",
+                                       "both, s only, r only"])
+    def test_pair_clause_kinds(self, rng, monkeypatch, kinds):
+        # a pair (s, r) = (1, 2) over a table of variables 3..6: a clause of
+        # both, with the clauses of s only and of r only that kinds names,
+        # in every sign pattern of s and r; each of these clauses also has
+        # zero to two table literals of random signs.  The table variables
+        # are in more clauses (a cycle of binary clauses), and all of them
+        # are in one clause with a second pair (7, 8), so none is a single;
+        # the sparser of s and r is the pair's single, the other its partner
+        table = range(3, 7)
+        for signs in range(16):
+            sign_s, sign_r, sign_s_only, sign_r_only = (1 - 2 * (signs >> i & 1) for i in range(4))
+
+            def signed(*variables):
+                return tuple(rng.choice((1, -1)) * v for v in variables)
+
+            def with_table(*lits):
+                return tuple(lits) + signed(*rng.sample(table, rng.randint(0, 2)))
+
+            clauses = [signed(v, v % 4 + 3) for v in table] + [signed(7, 8, *table)]
+            clauses.append(with_table(sign_s * 1, sign_r * 2))
+            if "s only" in kinds:
+                clauses.append(with_table(sign_s_only * 1))
+            if "r only" in kinds:
+                clauses.append(with_table(sign_r_only * 2))
+            prepared = preprocess(clauses, 8)
+            assert sorted(map(sorted, grouped_split(prepared, 8))) == [[1, 2], [7, 8]]
+            counter = ComponentCounter(8, prepared)
+            monkeypatch.setattr(counter_module, "_TABLES", {})
+            got = counter._count_table(0b111111110, (1 << len(prepared)) - 1)
+            assert got == brute_reference(clauses, 8)
+            assert list(counter_module._TABLES) == [4]
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize("p", range(1, counter_module.TABLE_VARS // 2))
+    def test_pair_weights(self, rng, monkeypatch, p, m):
+        # p pairs (2i - 1, 2i), each in m clauses with the same two table
+        # literals, at m of the four value pairs: a quarter of the rows is
+        # in m of every pair's four sets, so it weighs (4 - m)^p, and the
+        # other rows 4^p.  m = 1 is a weight-3 row (threes), m = 2 one
+        # halving, m = 3 two (added at digit 1), m = 4 excluded.  The
+        # count of each counter reaches p or 2p, so it carries across
+        # every digit boundary below
+        a, b = 2 * p + 1, 2 * p + 2
+        for _ in range(2):
+            lits = (rng.choice((1, -1)) * a, rng.choice((1, -1)) * b)
+            values = rng.sample([(1, 1), (1, -1), (-1, 1), (-1, -1)], m)
+            clauses = [(sign_s * (2 * i - 1), sign_r * 2 * i) + lits
+                       for i in range(1, p + 1) for sign_s, sign_r in values]
+            assert grouped_split(clauses, b) == [[2 * i - 1, 2 * i] for i in range(1, p + 1)]
+            counter = ComponentCounter(b, preprocess(clauses, b))
+            monkeypatch.setattr(counter_module, "_TABLES", {})
+            got = counter._count_table(((1 << b) - 1) << 1, (1 << len(clauses)) - 1)
+            assert got == 3 * 4 ** p + (4 - m) ** p
+            if b <= 12:
+                assert got == brute_reference(clauses, b)
             assert list(counter_module._TABLES) == [2]
+
+    @pytest.mark.parametrize("k", range(counter_module.TABLE_BASE + 2, counter_module.TABLE_VARS + 1))
+    def test_leaf_counted_through_its_pairs(self, rng, monkeypatch, k):
+        # a leaf of k variables that the singles alone leave wider than
+        # TABLE_BASE, and its pairs do not: m pairs (2i - 1, 2i), each in a
+        # clause of both and a clause of each alone with core variables,
+        # over a core of the other k - 2m, a cycle of binary clauses and
+        # random ternary ones.  One more clause of the first pair holds
+        # every core variable, so none is a single; the singles are 1, 3,
+        # .., 2m - 1, and more than TABLE_BASE variables are left, m +
+        # core.
+        # (At k = TABLE_BASE + 1 the singles always leave at most
+        # TABLE_BASE.)
+        base = counter_module.TABLE_BASE
+        for _ in range(2):
+            m = rng.randint(-(-(k - base) // 2), k - base - 1)
+            core = list(range(2 * m + 1, k + 1))
+
+            def signed(*variables):
+                return tuple(rng.choice((1, -1)) * v for v in variables)
+
+            clauses = [signed(v, core[(j + 1) % len(core)]) for j, v in enumerate(core)]
+            clauses += [signed(*rng.sample(core, 3)) for _ in core]
+            clauses.append(signed(1, 2, *core))
+            for i in range(1, m + 1):
+                clauses += [signed(2 * i - 1, 2 * i, rng.choice(core)),
+                            signed(2 * i - 1, *rng.sample(core, 2)),
+                            signed(2 * i, *rng.sample(core, 2))]
+            prepared = preprocess(clauses, k)
+            assert k - len(independent_split(prepared, k)) > base
+            assert table_width(prepared, k) == k - 2 * m <= base
+            counter = ComponentCounter(k, prepared)
+            monkeypatch.setattr(counter_module, "_TABLES", {})
+            got = counter._count_table(((1 << k) - 1) << 1, (1 << len(prepared)) - 1)
+            assert got == search_reference(clauses, k)
+            assert list(counter_module._TABLES) == [k - 2 * m]
 
     @pytest.mark.parametrize("extra, decides", [(0, False), (1, True)])
     def test_component_at_the_table_boundary(self, rng, extra, decides):
@@ -444,8 +567,8 @@ class TestWidthSixSlices:
         # the exact width-6 search effort per bin, (nodes, decisions,
         # propagations, components, cache_hits): a change here is a
         # different search, whatever the leaves cost
-        expected = [(95, 46, 275, 4, 0), (100, 47, 329, 10, 2), (137, 68, 389, 0, 0),
-                    (317, 156, 860, 8, 0), (359, 171, 744, 32, 7), (478, 237, 961, 6, 0)]
+        expected = [(95, 46, 275, 4, 0), (60, 27, 222, 10, 2), (125, 62, 359, 0, 0),
+                    (245, 120, 678, 8, 0), (223, 103, 506, 32, 7), (354, 175, 756, 6, 0)]
         for (clauses, num_vars, count), pinned in zip(pool_slices(range(6)), expected):
             counter = ComponentCounter(num_vars, preprocess(clauses, num_vars))
             assert counter.count() == count
@@ -610,10 +733,10 @@ class TestDepth:
 
 class TestCountVariant:
     @pytest.mark.parametrize("variant, expected", [
-        ("h", dict(nodes=77, decisions=38, propagations=200, components=0,
-                   cache_hits=0, cache_entries=77)),
-        ("h1", dict(nodes=102, decisions=52, propagations=400, components=0,
-                    cache_hits=0, cache_entries=102)),
+        ("h", dict(nodes=57, decisions=28, propagations=145, components=0,
+                   cache_hits=0, cache_entries=57)),
+        ("h1", dict(nodes=81, decisions=41, propagations=330, components=0,
+                    cache_hits=0, cache_entries=81)),
     ])
     def test_width_five_search_stats(self, variant, expected):
         # the exact search effort: a change here is a different search
@@ -695,7 +818,7 @@ class TestCountWidth:
         # h01 is searched first; h1, h0 and h reach its components
         reports = count_width(5)
         assert list(reports) == [Variant.H01, Variant.H1, Variant.H0, Variant.H]
-        assert reports[Variant.H01].stats.nodes == 102
+        assert reports[Variant.H01].stats.nodes == 81
         for variant in (Variant.H1, Variant.H0, Variant.H):
             assert reports[variant].stats.nodes <= 2
             assert reports[variant].stats.cache_hits >= 1
