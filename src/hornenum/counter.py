@@ -10,8 +10,11 @@ loops touch only ints.  Unit propagation also closes the clauses that a
 new binary clause subsumes: once an open clause has two free literals
 left, every other open clause that holds both is implied by it and
 drops out (on-the-fly subsumption; Han & Somenzi, SAT 2009), so fewer
-clauses tie the free variables together.  One breadth-first pass over
-a residual's free variables finds its components.  A residual or
+clauses tie the free variables together.  A sweep over a residual's
+free variables finds its components: each grows from its lowest
+variable by every variable in one of its open clauses, testing only
+the variables that share a table clause with one it has taken
+(per-variable neighbour masks, built on first use).  A residual or
 component of at most TABLE_VARS variables is neither split nor branched
 on: it is counted from a truth table with one bit per assignment.  Each
 leaf splits off groups of one or two variables, no two groups sharing an
@@ -239,8 +242,10 @@ class ComponentCounter:
     clause is open, every assignment that satisfies it satisfies the
     clauses it subsumes.  A residual of at most TABLE_VARS free
     variables is counted whole.  A wider one splits into
-    variable-connected components whose counts multiply, and each free
-    variable in no open clause doubles the count.  A component,
+    variable-connected components whose counts multiply, found by a
+    sweep over the variables' occurrence and neighbour masks
+    (_components), and each free variable in no open clause doubles the
+    count.  A component,
     or a residual counted whole, is looked up in a bounded cache under
     the one int `clauses << (num_vars + 1) | variables` (the sharpSAT
     component key), which means the count of these clauses over exactly
@@ -297,6 +302,7 @@ class ComponentCounter:
         self._sat_pos = [reduce(or_, map(bit.__getitem__, ids), 0) for ids in pos_ids]
         self._sat_neg = [reduce(or_, map(bit.__getitem__, ids), 0) for ids in neg_ids]
         self._occ = list(map(or_, self._sat_pos, self._sat_neg))
+        self._near: list[int] = []
 
     def count(self, residual: Optional[Residual] = None) -> int:
         """The model count of a residual (free, open, shortened) of this
@@ -415,48 +421,85 @@ class ComponentCounter:
     def _count_residual(self, free: int, open_: int, shortened: int) -> int:
         """Count a residual over all its free variables.  One of at most
         TABLE_VARS free variables is counted whole, as one component.  A
-        wider one is split into components by one breadth-first search
-        over the occurrence masks; a variable in no open clause is a
-        component without clauses, which doubles the count and is not
-        searched."""
+        wider one is split into the components of _components; a variable
+        in no open clause is a component without clauses, which doubles
+        the count and is not searched."""
         if free.bit_count() <= TABLE_VARS:
             if not open_:
                 return 1 << free.bit_count()
             return self._count_component(free, open_, shortened)
-        occ, vars_of, bit = self._occ, self._vars, self._bit
-        result = 1
-        parts = []
-        unvisited = free
-        while unvisited:
-            frontier = unvisited & -unvisited
-            unvisited ^= frontier
-            comp_vars = frontier
-            comp_clauses = 0
-            while frontier:
-                low = frontier & -frontier
-                frontier ^= low
-                new = occ[low.bit_length() - 1] & open_
-                open_ ^= new
-                comp_clauses |= new
-                while new:
-                    i = new.bit_length() - 1
-                    new ^= bit[i]
-                    reached = vars_of[i] & unvisited
-                    if reached:
-                        unvisited ^= reached
-                        comp_vars |= reached
-                        frontier |= reached
-            if comp_clauses:
-                parts.append((comp_vars, comp_clauses))
-            else:
-                result <<= 1
+        lone, parts = self._components(free, open_)
         if len(parts) > 1:
             self.stats.components += len(parts)
+        result = 1 << lone
         for comp_vars, comp_clauses in parts:
             result *= self._count_component(comp_vars, comp_clauses, shortened & comp_clauses)
             if not result:
                 break
         return result
+
+    def _components(self, free: int, open_: int) -> tuple[int, list[tuple[int, int]]]:
+        """The number of free variables in no open clause, and the
+        variable-connected components of the others as (variables,
+        clauses), by lowest variable.
+
+        A sweep over variables finds each component: it starts at the
+        lowest unvisited variable, keeps `reached`, the OR of the
+        component's open clauses, and absorbs a variable u when occ[u] &
+        reached is nonzero.  It tests only the unvisited variables that
+        share a table clause with an absorbed one (_neighbours), and
+        tests them again after each absorption that reaches them, so a
+        variable in an open clause of the component is absorbed, and a
+        finished component costs no pass over the rest of the residual.
+        When the residual has fewer open clauses than free variables, the
+        variables of its open clauses are OR-ed first, and those left out
+        are counted in one step instead of seeded one by one."""
+        occ, vars_of, bit = self._occ, self._vars, self._bit
+        lone = 0
+        unvisited = free
+        if open_.bit_count() < free.bit_count():
+            busy = 0
+            rest = open_
+            while rest:
+                i = rest.bit_length() - 1
+                rest ^= bit[i]
+                busy |= vars_of[i]
+            unvisited &= busy
+            lone = (free ^ unvisited).bit_count()
+        near = self._near or self._neighbours()
+        parts = []
+        while unvisited:
+            seed = unvisited & -unvisited
+            unvisited ^= seed
+            v = seed.bit_length() - 1
+            reached = occ[v] & open_
+            if not reached:
+                lone += 1
+                continue
+            comp_vars, rest = seed, near[v] & unvisited
+            while rest:
+                u = rest.bit_length() - 1
+                low = 1 << u
+                rest ^= low
+                if occ[u] & reached:
+                    reached |= occ[u] & open_
+                    comp_vars |= low
+                    unvisited ^= low
+                    rest |= near[u] & unvisited
+            parts.append((comp_vars, reached))
+        return lone, parts
+
+    def _neighbours(self) -> list[int]:
+        """Each variable's mask of the variables it shares a table clause
+        with, itself included.  Built on the first component sweep, not in
+        __init__: an engine whose count() hands its search to an
+        _open_table engine (a raw CNF with unit clauses, such as a width-6
+        slice) never sweeps."""
+        near = self._near = [0] * (self.num_vars + 1)
+        for clause, mask in zip(self.clauses, self._vars):
+            for lit in clause:
+                near[abs(lit)] |= mask
+        return near
 
     def _count_component(self, variables: int, clauses: int, shortened: int) -> int:
         """Count one component, or a residual counted whole, over exactly
@@ -712,13 +755,19 @@ def _open_table(num_vars: int, clauses: list[tuple[int, ...]], residual: Residua
     and the search is the same, on narrower clause masks.  Given stats,
     the engine adds its search to them; otherwise it starts fresh ones."""
     free, open_, shortened = residual
-    ids = [i for i in range(open_.bit_length()) if open_ >> i & 1]
+    ids, short = [], 0
+    rest = open_
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        if shortened & low:
+            short |= 1 << len(ids)
+        ids.append(low.bit_length() - 1)
     engine = ComponentCounter(num_vars, [clauses[i] for i in ids],
                               deadline=deadline, cache_limit=cache_limit)
     if stats is not None:
         engine.stats = stats
-    shortened = sum(1 << j for j, i in enumerate(ids) if shortened >> i & 1)
-    return engine, (free, (1 << len(ids)) - 1, shortened)
+    return engine, (free, (1 << len(ids)) - 1, short)
 
 
 def _count_job(num_vars: int, clauses: list[tuple[int, ...]], deadline: Optional[float],

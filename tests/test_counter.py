@@ -79,6 +79,33 @@ def pool_slices(bins):
             for entry in pool["slices"] if entry["bin"] in bins]
 
 
+def bfs_components(counter, free, open_):
+    """A residual's free variables in no open clause, and the components
+    of the others as (variables, clauses) by lowest variable, found by a
+    breadth-first search that reaches each open clause of a variable and
+    then each free variable of that clause."""
+    lone, parts = 0, []
+    unvisited = sorted(v for v in range(1, counter.num_vars + 1) if free >> v & 1)
+    while unvisited:
+        frontier = [unvisited.pop(0)]
+        comp_vars, comp_clauses = 0, 0
+        while frontier:
+            v = frontier.pop(0)
+            comp_vars |= 1 << v
+            for i, clause in enumerate(counter.clauses):
+                if open_ >> i & 1 and v in map(abs, clause) and not comp_clauses >> i & 1:
+                    comp_clauses |= 1 << i
+                    for u in sorted(map(abs, clause)):
+                        if u in unvisited:
+                            unvisited.remove(u)
+                            frontier.append(u)
+        if comp_clauses:
+            parts.append((comp_vars, comp_clauses))
+        else:
+            lone += 1
+    return lone, parts
+
+
 class TestPreprocess:
     def test_duplicate_literals_merged(self):
         assert preprocess([(1, 1, 2)], 2) == [(1, 2)]
@@ -577,6 +604,72 @@ class TestWidthSixSlices:
                     stats.cache_hits) == pinned
 
 
+class TestComponents:
+    """The component sweep of _components against bfs_components: the
+    same parts in the same order, so the same search."""
+
+    def test_same_parts_as_a_clause_bfs(self, rng):
+        # residuals wider than TABLE_VARS, reached by random decisions from
+        # the start of an instance of a few clause groups over shuffled
+        # ids, with variables in no clause
+        wide = counter_module.TABLE_VARS + 1
+        seen = {"split": 0, "lone": 0, "bulk": 0, "swept": 0}
+        for _ in range(40):
+            num_vars = rng.randint(wide + 4, 3 * wide)
+            ids = rng.sample(range(1, num_vars + 1), num_vars - rng.randint(0, 8))
+            cuts = sorted(rng.sample(range(1, len(ids)), rng.randint(0, 4)))
+            clauses = []
+            for group in map(ids.__getitem__, map(slice, [0] + cuts, cuts + [None])):
+                for _ in range(rng.randint(len(group) // 2, 2 * len(group))):
+                    picked = rng.sample(group, min(len(group), rng.randint(2, 3)))
+                    clauses.append(tuple(rng.choice((1, -1)) * v for v in picked))
+            prepared = preprocess(clauses, num_vars)
+            if prepared is None:
+                continue
+            counter = ComponentCounter(num_vars, prepared)
+            residual = counter._start()
+            while residual is not None and residual[0].bit_count() > counter_module.TABLE_VARS:
+                free, open_, _ = residual
+                lone, parts = counter._components(free, open_)
+                assert (lone, parts) == bfs_components(counter, free, open_)
+                seen["split"] += len(parts) > 1
+                seen["lone"] += lone > 0
+                seen["bulk" if open_.bit_count() < free.bit_count() else "swept"] += 1
+                residual = rng.choice(counter._branch(*residual))
+        assert min(seen.values()) > 0, seen
+
+    def test_same_parts_on_the_pool_slices(self, monkeypatch):
+        # every wide residual that the search of the six pool slices meets
+        seen = []
+        sweep = ComponentCounter._components
+
+        def recorded(counter, free, open_):
+            found = sweep(counter, free, open_)
+            seen.append((found, bfs_components(counter, free, open_)))
+            return found
+
+        monkeypatch.setattr(ComponentCounter, "_components", recorded)
+        for clauses, num_vars, expected in pool_slices(range(6)):
+            assert count_models(clauses, num_vars) == expected
+        assert sum(len(found[1]) > 1 for found, _ in seen) > 0
+        for found, reference in seen:
+            assert found == reference
+
+    def test_disjoint_binary_clauses_count_quickly(self):
+        # 3,000 parts: each finished part costs no pass over the rest
+        clauses = [(2 * i - 1, 2 * i) for i in range(1, 3001)]
+        start = time.monotonic()
+        assert count_models(clauses, 6000) == 3 ** 3000
+        assert time.monotonic() - start < 3.0
+
+    def test_variables_in_no_clause_count_quickly(self):
+        # the free variables in no open clause are counted in one step,
+        # not seeded one by one
+        start = time.monotonic()
+        assert count_models([(1, 2), (-3, 4)], 200_000) == 9 << 199_996
+        assert time.monotonic() - start < 3.0
+
+
 class TestEngines:
     def test_component_engine_multiplies_disjoint_parts(self):
         # two copies of a binary chain, together wider than TABLE_VARS, so
@@ -721,6 +814,20 @@ class TestDepth:
     def test_long_chain_counts_quickly(self):
         # each implication is propagated once, not rescanned per level
         chain = [(-i, i + 1) for i in range(1, 600)]
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)  # the interpreter's default
+        try:
+            start = time.monotonic()
+            assert count_models(chain, 600) == 601
+            assert time.monotonic() - start < 3.0
+        finally:
+            sys.setrecursionlimit(limit)
+
+    def test_shuffled_chain_counts_quickly(self, rng):
+        # the same chain over shuffled ids: the component sweep reaches
+        # its variables out of id order, one neighbour at a time
+        ids = rng.sample(range(1, 601), 600)
+        chain = [(-a, b) for a, b in zip(ids, ids[1:])]
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(1000)  # the interpreter's default
         try:
