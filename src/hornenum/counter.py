@@ -36,11 +36,11 @@ variables, branches on the variable in the most open clauses, shortened
 ones weighing five times.
 The `dpll` method name refers to this search.
 
-An engine's start assigns the input's unit clauses and any assumed
-literals and propagates them.  It scans only the clauses of the
-variables that these assign, of the variables of binary clauses, and of
-the variables that share an open clause with an assumed one: a clause
-of three or more free literals has nothing to propagate or close.  An
+An engine's start first lets each binary clause of the input close the
+clauses it subsumes, as propagation does for a clause left binary.  It
+then assigns the assumed literals and propagates from them and from the
+input's unit clauses: no other clause can become unit or binary before
+one of these assignments reaches it.  An
 engine that counts from its own start (count() with no residual, as
 count_models does) and whose start closed a clause searches a table
 rebuilt over only the open clauses, in their order: the same search, on
@@ -73,7 +73,7 @@ import re
 import sys
 import time
 from dataclasses import dataclass, field, fields
-from functools import partial, reduce
+from functools import partial
 from operator import neg, or_
 from typing import Optional, Sequence, Union
 
@@ -228,8 +228,8 @@ class ComponentCounter:
     (loops over a clause mask take its top bit and clear it through that
     mask, one wide-int operation per clause); each variable has the
     mask of the clauses it occurs in; each literal has the mask of the
-    clauses it satisfies, OR-ed once from the list of their ids.  A
-    residual subproblem is then three ints
+    clauses it satisfies, each clause's bit OR-ed into the masks of its
+    literals.  A residual subproblem is then three ints
     (free, open, shortened): its free variables, its open clauses, and
     those open clauses that lost a literal on the path to it.  The first
     two identify it exactly: every assigned literal of an open clause is
@@ -258,7 +258,8 @@ class ComponentCounter:
     one whose split leaves more than TABLE_BASE variables, by branching
     on the variable of highest score.
 
-    The start (_start) propagates the input's unit clauses and any
+    The start (_start) closes the clauses that the input's binary clauses
+    subsume, then propagates from the input's unit clauses and any
     assumed literals.  count() from the engine's own start, once the
     start has closed a clause, hands the search to an engine over only
     the open clauses (_open_table) that shares this one's stats, deadline
@@ -280,28 +281,29 @@ class ComponentCounter:
         self._bit = bit = [1 << i for i in range(len(clauses))]
         self._vars: list[int] = []
         self._positive: list[int] = []
-        # each variable's clause ids, per sign, each list OR-ed once below
-        pos_ids: list[list[int]] = [[] for _ in range(num_vars + 1)]
-        neg_ids: list[list[int]] = [[] for _ in range(num_vars + 1)]
-        short = 0
+        self._sat_pos = sat_pos = [0] * (num_vars + 1)
+        self._sat_neg = sat_neg = [0] * (num_vars + 1)
+        # what _start propagates and closes from: the variables of the
+        # unit clauses, and the ids of the binary clauses
+        self._units: list[int] = []
+        self._binary: list[int] = []
         for i, clause in enumerate(clauses):
             vars_mask = positive = 0
             for lit in clause:
                 if lit > 0:
                     positive |= 1 << lit
-                    pos_ids[lit].append(i)
+                    sat_pos[lit] |= bit[i]
                 else:
                     vars_mask |= 1 << -lit
-                    neg_ids[-lit].append(i)
+                    sat_neg[-lit] |= bit[i]
             vars_mask |= positive
             self._vars.append(vars_mask)
             self._positive.append(positive)
-            if len(clause) <= 2:
-                short |= vars_mask
-        self._short_vars = short
-        self._sat_pos = [reduce(or_, map(bit.__getitem__, ids), 0) for ids in pos_ids]
-        self._sat_neg = [reduce(or_, map(bit.__getitem__, ids), 0) for ids in neg_ids]
-        self._occ = list(map(or_, self._sat_pos, self._sat_neg))
+            if len(clause) == 1:
+                self._units.append(abs(clause[0]))
+            elif len(clause) == 2:
+                self._binary.append(i)
+        self._occ = list(map(or_, sat_pos, sat_neg))
         self._near: list[int] = []
 
     def count(self, residual: Optional[Residual] = None) -> int:
@@ -334,20 +336,21 @@ class ComponentCounter:
         return result
 
     def _start(self, assumed: Sequence[int] = ()) -> Optional[Residual]:
-        """The residual after the assumed literals and the input's unit
-        clauses, or None on a conflict.  An assumed literal counts as a
-        propagation, as a unit clause does.  Propagation then scans the
-        clauses of the assumed variables, of the variables of the input's
-        unit and binary clauses, and of every variable in an open clause
-        with an assumed one, highest variable first.  Any other clause has
-        three or more free literals until an implied variable's scan
-        reaches it, so it has nothing to propagate or close, and a scan of
-        every variable in the same order reaches the same residual by the
-        same steps (the scan order decides which of two clauses left with
-        the same two free literals stays open)."""
-        occ, vars_of, bit = self._occ, self._vars, self._bit
-        free, open_, shortened = ((1 << self.num_vars) - 1) << 1, (1 << len(vars_of)) - 1, 0
-        touched = self._short_vars
+        """The residual after the input's unit clauses and the assumed
+        literals, or None on a conflict.  Each input binary clause first
+        closes every other clause that holds both its literals, the rule
+        _propagate applies to a clause left binary; no two binary clauses
+        of a preprocessed table hold the same two literals, so none closes
+        another.  The assumed literals are then assigned, each counted as
+        a propagation, as a unit clause is, and propagation runs from the
+        variables of the unit clauses and of the assumed literals, highest
+        first: no other clause can become unit or binary."""
+        sat_pos, sat_neg, bit = self._sat_pos, self._sat_neg, self._bit
+        free, open_, shortened = ((1 << self.num_vars) - 1) << 1, (1 << len(bit)) - 1, 0
+        for i in self._binary:
+            a, b = self.clauses[i]
+            open_ ^= ((sat_pos[a] if a > 0 else sat_neg[-a])
+                      & (sat_pos[b] if b > 0 else sat_neg[-b]) & open_) ^ bit[i]
         for lit in assumed:
             v = abs(lit)
             if not free >> v & 1:
@@ -355,16 +358,10 @@ class ComponentCounter:
                     return None
                 continue
             free ^= 1 << v
-            open_ &= ~(self._sat_pos[v] if lit > 0 else self._sat_neg[v])
-            shortened |= occ[v]
-            touched |= 1 << v
+            open_ &= ~(sat_pos[v] if lit > 0 else sat_neg[v])
+            shortened |= self._occ[v]
             self.stats.propagations += 1
-        reached = shortened & open_
-        while reached:
-            i = reached.bit_length() - 1
-            reached ^= bit[i]
-            touched |= vars_of[i]
-        queue = [v for v in range(1, self.num_vars + 1) if touched >> v & 1]
+        queue = sorted({*self._units, *map(abs, assumed)})
         return self._propagate(free, open_, shortened, queue)
 
     def _check_budget(self) -> None:
@@ -832,24 +829,6 @@ def _count_assuming(engine: ComponentCounter, assumed: Sequence[int],
     return total, stats
 
 
-def _count_clauses(clauses: Clauses, num_vars: int, *, threads: int = 1,
-                   deadline: Optional[float] = None) -> tuple[int, CounterStats]:
-    """Count over all num_vars variables, stopping at the absolute
-    time.monotonic() deadline; threads as in _count_assuming."""
-    if num_vars < 0:
-        raise ValueError("variable count must be nonnegative")
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
-    prepared = preprocess(clauses, num_vars)
-    _check_deadline(deadline, CounterStats())
-    if prepared is None:
-        return 0, CounterStats()
-    engine = ComponentCounter(num_vars, prepared, deadline=deadline)
-    if threads == 1:
-        return engine.count(), engine.stats
-    return _count_assuming(engine, (), threads)
-
-
 def _count_width(n: int, variants: Sequence[Variant], threads: int,
                  deadline: Optional[float], encode_cap: int) -> dict[Variant, CountReport]:
     """Count the variants at width n, in this order, in one engine over
@@ -888,9 +867,19 @@ def count_models(instance: Union[CnfInstance, Clauses], num_vars: Optional[int] 
         clauses = instance
         if num_vars is None:
             raise ValueError("num_vars is required for raw clause lists")
-    value, _stats = _count_clauses(clauses, num_vars, threads=threads,
-                                   deadline=_deadline(budget_seconds))
-    return value
+    deadline = _deadline(budget_seconds)
+    if num_vars < 0:
+        raise ValueError("variable count must be nonnegative")
+    if threads < 1:
+        raise ValueError("threads must be >= 1")
+    prepared = preprocess(clauses, num_vars)
+    _check_deadline(deadline, CounterStats())
+    if prepared is None:
+        return 0
+    engine = ComponentCounter(num_vars, prepared, deadline=deadline)
+    if threads == 1:
+        return engine.count()
+    return _count_assuming(engine, (), threads)[0]
 
 
 def run_external_counter(instance: CnfInstance, command: Optional[str] = None,

@@ -1,6 +1,7 @@
 import json
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -272,7 +273,12 @@ class TestVerify:
         assert payload["failure_count"] == 0
         assert [check["name"] for check in payload["checks"]] == names
 
-    def test_budget_bounds_the_run(self, capsys):
+    def test_budget_bounds_the_run(self, capsys, monkeypatch):
+        # the clock jumps an hour past the deadline right after the run
+        # sets it, so the run overruns however fast the host is
+        readings = iter([0.0])
+        monkeypatch.setattr(validation, "time", SimpleNamespace(
+            monotonic=lambda: next(readings, 3600.0)))
         assert main(["verify", "--n-max", "5", "--budget-seconds", "0.01"]) == 3
         assert "resource limit" in capsys.readouterr().err
 

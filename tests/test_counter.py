@@ -14,7 +14,7 @@ from hornenum.counter import (ComponentCounter, CounterStats, count_models,
 from hornenum.encoder import encode, endpoint_units
 from hornenum.errors import ExternalToolError, ResourceLimitError
 from hornenum.families import Variant
-from hornenum.oracle import brute_count
+from hornenum.oracle import _orbits, brute_count
 from hornenum.validation import reference_count
 
 STUB = str(Path(__file__).parent / "external_stub.py")
@@ -1012,9 +1012,15 @@ def full_scan_start(counter, assumed=()):
 
 
 class TestStart:
-    def test_same_residual_as_a_scan_of_every_variable(self, rng):
-        # units, binary clauses and assumed literals, so that subsumed
-        # clauses close in an order that a different scan could change
+    def test_agrees_with_a_scan_of_every_variable(self, rng):
+        # units, binary clauses and assumed literals.  A clause that a unit
+        # leaves binary may tie with an input binary clause on the same two
+        # literals, and the two scans may then keep a different one of the
+        # two open: the free variables and the count must still agree.
+        # Without unit clauses and assumed literals only the input's binary
+        # clauses close clauses, none closes another, and the residuals
+        # must be the same
+        closed = 0
         for _ in range(400):
             num_vars, clauses = random_instance(rng, max_vars=8, max_clauses=24, max_width=4)
             prepared = preprocess(clauses, num_vars)
@@ -1023,15 +1029,26 @@ class TestStart:
             assumed = tuple(rng.choice((1, -1)) * rng.randint(1, num_vars)
                             for _ in range(rng.randint(0, 3)))
             counter, reference = (ComponentCounter(num_vars, prepared) for _ in range(2))
-            assert counter._start(assumed) == full_scan_start(reference, assumed)
+            start, expected = counter._start(assumed), full_scan_start(reference, assumed)
+            assert (start is None) == (expected is None)
+            if start is not None:
+                assert start[0] == expected[0]
+                assert counter.count(start) == reference.count(expected)
+            wide = [clause for clause in prepared if len(clause) > 1]
+            counter, reference = (ComponentCounter(num_vars, wide) for _ in range(2))
+            start = counter._start()
+            assert start == full_scan_start(reference)
             assert counter.stats.propagations == reference.stats.propagations
+            closed += start[1] != (1 << len(wide)) - 1
+        assert closed >= 50
 
     def test_same_binary_clause_from_two_assumptions(self):
         # -1 and -2 leave both clauses the binary clause (3 7), and the
-        # first one scanned closes the other: variable 7's scan meets
-        # clause 1 first, so clause 1 stays open, not clause 0
+        # first one scanned closes the other: propagation pops the highest
+        # assumed variable first, so variable 2's scan leaves clause 0
+        # binary first, and clause 0 stays open, not clause 1
         counter = ComponentCounter(7, preprocess([(2, 3, 7), (1, 3, 7)], 7))
-        assert counter._start((-1, -2)) == (0b11111000, 0b10, 0b10)
+        assert counter._start((-1, -2)) == (0b11111000, 0b01, 0b01)
 
     def test_open_table_reindexes_the_residual(self):
         instance = encode(4, Variant.H)
@@ -1048,6 +1065,36 @@ class TestStart:
             assert [compact[2] >> j & 1 for j in range(len(ids))] == [
                 shortened >> i & 1 for i in ids]
             assert engine.count(compact) == table.count(residual)
+
+
+class TestOneCoordinateSplit:
+    """Width 5 from the classes of width 4 (the one-coordinate split of
+    Habib & Nourine): a family F splits on one coordinate into F1 and F0,
+    its members with that coordinate 1 and 0, and F is meet-closed
+    exactly when F1 and F0 are and every meet r & s of r in F1 and s in
+    F0 is in F0.  So h1(5) sums, over the classes G of h1(4), |orbit(G)|
+    times the number of closed F0 that G meets into F0: the models of
+    encode(4, h01) plus a binary clause (-P_s, P_(r & s)) for each r in G
+    and each s with r & s != s.  h(5) adds the unit clause P_(0...0).
+    Each start closes the clauses that its binary clauses subsume, and
+    must reach the residual of a scan of every variable."""
+
+    @pytest.mark.parametrize("variant, units", [(Variant.H1, []), (Variant.H, [(1,)])],
+                             ids=["h1", "h"])
+    def test_classes_of_width_four_sum_to_width_five(self, variant, units):
+        ternary = list(encode(4, Variant.H01).clauses)
+        classes = [(first, size) for first, size in _orbits(4) if first >> 15 & 1]
+        assert len(classes) == 184
+        total = 0
+        for first, size in classes:
+            members = [r for r in range(16) if first >> r & 1]
+            binary = [(-(s + 1), (r & s) + 1) for r in members for s in range(16) if r & s != s]
+            clauses = units + ternary + binary
+            prepared = preprocess(clauses, 16)
+            assert ComponentCounter(16, prepared)._start() == full_scan_start(
+                ComponentCounter(16, prepared))
+            total += size * count_models(clauses, 16)
+        assert total == reference_count(variant, 5)
 
 
 class TestCompactedStart:
