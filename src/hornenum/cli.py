@@ -32,6 +32,8 @@ EXIT_EXTERNAL = 4
 
 VARIANT_NAMES = [v.value for v in VARIANTS]
 
+THREADS_HELP = "must be >= 1; every count runs in one process"
+
 
 def _budget(value: float) -> Optional[float]:
     """A budget of 0 or less means no budget."""
@@ -202,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_count = sub.add_parser("count", help="count one variant at one width")
     _add_common(p_count)
     p_count.add_argument("--method", choices=list(METHODS), default="dpll")
-    p_count.add_argument("--threads", type=int, default=1)
+    p_count.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
     p_count.add_argument("--budget-seconds", type=float, default=DEFAULT_BUDGET_SECONDS,
                          help="wall-clock budget; 0 disables")
     p_count.add_argument("--encode-cap", type=int, default=ENCODE_CAP,
@@ -239,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the cross-validation matrix")
     p_verify.add_argument("--n-max", type=int, default=4)
-    p_verify.add_argument("--threads", type=int, default=1)
+    p_verify.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
     p_verify.add_argument("--budget-seconds", type=float, default=DEFAULT_BUDGET_SECONDS,
                           help="wall-clock budget for the whole run; 0 disables")
     p_verify.add_argument("--skip-orbits", action="store_true",

@@ -45,7 +45,7 @@ engine that counts from its own start (count() with no residual, as
 count_models does) and whose start closed a clause searches a table
 rebuilt over only the open clauses, in their order: the same search, on
 clause masks a fifth as wide for the unit-clause slices of a width-6
-instance.  Pool jobs count their residuals over such tables too.
+instance.
 
 The four variants of a width share their ternary clauses and differ
 only in their endpoint unit clauses, so count_width counts all four in
@@ -61,9 +61,10 @@ Counts are over ALL declared variables, so a variable appearing in no
 clause doubles the count.  There is deliberately no pure-literal rule:
 fixing a pure literal preserves satisfiability but loses models.
 
-A budget is one absolute deadline for the whole count, shared by every
-pool worker and every sub-count of an identity derivation.  Each engine
-run reads it on entry and then every 512 nodes.
+Every count runs in the calling process, in one engine, so that all its
+residuals share one component cache.  A budget is one absolute deadline
+for the whole count, shared by every sub-count of an identity
+derivation.  Each engine run reads it on entry and then every 512 nodes.
 """
 
 from __future__ import annotations
@@ -73,7 +74,6 @@ import re
 import sys
 import time
 from dataclasses import dataclass, field, fields
-from functools import partial
 from operator import neg, or_
 from typing import Optional, Sequence, Union
 
@@ -115,7 +115,8 @@ Residual = tuple[int, int, int]
 
 @dataclass
 class CounterStats:
-    """Search-effort counters; merged by summation across workers.
+    """Search-effort counters; merged by summation across the counts of
+    an identity derivation.
 
     nodes: components the search reached after unit propagation, and
         residuals of at most TABLE_VARS variables counted whole, cache
@@ -136,7 +137,9 @@ class CounterStats:
     cache_hits: nodes answered from the component cache.
     cache_entries: entries in the cache when the count ended.
     cache_evictions: times the full cache was cleared.
-    subproblems: engine runs merged into these stats (one per pool job).
+    subproblems: engine runs merged into these stats: 1 per count (0 if
+        its start is a conflict), summed over the counts of an identity
+        derivation.
     """
 
     nodes: int = 0
@@ -187,19 +190,22 @@ def preprocess(clauses: Clauses, num_vars: int) -> Optional[list[tuple[int, ...]
     num_vars.  Clauses are read in order, so an empty clause before an
     invalid literal gives None and one after it the error.
     """
-    valid = frozenset(range(-num_vars, num_vars + 1)) - {0}
+    seen: set[int] = set()
     ints = {int}
     out = []
     for clause in clauses:
-        # the set tests run in C; a literal that is a bool, a float or an
-        # int subclass equals an int, so the types are tested too
+        # the set tests run in C: a clause whose literals were all checked
+        # in earlier clauses is not checked again.  A literal that is a
+        # bool, a float or an int subclass equals an int, so the types are
+        # tested too
         try:
             lits = set(clause)
         except TypeError:
             lits = None
-        if lits is None or not (valid.issuperset(lits) and ints.issuperset(map(type, clause))):
+        if lits is None or not (seen.issuperset(lits) and ints.issuperset(map(type, clause))):
             _check_literals(clause, num_vars)
             lits = set(clause)
+            seen |= lits
         if not lits:
             return None
         if lits.isdisjoint(map(neg, lits)):
@@ -314,16 +320,15 @@ class ComponentCounter:
         order (_open_table): the same search on narrower clause masks, in
         an engine that shares these stats, deadline and cache limit.  A
         residual given here is counted over this table, so that counts of
-        residuals share its cache.  A deadline already past on entry (a
-        queued pool job, an instance its unit clauses settle) or reached
-        later, and a search deeper than the interpreter's stack (two
-        frames per decision level), raise ResourceLimitError."""
+        residuals share its cache.  A deadline already past on entry (also
+        for an instance its unit clauses settle) or reached later, and a
+        search deeper than the interpreter's stack (two frames per
+        decision level), raise ResourceLimitError."""
         self._check_budget()
         if residual is None:
             residual = self._start()
             if residual is not None and residual[1] != (1 << len(self.clauses)) - 1:
-                engine, residual = _open_table(self.num_vars, self.clauses, residual,
-                                               self.deadline, self.cache_limit, self.stats)
+                engine, residual = self._open_table(residual)
                 return engine.count(residual)
         try:
             result = 0 if residual is None else self._count_residual(*residual)
@@ -363,6 +368,26 @@ class ComponentCounter:
             self.stats.propagations += 1
         queue = sorted({*self._units, *map(abs, assumed)})
         return self._propagate(free, open_, shortened, queue)
+
+    def _open_table(self, residual: Residual) -> tuple["ComponentCounter", Residual]:
+        """An engine over only the residual's open clauses, in their
+        order, sharing this one's stats, deadline and cache limit, and the
+        residual re-indexed onto it.  Clause j of the new table is the j-th
+        open clause, so every loop meets the clauses in the same order and
+        the search is the same, on narrower clause masks."""
+        free, open_, shortened = residual
+        ids, short = [], 0
+        rest = open_
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if shortened & low:
+                short |= 1 << len(ids)
+            ids.append(low.bit_length() - 1)
+        engine = ComponentCounter(self.num_vars, [self.clauses[i] for i in ids],
+                                  deadline=self.deadline, cache_limit=self.cache_limit)
+        engine.stats = self.stats
+        return engine, (free, (1 << len(ids)) - 1, short)
 
     def _check_budget(self) -> None:
         self.stats.cache_entries = len(self.cache)
@@ -743,54 +768,6 @@ def _tables(k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tables
 
 
-def _open_table(num_vars: int, clauses: list[tuple[int, ...]], residual: Residual,
-                deadline: Optional[float], cache_limit: int = DEFAULT_CACHE_LIMIT,
-                stats: Optional[CounterStats] = None) -> tuple[ComponentCounter, Residual]:
-    """An engine over only the residual's open clauses, in their order,
-    and the residual re-indexed onto it.  Clause j of the new table is the
-    j-th open clause, so every loop meets the clauses in the same order
-    and the search is the same, on narrower clause masks.  Given stats,
-    the engine adds its search to them; otherwise it starts fresh ones."""
-    free, open_, shortened = residual
-    ids, short = [], 0
-    rest = open_
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        if shortened & low:
-            short |= 1 << len(ids)
-        ids.append(low.bit_length() - 1)
-    engine = ComponentCounter(num_vars, [clauses[i] for i in ids],
-                              deadline=deadline, cache_limit=cache_limit)
-    if stats is not None:
-        engine.stats = stats
-    return engine, (free, (1 << len(ids)) - 1, short)
-
-
-def _count_job(num_vars: int, clauses: list[tuple[int, ...]], deadline: Optional[float],
-               residual: Residual) -> tuple[int, dict]:
-    """One pool job: count one residual of the instance's clause table,
-    over a table of only its open clauses."""
-    engine, residual = _open_table(num_vars, clauses, residual, deadline)
-    return engine.count(residual), engine.stats.to_dict()
-
-
-def _split_residuals(table: ComponentCounter, start: Optional[Residual],
-                     target: int) -> list[Residual]:
-    """Cofactor-expand the start residual (None on a conflict) into
-    independent residuals whose counts sum to its model count: branch the
-    residual with the most open clauses by the engine's rule until there
-    are target residuals or none has an open clause.  A conflict leaves
-    no residual."""
-    residuals = [] if start is None else [start]
-    while len(residuals) < target:
-        j = max(range(len(residuals)), key=lambda j: residuals[j][1].bit_count(), default=None)
-        if j is None or not residuals[j][1]:
-            break
-        residuals += [state for state in table._branch(*residuals.pop(j)) if state is not None]
-    return residuals
-
-
 def _deadline(budget_seconds: Optional[float]) -> Optional[float]:
     return None if budget_seconds is None else time.monotonic() + budget_seconds
 
@@ -800,41 +777,14 @@ def _check_deadline(deadline: Optional[float], stats: CounterStats) -> None:
         raise ResourceLimitError("count budget exceeded", stats=stats.to_dict())
 
 
-def _count_assuming(engine: ComponentCounter, assumed: Sequence[int],
-                    threads: int) -> tuple[int, CounterStats]:
-    """Count the engine's instance under the assumed literals, stopping at
-    the engine's deadline, with fresh stats.  With one thread the engine
-    counts, and its cache stays for the next call.  With threads > 1 the
-    search is split into residuals of the engine, counted by a process
-    pool, each job with a cache of its own; every job gets the same
-    deadline (the monotonic clock is system-wide).  Pooled stats add the
-    jobs' stats to the engine's own propagations and split decisions."""
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
-    engine.stats = CounterStats()
-    engine._check_budget()
-    start = engine._start(assumed)
-    if threads == 1:
-        return (0 if start is None else engine.count(start)), engine.stats
-
-    from concurrent.futures import ProcessPoolExecutor
-    residuals = _split_residuals(engine, start, target=4 * threads)
-    total, stats = 0, engine.stats
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        for value, stat_dict in pool.map(
-                partial(_count_job, engine.num_vars, engine.clauses, engine.deadline),
-                residuals):
-            total += value
-            stats.merge(CounterStats(**stat_dict))
-    return total, stats
-
-
-def _count_width(n: int, variants: Sequence[Variant], threads: int,
+def _count_width(n: int, variants: Sequence[Variant],
                  deadline: Optional[float], encode_cap: int) -> dict[Variant, CountReport]:
     """Count the variants at width n, in this order, in one engine over
     the clauses of h01, each under its endpoint literals.  A report's
     elapsed time runs from the end of the previous count, the first's
-    from the call, so it includes the encoding and the clause table."""
+    from the call, so it includes the encoding and the clause table.
+    Each variant starts with fresh stats, and the cache stays for the
+    next."""
     mark = time.monotonic()
     instance = encode(n, Variant.H01, cap=encode_cap)
     num_vars = instance.predicate_count
@@ -842,9 +792,12 @@ def _count_width(n: int, variants: Sequence[Variant], threads: int,
                               deadline=deadline)
     reports = {}
     for variant in variants:
-        value, stats = _count_assuming(engine, endpoint_units(n, variant), threads)
+        engine.stats = CounterStats()
+        engine._check_budget()
+        start = engine._start(endpoint_units(n, variant))
+        value = 0 if start is None else engine.count(start)
         now = time.monotonic()
-        reports[variant] = CountReport(variant, n, "dpll", value, now - mark, stats)
+        reports[variant] = CountReport(variant, n, "dpll", value, now - mark, engine.stats)
         mark = now
     return reports
 
@@ -857,8 +810,10 @@ def count_models(instance: Union[CnfInstance, Clauses], num_vars: Optional[int] 
 
     Accepts a generated instance (variable count implied) or a raw clause
     list plus num_vars.  budget_seconds=None disables the time budget.
-    `components` is accepted and ignored: there is one engine, and the
-    keyword stays only because perfbench/workloads.py still passes it.
+    threads must be >= 1 and is otherwise unused: every count runs in this
+    process.  `components` is accepted and ignored: there is one engine,
+    and the keyword stays only because perfbench/workloads.py still
+    passes it.
     """
     if isinstance(instance, CnfInstance):
         clauses: Clauses = instance.clauses
@@ -876,10 +831,7 @@ def count_models(instance: Union[CnfInstance, Clauses], num_vars: Optional[int] 
     _check_deadline(deadline, CounterStats())
     if prepared is None:
         return 0
-    engine = ComponentCounter(num_vars, prepared, deadline=deadline)
-    if threads == 1:
-        return engine.count()
-    return _count_assuming(engine, (), threads)[0]
+    return ComponentCounter(num_vars, prepared, deadline=deadline).count()
 
 
 def run_external_counter(instance: CnfInstance, command: Optional[str] = None,
@@ -935,10 +887,12 @@ def count_width(n: int, *, threads: int = 1,
     h0 and h01 are h and h1 with the all-ones predicate free, and it is in
     no clause; h is the branch of h1 with the all-zeros predicate true.  So
     after h01 the other three come from the component cache, at n = 5 and
-    n = 6 in one node each.  With threads > 1 each variant is pooled on its
-    own and no cache is shared.
+    n = 6 in one node each.  threads must be >= 1 and is otherwise
+    unused: every count runs in this process.
     """
-    return _count_width(n, (Variant.H01, Variant.H1, Variant.H0, Variant.H), threads,
+    if threads < 1:
+        raise ValueError("threads must be >= 1")
+    return _count_width(n, (Variant.H01, Variant.H1, Variant.H0, Variant.H),
                         _deadline(budget_seconds), encode_cap)
 
 
@@ -982,12 +936,12 @@ def count_variant(n: int, variant: Variant, method: str = "dpll", *,
                            time.monotonic() - start, CounterStats())
 
     if method == "dpll":
-        return _count_width(n, (variant,), threads, deadline, encode_cap)[variant]
+        return _count_width(n, (variant,), deadline, encode_cap)[variant]
 
     stats = CounterStats()
 
     def dpll_count(k: int, v: Variant) -> int:
-        report = _count_width(k, (v,), threads, deadline, encode_cap)[v]
+        report = _count_width(k, (v,), deadline, encode_cap)[v]
         stats.merge(report.stats)
         return report.count
 

@@ -36,12 +36,16 @@ class TestCount:
         assert payload["method"] == "identity-derived"
         assert payload["count"] == 90
 
-    def test_pooled_json_output(self, capsys):
-        assert main(["count", "--n", "4", "--variant", "h01",
-                     "--threads", "2", "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["count"] == 4960
-        assert payload["stats"]["subproblems"] > 1
+    def test_threads_json_output(self, capsys):
+        # --threads 2 counts in one engine, as --threads 1 does
+        payloads = []
+        for threads in ("1", "2"):
+            assert main(["count", "--n", "4", "--variant", "h01",
+                         "--threads", threads, "--json"]) == 0
+            payloads.append(json.loads(capsys.readouterr().out))
+        assert payloads[1]["count"] == 4960
+        assert payloads[1]["stats"] == payloads[0]["stats"]
+        assert payloads[1]["stats"]["subproblems"] == 1
 
     def test_zero_budget_disables_limit(self, capsys):
         assert main(["count", "--n", "3", "--variant", "h",
@@ -248,6 +252,10 @@ class TestVerify:
     def test_pooled_run(self, capsys):
         assert main(["verify", "--n-max", "3", "--threads", "2"]) == 0
         assert "0 failures" in capsys.readouterr().out
+
+    def test_zero_threads_is_usage_error(self, capsys):
+        assert main(["verify", "--n-max", "1", "--threads", "0"]) == 2
+        assert "threads must be >= 1" in capsys.readouterr().err
 
     def test_skip_orbits(self, capsys):
         assert main(["verify", "--n-max", "1", "--skip-orbits", "--json"]) == 0

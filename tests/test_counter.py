@@ -1,3 +1,4 @@
+import concurrent.futures
 import inspect
 import json
 import sys
@@ -160,6 +161,13 @@ class TestPreprocess:
         assert preprocess([(3, 1), (2,), (1, 3, 1), (-2, 2, 1), (2,), (1,)], 3) == [
             (1, 3), (2,), (1,)]
 
+    def test_cost_does_not_grow_with_declared_variables(self):
+        # the literals are checked against those of earlier clauses, not
+        # against a set of every literal of the declared variables
+        start = time.monotonic()
+        assert preprocess([(1, 2), (-3,)], 10**9) == [(1, 2), (-3,)]
+        assert time.monotonic() - start < 1.0
+
 
 class TestCountModels:
     def test_known_variant_counts(self):
@@ -219,8 +227,8 @@ class TestCounterLaws:
             assert count_models(clauses, num_vars) == brute_reference(clauses, num_vars)
 
     def test_thread_independence(self):
-        # at n <= 2 the unit clauses settle the instance, so every pool
-        # job is a settled residual; a contradiction leaves no job at all
+        # at n <= 2 the unit clauses settle the instance, and a
+        # contradiction leaves no residual at all
         instances = [(encode(n, variant), None) for n in range(3) for variant in Variant]
         instances += [(encode(3, Variant.H), None), (encode(4, Variant.H1), None),
                       (encode(4, Variant.H01), None), ([(1,), (-1,)], 1)]
@@ -563,25 +571,10 @@ class TestTruthTables:
                 (2, 2, 0) if extra else (1, 0, 0))
 
 
-class TestPoolJobs:
-    def test_jobs_sum_to_the_serial_count(self):
-        # each job counts its residual over a table of only its open
-        # clauses; the count must equal that over the whole table
-        instance = encode(5, Variant.H1)
-        num_vars = instance.predicate_count
-        prepared = preprocess(instance.clauses, num_vars)
-        table = ComponentCounter(num_vars, prepared)
-        residuals = counter_module._split_residuals(table, table._start(), 8)
-        assert len(residuals) > 1
-        counts = [counter_module._count_job(num_vars, prepared, None, r)[0] for r in residuals]
-        assert counts == [ComponentCounter(num_vars, prepared).count(r) for r in residuals]
-        assert sum(counts) == 1385552
-
-
 class TestWidthSixSlices:
     """The slices of the benchmark's verified width-6 pool: all six, one
-    per hardness bin, counted serially with their search effort pinned,
-    and the two easiest through the pool split."""
+    per hardness bin, counted with their search effort pinned, and the
+    two easiest again with threads=2, which counts in one process too."""
 
     @pytest.mark.parametrize("threads, bins", [(1, range(6)), (2, (0, 1))], ids=["1", "2"])
     def test_recorded_counts(self, threads, bins):
@@ -722,7 +715,8 @@ class TestBudget:
                     count_variant(n, variant, method, budget_seconds=-1)
 
     def test_spent_budget_raises_in_the_pool(self):
-        # a contradiction leaves the pool no job to read the deadline
+        # a contradiction leaves no residual to read the deadline, with
+        # threads=2 as with one
         with pytest.raises(ResourceLimitError):
             count_models([(1,), (-1,)], 1, threads=2, budget_seconds=-1)
 
@@ -763,8 +757,7 @@ class TestBudget:
         assert count_models(encode(3, Variant.H), budget_seconds=None) == 45
 
     def test_pooled_count_stops_at_one_deadline(self):
-        # one budget for the whole count: the eight pool jobs on two
-        # workers must not each get it anew from their own start
+        # one budget for the whole count, with threads=2 as with one
         start = time.monotonic()
         with pytest.raises(ResourceLimitError):
             count_models(encode(6, Variant.H1), threads=2, budget_seconds=1.0)
@@ -803,10 +796,12 @@ class TestDepth:
         try:
             with pytest.raises(ResourceLimitError, match="recursion limit"):
                 count_models(chain, 120)
-            prepared = preprocess(chain, 120)
-            start = ComponentCounter(120, prepared)._start()
+            # a residual given to count() is searched without the
+            # compacted table, and is as deep
+            counter = ComponentCounter(120, preprocess(chain, 120))
+            start = counter._start()
             with pytest.raises(ResourceLimitError, match="recursion limit"):
-                counter_module._count_job(120, prepared, None, start)
+                counter.count(start)
         finally:
             sys.setrecursionlimit(limit)
         assert count_models(chain, 120) == 121
@@ -930,25 +925,28 @@ class TestCountWidth:
             assert reports[variant].stats.nodes <= 2
             assert reports[variant].stats.cache_hits >= 1
 
-    def test_pooled_stats_include_the_split(self):
-        # the parent engine's endpoint propagations and split decisions
-        # count with the jobs' effort
+    def test_stats_include_the_endpoint_propagations(self):
+        # a variant's stats are those of an engine started from its
+        # endpoint literals, which count as propagations, and one run;
+        # in count_width they start fresh for each variant
         instance = encode(4, Variant.H01)
         num_vars = instance.predicate_count
         engine = ComponentCounter(num_vars, preprocess(instance.clauses, num_vars))
-        start = engine._start(endpoint_units(4, Variant.H))
-        jobs = counter_module._split_residuals(engine, start, 8)
-        stats = count_width(4, threads=2)[Variant.H].stats
+        assert engine.count(engine._start(endpoint_units(4, Variant.H))) == 2271
+        assert count_variant(4, Variant.H).stats == engine.stats
+        assert engine.stats.propagations >= len(endpoint_units(4, Variant.H)) == 2
+        stats = count_width(4)[Variant.H].stats
         assert stats.propagations >= 2
-        assert stats.decisions >= engine.stats.decisions > 0
-        assert stats.subproblems == len(jobs)
+        assert stats.subproblems == engine.stats.subproblems == 1
 
-    def test_pooled_counts_agree(self):
-        serial = count_width(5)
-        pooled = count_width(5, threads=2)
-        assert {v: r.count for v, r in pooled.items()} == {
-            v: r.count for v, r in serial.items()}
-        assert all(r.stats.subproblems > 1 for r in pooled.values())
+    def test_bad_threads_rejected_before_encoding(self, monkeypatch):
+        def no_encode(*args, **kwargs):
+            raise AssertionError("encoded before threads was checked")
+
+        monkeypatch.setattr(counter_module, "encode", no_encode)
+        for threads in (0, -1):
+            with pytest.raises(ValueError, match="threads must be >= 1"):
+                count_width(3, threads=threads)
 
     @pytest.mark.parametrize("n", range(6))
     def test_spent_budget_raises(self, n):
@@ -960,13 +958,53 @@ class TestCountWidth:
             count_width(3, encode_cap=2)
 
 
+class TestThreads:
+    """threads is checked and otherwise unused: every count runs in the
+    calling process, in one engine."""
+
+    def test_threads_change_nothing(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a count started a process pool")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        engines = []
+
+        class Recorded(ComponentCounter):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                engines.append(self)
+
+        # the first engine of a count holds its stats, which an engine
+        # over its open clauses shares
+        monkeypatch.setattr(counter_module, "ComponentCounter", Recorded)
+        for clauses, num_vars, expected in pool_slices((0, 1)):
+            runs = []
+            for threads in (1, 2):
+                engines.clear()
+                value = count_models(clauses, num_vars, threads=threads)
+                runs.append((value, engines[0].stats.to_dict()))
+            assert runs[0] == runs[1]
+            assert runs[0][0] == expected
+        serial, threaded = count_width(5), count_width(5, threads=2)
+        assert list(threaded) == list(serial)
+        assert [(r.count, r.stats.to_dict()) for r in threaded.values()] == [
+            (r.count, r.stats.to_dict()) for r in serial.values()]
+
+
+def count_assuming(counter, assumed):
+    """The counter's count under the assumed literals, as count_width
+    takes each variant's: from _start(assumed), 0 on a conflict."""
+    start = counter._start(assumed)
+    return 0 if start is None else counter.count(start)
+
+
 class TestAssumedLiterals:
     def test_conflicting_literals_count_zero(self):
         counter = ComponentCounter(3, preprocess([(1,), (2, 3)], 3))
         assert counter._start((-1,)) is None
         assert counter._start((2, -2)) is None
-        assert counter_module._count_assuming(counter, (-1,), 1)[0] == 0
-        assert counter_module._count_assuming(counter, (1,), 1)[0] == 3
+        assert count_assuming(counter, (-1,)) == 0
+        assert count_assuming(counter, (1,)) == 3
 
     @pytest.mark.parametrize("tables", [True, False])
     def test_matches_the_reference_on_random_instances(self, rng, request, tables):
@@ -984,7 +1022,7 @@ class TestAssumedLiterals:
                                 for _ in range(rng.randint(0, 2)))
                 expected = brute_reference(list(clauses) + [(lit,) for lit in assumed],
                                            num_vars)
-                assert counter_module._count_assuming(counter, assumed, 1)[0] == expected
+                assert count_assuming(counter, assumed) == expected
 
 
 def effort(stats):
@@ -1051,20 +1089,29 @@ class TestStart:
         assert counter._start((-1, -2)) == (0b11111000, 0b01, 0b01)
 
     def test_open_table_reindexes_the_residual(self):
+        # the two residuals of the start's first decision, each counted
+        # over a table of only its open clauses; the counts sum to h(4)
         instance = encode(4, Variant.H)
         num_vars = instance.predicate_count
         prepared = preprocess(instance.clauses, num_vars)
-        table = ComponentCounter(num_vars, prepared)
-        for residual in counter_module._split_residuals(table, table._start(), 6):
+        table = ComponentCounter(num_vars, prepared, cache_limit=7)
+        reference = ComponentCounter(num_vars, prepared)
+        residuals = table._branch(*table._start())
+        assert None not in residuals
+        counts = []
+        for residual in residuals:
             free, open_, shortened = residual
             ids = [i for i in range(len(prepared)) if open_ >> i & 1]
-            engine, compact = counter_module._open_table(num_vars, prepared, residual, None, 7)
+            engine, compact = table._open_table(residual)
             assert engine.clauses == [prepared[i] for i in ids]
             assert engine.cache_limit == 7
+            assert engine.stats is table.stats
             assert compact[:2] == (free, (1 << len(ids)) - 1)
             assert [compact[2] >> j & 1 for j in range(len(ids))] == [
                 shortened >> i & 1 for i in ids]
-            assert engine.count(compact) == table.count(residual)
+            counts.append(engine.count(compact))
+            assert counts[-1] == reference.count(residual)
+        assert sum(counts) == 2271
 
 
 class TestOneCoordinateSplit:

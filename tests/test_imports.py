@@ -1,6 +1,6 @@
 """Importing the package or its console script stays light: the
-process-pool and subprocess machinery is imported only by the calls that
-use it."""
+subprocess machinery is imported only by the external counter, which
+uses it, and no process pool is imported at all."""
 
 import subprocess
 import sys
