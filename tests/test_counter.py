@@ -571,6 +571,29 @@ class TestTruthTables:
                 (2, 2, 0) if extra else (1, 0, 0))
 
 
+class TestPoolJobs:
+    def test_jobs_sum_to_the_serial_count(self):
+        # cofactor-expand the start by the engine's branching rule into
+        # independent residuals, the residual with the most open clauses
+        # first; each counted over a table of only its open clauses must
+        # equal its count over the whole table, and the counts sum to h1(5)
+        instance = encode(5, Variant.H1)
+        num_vars = instance.predicate_count
+        prepared = preprocess(instance.clauses, num_vars)
+        table = ComponentCounter(num_vars, prepared)
+        residuals = [table._start()]
+        while len(residuals) < 8:
+            j = max(range(len(residuals)), key=lambda j: residuals[j][1].bit_count())
+            assert residuals[j][1]
+            residuals += [r for r in table._branch(*residuals.pop(j)) if r is not None]
+        counts = []
+        for residual in residuals:
+            engine, compact = table._open_table(residual)
+            counts.append(engine.count(compact))
+        assert counts == [ComponentCounter(num_vars, prepared).count(r) for r in residuals]
+        assert sum(counts) == 1385552
+
+
 class TestWidthSixSlices:
     """The slices of the benchmark's verified width-6 pool: all six, one
     per hardness bin, counted with their search effort pinned, and the
