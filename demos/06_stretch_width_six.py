@@ -7,8 +7,8 @@ caches repeated ones and counts each residual or part of at most 26
 variables from its truth table.  count_width searches h01(6) once; its component
 cache then gives h1(6), h0(6) and h(6) in a node or so each, since the
 four variants differ only in their endpoint predicates.  The whole run
-takes as long as one separate count: 20 s to 1.5 minutes at a peak RSS
-of 0.06 GB (20.0, 22.4 and 19.9 s over 144,365 nodes in three runs on
+takes as long as one separate count: 15 s to 1 minute at a peak RSS
+of 0.06 GB (15.3, 17.0 and 16.5 s over 144,365 nodes in three runs on
 one core of a 2-vCPU Xeon whose speed varies over time).
 
 Run with a finite budget first to see the partial statistics report.

@@ -194,10 +194,12 @@ def preprocess(clauses: Clauses, num_vars: int) -> Optional[list[tuple[int, ...]
     ints = {int}
     out = []
     for clause in clauses:
-        # the set tests run in C: a clause whose literals were all checked
-        # in earlier clauses is not checked again.  A literal that is a
-        # bool, a float or an int subclass equals an int, so the types are
-        # tested too
+        # each clause is read once, so an iterator clause is not used up
+        # by the first set; a tuple is returned as it is.  The set tests
+        # run in C: a clause whose literals were all checked in earlier
+        # clauses is not checked again.  A literal that is a bool, a float
+        # or an int subclass equals an int, so the types are tested too
+        clause = tuple(clause)
         try:
             lits = set(clause)
         except TypeError:
@@ -330,8 +332,10 @@ class ComponentCounter:
             if residual is not None and residual[1] != (1 << len(self.clauses)) - 1:
                 engine, residual = self._open_table(residual)
                 return engine.count(residual)
+        if residual is None:
+            return 0
         try:
-            result = 0 if residual is None else self._count_residual(*residual)
+            result = self._count_residual(*residual)
         except RecursionError:
             raise ResourceLimitError(
                 f"search deeper than the recursion limit ({sys.getrecursionlimit()}) "

@@ -17,17 +17,18 @@ differs from the doubled value 2 by exactly the empty family).
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 # count_variant is no longer called here, but perfbench/workloads.py wraps
 # it under this module's name for its traced verify5 run.
-from .counter import DEFAULT_BUDGET_SECONDS, count_variant, count_width  # noqa: F401
+from .counter import DEFAULT_BUDGET_SECONDS, CountReport, count_variant, count_width  # noqa: F401
 from .errors import ResourceLimitError
 from .families import VARIANTS, Variant
 from .identities import binomial_sum, doubling
-from .oracle import ORACLE_CAP, OrbitSummary, brute_count, orbit_summary
+from .oracle import ORACLE_CAP, brute_count, orbit_summary
 
 #: Published reference counts, n = 0..6.  h0 and h01 references derive
 #: from these by doubling (h0 only for n >= 1; h0(0) = 1, h01(0) = 2).
@@ -122,20 +123,20 @@ def verify_matrix(n_max: int, *, threads: int = 1,
     orbit census with its sanity laws plus the warning-level comparison
     against the published sequence prefixes.
 
-    The four dpll counts of a width come from one count_width call, and
-    each oracle count is taken once per run.
+    Every check runs the same way: it reads the deadline, then evaluates
+    both sides, times them and records its result.  The four dpll counts
+    of a width come from one count_width call, and each census is taken
+    once per run.
 
     budget_seconds bounds the whole run, not each count: every count gets
-    only the time left, and ResourceLimitError is raised once it is spent,
-    also when only the end of the run finds it spent.
+    only the time left, and ResourceLimitError is raised by the first
+    check that starts after the deadline, or by the end of a run that
+    overran in its last check.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be nonnegative, got {n_max}")
     run = VerifyRun(n_max)
     deadline = None if budget_seconds is None else time.monotonic() + budget_seconds
-    dpll_cache: dict[tuple[Variant, int], int] = {}
-    oracle: dict[tuple[Variant, int], int] = {}
-    census_cache: dict[tuple[Variant, int], OrbitSummary] = {}
 
     def time_left() -> Optional[float]:
         if deadline is None:
@@ -147,81 +148,66 @@ def verify_matrix(n_max: int, *, threads: int = 1,
                 f"{len(run.checks)} checks")
         return left
 
+    @functools.cache
+    def width(n: int) -> dict[Variant, CountReport]:
+        return count_width(n, threads=threads, budget_seconds=time_left())
+
     def dpll(variant: Variant, n: int) -> int:
-        if (variant, n) not in dpll_cache:
-            reports = count_width(n, threads=threads, budget_seconds=time_left())
-            dpll_cache.update(((v, n), report.count) for v, report in reports.items())
-        return dpll_cache[(variant, n)]
+        return width(n)[variant].count
 
-    def census(variant: Variant, n: int) -> OrbitSummary:
-        key = (variant, n)
-        if key not in census_cache:
-            time_left()
-            census_cache[key] = orbit_summary(n, variant)
-        return census_cache[key]
+    # orbit_summary is looked up on each miss, so a patched one is cached
+    census = functools.cache(lambda variant, n: orbit_summary(n, variant))
 
-    def record(name: str, expected, actual, warning: bool = False,
-               elapsed: float = 0.0) -> None:
-        result = CheckResult(name, expected == actual, expected, actual,
-                             warning, elapsed)
+    def check(name: str, expected: Callable[[], object],
+              actual: Callable[[], object], warning: bool = False) -> None:
+        time_left()
+        t0 = time.monotonic()
+        want, got = expected(), actual()
+        result = CheckResult(name, want == got, want, got, warning,
+                             time.monotonic() - t0)
         run.checks.append(result)
         if progress is not None:
             progress(result)
 
+    # the sides are called inside check(), before the loop moves on, so
+    # the lambdas see this iteration's n and variant
+    oracle_max = min(n_max, ORACLE_CAP)
     dpll_max = min(n_max, VERIFY_DPLL_CAP)
 
-    for n in range(min(n_max, ORACLE_CAP) + 1):
+    for n in range(oracle_max + 1):
         for variant in VARIANTS:
-            t0 = time.monotonic()
-            time_left()
-            expected = oracle[(variant, n)] = brute_count(n, variant)
-            actual = dpll(variant, n)
-            record(f"oracle vs dpll: {variant.value}({n})", expected, actual,
-                   elapsed=time.monotonic() - t0)
+            check(f"oracle vs dpll: {variant.value}({n})",
+                  lambda: brute_count(n, variant), lambda: dpll(variant, n))
+
+    for n in range(min(dpll_max, len(REFERENCE_H) - 1) + 1):
+        for variant in VARIANTS:
+            check(f"reference table: {variant.value}({n})",
+                  lambda: reference_count(variant, n), lambda: dpll(variant, n))
 
     for n in range(dpll_max + 1):
-        for variant in VARIANTS:
-            t0 = time.monotonic()
-            expected = reference_count(variant, n)
-            if expected is None:
-                continue
-            record(f"reference table: {variant.value}({n})", expected,
-                   dpll(variant, n), elapsed=time.monotonic() - t0)
-
-    for n in range(dpll_max + 1):
-        t0 = time.monotonic()
         if n >= 1:
-            record(f"doubling: h0({n}) = 2 h({n})",
-                   doubling(dpll(Variant.H, n)), dpll(Variant.H0, n),
-                   elapsed=time.monotonic() - t0)
-        t0 = time.monotonic()
-        record(f"doubling: h01({n}) = 2 h1({n})",
-               doubling(dpll(Variant.H1, n)), dpll(Variant.H01, n),
-               elapsed=time.monotonic() - t0)
-        t0 = time.monotonic()
-        h_base = [dpll(Variant.H, k) for k in range(n + 1)]
-        record(f"binomial sum: h1({n}) from h(0..{n})",
-               binomial_sum(h_base), dpll(Variant.H1, n),
-               elapsed=time.monotonic() - t0)
-        t0 = time.monotonic()
-        record(f"binomial sum: h01({n}) from doubled h(0..{n})",
-               binomial_sum([doubling(h) for h in h_base]), dpll(Variant.H01, n),
-               elapsed=time.monotonic() - t0)
+            check(f"doubling: h0({n}) = 2 h({n})",
+                  lambda: doubling(dpll(Variant.H, n)), lambda: dpll(Variant.H0, n))
+        check(f"doubling: h01({n}) = 2 h1({n})",
+              lambda: doubling(dpll(Variant.H1, n)), lambda: dpll(Variant.H01, n))
+        check(f"binomial sum: h1({n}) from h(0..{n})",
+              lambda: binomial_sum([dpll(Variant.H, k) for k in range(n + 1)]),
+              lambda: dpll(Variant.H1, n))
+        check(f"binomial sum: h01({n}) from doubled h(0..{n})",
+              lambda: binomial_sum([doubling(dpll(Variant.H, k)) for k in range(n + 1)]),
+              lambda: dpll(Variant.H01, n))
 
     if include_nonisomorphic:
-        for n in range(min(n_max, ORACLE_CAP) + 1):
+        for n in range(oracle_max + 1):
             for variant in VARIANTS:
-                t0 = time.monotonic()
-                summary = census(variant, n)
-                record(f"orbit sizes sum: {variant.value}({n})",
-                       oracle[(variant, n)], sum(summary.orbit_sizes),
-                       elapsed=time.monotonic() - t0)
+                check(f"orbit sizes sum: {variant.value}({n})",
+                      lambda: brute_count(n, variant),
+                      lambda: sum(census(variant, n).orbit_sizes))
         for variant, (seq_id, prefix) in SEQUENCE_PREFIXES.items():
-            for n in range(min(n_max, ORACLE_CAP, len(prefix) - 1) + 1):
-                t0 = time.monotonic()
-                record(f"published sequence {seq_id}: {variant.value}({n}) orbits",
-                       prefix[n], census(variant, n).orbit_count,
-                       warning=True, elapsed=time.monotonic() - t0)
+            for n in range(min(oracle_max, len(prefix) - 1) + 1):
+                check(f"published sequence {seq_id}: {variant.value}({n}) orbits",
+                      lambda: prefix[n], lambda: census(variant, n).orbit_count,
+                      warning=True)
 
-    time_left()  # a run that overran after its last count still fails
+    time_left()  # a run that overran in its last check still fails
     return run

@@ -273,7 +273,7 @@ def test_criterion_7_golden_dimacs(announce):
 def test_criterion_8_stretch_width_six(announce):
     if os.environ.get("HORNENUM_STRETCH") != "1":
         announce(8, "SKIP", "stretch width 6",
-                 "set HORNENUM_STRETCH=1 to run; expect 20 s to 1.5 minutes "
+                 "set HORNENUM_STRETCH=1 to run; expect 15 s to 1 minute "
                  "for all four counts, which share one search")
         pytest.skip("stretch run not requested")
     with verdict(announce, 8, "stretch width 6") as record:

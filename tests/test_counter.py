@@ -161,6 +161,14 @@ class TestPreprocess:
         assert preprocess([(3, 1), (2,), (1, 3, 1), (-2, 2, 1), (2,), (1,)], 3) == [
             (1, 3), (2,), (1,)]
 
+    def test_iterator_clauses_are_read_once(self):
+        # a clause that is an iterator holds its literals only until the
+        # first read, so a second read would see an empty clause
+        assert preprocess([iter((2, 1)), iter((-1,))], 2) == [(1, 2), (-1,)]
+        assert count_models([iter((1, 2))], 2) == 3
+        with pytest.raises(ValueError, match="invalid for 2 variables"):
+            count_models([iter((1, 2.0))], 2)
+
     def test_cost_does_not_grow_with_declared_variables(self):
         # the literals are checked against those of earlier clauses, not
         # against a set of every literal of the declared variables
@@ -961,6 +969,16 @@ class TestCountWidth:
         stats = count_width(4)[Variant.H].stats
         assert stats.propagations >= 2
         assert stats.subproblems == engine.stats.subproblems == 1
+
+    def test_conflicting_start_searches_nothing(self):
+        # an engine whose start is a conflict counts 0 without a search,
+        # as count_width does for such a variant, so no run is merged
+        engine = ComponentCounter(1, preprocess([(1,), (-1,)], 1))
+        assert engine.count() == 0
+        assert engine.stats.subproblems == 0
+        engine = ComponentCounter(2, preprocess([(1,), (-1, 2)], 2))
+        assert engine.count() == 1
+        assert engine.stats.subproblems == 1
 
     def test_bad_threads_rejected_before_encoding(self, monkeypatch):
         def no_encode(*args, **kwargs):

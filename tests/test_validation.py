@@ -111,6 +111,20 @@ class TestVerifyMatrix:
         with pytest.raises(ResourceLimitError, match="after"):
             verify_matrix(2, budget_seconds=60.0, progress=jump_at_last_check)
 
+    def test_each_check_reads_the_deadline(self, monkeypatch):
+        # the counts of the checks after "reference table: h(0)" are all
+        # cached, and the first of them still stops the run
+        skew = [0.0]
+
+        def jump_after_h0(result):
+            if result.name == "reference table: h(0)":
+                skew[0] = 3600.0  # the clock jumps past the deadline here
+
+        monkeypatch.setattr(validation, "time", SimpleNamespace(
+            monotonic=lambda: time.monotonic() + skew[0]))
+        with pytest.raises(ResourceLimitError, match="after 21 checks"):
+            verify_matrix(5, budget_seconds=60.0, progress=jump_after_h0)
+
     def test_serializes(self):
         run = verify_matrix(1)
         payload = json.loads(json.dumps(run.to_dict()))
