@@ -125,7 +125,7 @@ class CounterStats:
         component wider than TABLE_VARS or on a narrower one whose split
         into singles and pairs leaves more than TABLE_BASE variables
         (see _count_table); nodes - cache_hits - decisions is the number
-        of nodes counted by truth table.
+        of nodes counted by truth table, leaves - leaf_fallbacks.
     propagations: literals implied by unit clauses, the input's own unit
         clauses and a variant's endpoint literals included; a decision
         literal is not counted.
@@ -140,6 +140,13 @@ class CounterStats:
     subproblems: engine runs merged into these stats: 1 per count (0 if
         its start is a conflict), summed over the counts of an identity
         derivation.
+    leaves: truth-table attempts, one per cache miss on a component of
+        at most TABLE_VARS variables.
+    leaf_fallbacks: leaves whose split left more than TABLE_BASE
+        variables, so that the component was branched on instead; each
+        is also a decision.
+    sweeps: component passes run (_components), one per residual wider
+        than TABLE_VARS.
     """
 
     nodes: int = 0
@@ -150,6 +157,9 @@ class CounterStats:
     cache_entries: int = 0
     cache_evictions: int = 0
     subproblems: int = 0
+    leaves: int = 0
+    leaf_fallbacks: int = 0
+    sweeps: int = 0
 
     def merge(self, other: "CounterStats") -> None:
         for f in fields(self):
@@ -227,8 +237,9 @@ def _check_literals(clause: Sequence[int], num_vars: int) -> None:
 
 class ComponentCounter:
     """Cached component counting: count() is the number of assignments of
-    all num_vars variables that satisfy the clauses (as returned by
-    preprocess: no empty clause, no tautology).
+    all num_vars variables that satisfy the clauses: none empty,
+    tautological or a duplicate, every literal in range, as preprocess
+    returns them and the encoder emits them.
 
     The clauses go into a static table once.  Bit v of a variable mask is
     variable v and bit i of a clause mask is clause i.  Each clause has a
@@ -276,7 +287,7 @@ class ComponentCounter:
     count_width's four variants do.
     """
 
-    def __init__(self, num_vars: int, clauses: list[tuple[int, ...]],
+    def __init__(self, num_vars: int, clauses: Sequence[tuple[int, ...]],
                  deadline: Optional[float] = None,
                  cache_limit: int = DEFAULT_CACHE_LIMIT):
         self.num_vars = num_vars
@@ -481,6 +492,7 @@ class ComponentCounter:
         variables of its open clauses are OR-ed first, and those left out
         are counted in one step instead of seeded one by one."""
         occ, vars_of, bit = self._occ, self._vars, self._bit
+        self.stats.sweeps += 1
         lone = 0
         unvisited = free
         if open_.bit_count() < free.bit_count():
@@ -596,6 +608,7 @@ class ComponentCounter:
         equal (h, t3), top digits first, and each cell adds its popcount
         times its weight."""
         occ, bit, sat_pos, lits_of = self._occ, self._bit, self._sat_pos, self.clauses
+        self.stats.leaves += 1
         order = []
         rest = variables
         while rest:
@@ -613,6 +626,7 @@ class ComponentCounter:
             else:
                 rejected.append((v, mine))
         if len(rejected) - len(singles) > TABLE_BASE:
+            self.stats.leaf_fallbacks += 1
             return None
         pairs, table = [], []
         paired = 0
@@ -631,6 +645,7 @@ class ComponentCounter:
                     continue
             table.append(r)
             if len(table) > TABLE_BASE:
+                self.stats.leaf_fallbacks += 1
                 return None
         falsify = {}
         for v, column, complement in zip(table, *_tables(len(table))):
@@ -788,12 +803,17 @@ def _count_width(n: int, variants: Sequence[Variant],
     elapsed time runs from the end of the previous count, the first's
     from the call, so it includes the encoding and the clause table.
     Each variant starts with fresh stats, and the cache stays for the
-    next."""
+    next.
+
+    The encoder's clauses go to the engine as emitted, not through
+    preprocess: none is empty, tautological or a duplicate, and every
+    literal is in range, so preprocess would only sort each clause's
+    literals, an order the search never reads (clause masks are ORs,
+    leaf rows ANDs, and h01 has no binary clause for _start to
+    unpack)."""
     mark = time.monotonic()
     instance = encode(n, Variant.H01, cap=encode_cap)
-    num_vars = instance.predicate_count
-    engine = ComponentCounter(num_vars, preprocess(instance.clauses, num_vars),
-                              deadline=deadline)
+    engine = ComponentCounter(instance.predicate_count, instance.clauses, deadline=deadline)
     reports = {}
     for variant in variants:
         engine.stats = CounterStats()

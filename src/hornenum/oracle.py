@@ -25,11 +25,12 @@ by the two endpoint bits, a computation apart from the orbit walk.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
-from operator import or_
+from operator import and_, or_
 from typing import Iterator
 
 from .errors import ResourceLimitError
@@ -93,16 +94,20 @@ def _meet_maps(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
 @lru_cache(maxsize=None)
 def _permutation_maps(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """For each permutation of variable positions, the lifted map it
-    induces on vector values.  Position 0 is x1 (most significant bit)."""
+    induces on vector values.  Position 0 is x1 (most significant bit);
+    new position p takes the value of old position perm[p].  A vector's
+    image is the OR of its bits' images, so the image list doubles once
+    per bit, lowest first, as _lift's tables do: the new upper half is
+    the lower half plus the bit's image."""
     maps = []
     for perm in itertools.permutations(range(n)):
-        image = []
-        for value in range(1 << n):
-            moved = 0
-            for new_pos in range(n):
-                bit = (value >> (n - 1 - perm[new_pos])) & 1
-                moved |= bit << (n - 1 - new_pos)
-            image.append(moved)
+        # old position perm[p], value bit n-1-perm[p], moves to bit n-1-p
+        moved = [0] * n
+        for new_pos, old_pos in enumerate(perm):
+            moved[n - 1 - old_pos] = 1 << (n - 1 - new_pos)
+        image = [0]
+        for bit in moved:
+            image += [value | bit for value in image]
         maps.append(_lift(image))
     return tuple(maps)
 
@@ -142,9 +147,21 @@ def _required_bits(n: int, variant: Variant) -> int:
 @lru_cache(maxsize=None)
 def _endpoint_tally(n: int) -> tuple[tuple[int, int], ...]:
     """The closed masks of width n counted by their endpoint bits, as
-    (endpoint bits, count) pairs."""
-    endpoints = _required_bits(n, Variant.H)  # h requires both
-    return tuple(Counter(mask & endpoints for mask in _closed_masks(n)).items())
+    (endpoint bits, count) pairs, each with a nonzero count.  The all-ones
+    bit is a mask's top bit, so in ascending order the masks that hold it
+    are a suffix, found by bisection; in each part the masks holding the
+    all-zeros bit, bit 0, are counted at C speed, with no loop in Python
+    over the masks.  At n = 0 the two bits coincide, and the suffix is the
+    one mask holding it."""
+    masks = _closed_masks(n)
+    ones = 1 << ((1 << n) - 1)
+    split = bisect_left(masks, ones)
+    tally = Counter()
+    for high, part in ((0, masks[:split]), (ones, masks[split:])):
+        with_zeros = sum(map(and_, part, itertools.repeat(1)))
+        tally[high | 1] += with_zeros
+        tally[high] += len(part) - with_zeros
+    return tuple((+tally).items())
 
 
 @lru_cache(maxsize=None)

@@ -42,7 +42,8 @@ SEQUENCE_PREFIXES = {
     Variant.H01: ("A108799", (2, 4, 10, 38, 368)),
 }
 
-#: The search handles n <= 5 in seconds; beyond that is stretch territory.
+#: Widest n_max that verify_matrix accepts: the search handles n <= 5 in
+#: seconds, and width 6 is the opt-in stretch run.
 VERIFY_DPLL_CAP = 5
 
 
@@ -115,7 +116,9 @@ def verify_matrix(n_max: int, *, threads: int = 1,
                   budget_seconds: Optional[float] = DEFAULT_BUDGET_SECONDS,
                   include_nonisomorphic: bool = True,
                   progress: Optional[Callable[[CheckResult], None]] = None) -> VerifyRun:
-    """Run every agreement check available up to n_max.
+    """Run every agreement check available up to n_max, which must lie
+    in 0..VERIFY_DPLL_CAP; any other n_max raises ValueError before a
+    check runs.
 
     Checks, each computed from independent sides: oracle vs dpll for all
     variants (n <= 4); dpll vs the published reference counts (n <= 5);
@@ -133,8 +136,9 @@ def verify_matrix(n_max: int, *, threads: int = 1,
     check that starts after the deadline, or by the end of a run that
     overran in its last check.
     """
-    if n_max < 0:
-        raise ValueError(f"n_max must be nonnegative, got {n_max}")
+    if not 0 <= n_max <= VERIFY_DPLL_CAP:
+        raise ValueError(f"n_max must be between 0 and the verify cap "
+                         f"{VERIFY_DPLL_CAP}, got {n_max}")
     run = VerifyRun(n_max)
     deadline = None if budget_seconds is None else time.monotonic() + budget_seconds
 
@@ -172,19 +176,18 @@ def verify_matrix(n_max: int, *, threads: int = 1,
     # the sides are called inside check(), before the loop moves on, so
     # the lambdas see this iteration's n and variant
     oracle_max = min(n_max, ORACLE_CAP)
-    dpll_max = min(n_max, VERIFY_DPLL_CAP)
 
     for n in range(oracle_max + 1):
         for variant in VARIANTS:
             check(f"oracle vs dpll: {variant.value}({n})",
                   lambda: brute_count(n, variant), lambda: dpll(variant, n))
 
-    for n in range(min(dpll_max, len(REFERENCE_H) - 1) + 1):
+    for n in range(min(n_max, len(REFERENCE_H) - 1) + 1):
         for variant in VARIANTS:
             check(f"reference table: {variant.value}({n})",
                   lambda: reference_count(variant, n), lambda: dpll(variant, n))
 
-    for n in range(dpll_max + 1):
+    for n in range(n_max + 1):
         if n >= 1:
             check(f"doubling: h0({n}) = 2 h({n})",
                   lambda: doubling(dpll(Variant.H, n)), lambda: dpll(Variant.H0, n))

@@ -34,6 +34,9 @@ STRETCH_H_6 = 75_965_474_236
 # the h01(6) search that check 8 runs, (nodes, decisions): a change here
 # is a different search, and the headline time in README.md moves with it
 STRETCH_H01_6_SEARCH = (144_365, 71_226)
+# and its (leaves, leaf_fallbacks, sweeps): truth-table attempts, those
+# that branched instead, and component passes
+STRETCH_H01_6_WORK = (75_306, 3_275, 72_016)
 PUBLISHED_ORBITS = {
     Variant.H1: ("A108798", (1, 2, 5, 19, 184)),
     Variant.H01: ("A108799", (2, 4, 10, 38, 368)),
@@ -294,6 +297,10 @@ def test_criterion_8_stretch_width_six(announce):
         assert (search.nodes, search.decisions) == STRETCH_H01_6_SEARCH, (
             f"h01(6) searched {search.nodes} nodes and {search.decisions} decisions, "
             f"expected {STRETCH_H01_6_SEARCH[0]} and {STRETCH_H01_6_SEARCH[1]}")
+        work = (search.leaves, search.leaf_fallbacks, search.sweeps)
+        assert work == STRETCH_H01_6_WORK, (
+            f"h01(6) took (leaves, leaf_fallbacks, sweeps) = {work}, "
+            f"expected {STRETCH_H01_6_WORK}")
 
 
 def test_criterion_9_nonisomorphic_census(announce):

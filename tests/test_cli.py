@@ -281,6 +281,13 @@ class TestVerify:
         assert payload["failure_count"] == 0
         assert [check["name"] for check in payload["checks"]] == names
 
+    @pytest.mark.parametrize("n_max", ["6", "7"])
+    def test_n_max_above_the_cap_is_usage_error(self, capsys, n_max):
+        assert main(["verify", "--n-max", n_max, "--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "verify cap 5" in captured.err
+
     def test_budget_bounds_the_run(self, capsys, monkeypatch):
         # the clock jumps an hour past the deadline right after the run
         # sets it, so the run overruns however fast the host is

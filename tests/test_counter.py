@@ -620,12 +620,18 @@ class TestWidthSixSlices:
         # different search, whatever the leaves cost
         expected = [(95, 46, 275, 4, 0), (60, 27, 222, 10, 2), (125, 62, 359, 0, 0),
                     (245, 120, 678, 8, 0), (223, 103, 506, 32, 7), (354, 175, 756, 6, 0)]
-        for (clauses, num_vars, count), pinned in zip(pool_slices(range(6)), expected):
+        # and the leaves, leaf_fallbacks and sweeps that search took;
+        # nodes - cache_hits - decisions = leaves - leaf_fallbacks
+        work = [(49, 0, 49), (33, 2, 28), (63, 0, 62), (128, 3, 122), (114, 1, 115),
+                (179, 0, 180)]
+        for (clauses, num_vars, count), pinned, pinned_work in zip(
+                pool_slices(range(6)), expected, work):
             counter = ComponentCounter(num_vars, preprocess(clauses, num_vars))
             assert counter.count() == count
             stats = counter.stats
             assert (stats.nodes, stats.decisions, stats.propagations, stats.components,
                     stats.cache_hits) == pinned
+            assert (stats.leaves, stats.leaf_fallbacks, stats.sweeps) == pinned_work
 
 
 class TestComponents:
@@ -867,9 +873,9 @@ class TestDepth:
 class TestCountVariant:
     @pytest.mark.parametrize("variant, expected", [
         ("h", dict(nodes=57, decisions=28, propagations=145, components=0,
-                   cache_hits=0, cache_entries=57)),
+                   cache_hits=0, cache_entries=57, leaves=47, leaf_fallbacks=18, sweeps=10)),
         ("h1", dict(nodes=81, decisions=41, propagations=330, components=0,
-                    cache_hits=0, cache_entries=81)),
+                    cache_hits=0, cache_entries=81, leaves=66, leaf_fallbacks=26, sweeps=15)),
     ])
     def test_width_five_search_stats(self, variant, expected):
         # the exact search effort: a change here is a different search
@@ -882,7 +888,8 @@ class TestCountVariant:
         report = count_variant(5, "h")
         assert report.stats.to_dict() == dict(
             nodes=11519, decisions=5884, propagations=8689, components=3699,
-            cache_hits=5635, cache_entries=5884, cache_evictions=0, subproblems=1)
+            cache_hits=5635, cache_entries=5884, cache_evictions=0, subproblems=1,
+            leaves=0, leaf_fallbacks=0, sweeps=11087)
 
     @pytest.mark.parametrize("n", range(4))
     def test_methods_agree(self, n):
@@ -969,6 +976,26 @@ class TestCountWidth:
         stats = count_width(4)[Variant.H].stats
         assert stats.propagations >= 2
         assert stats.subproblems == engine.stats.subproblems == 1
+
+    @pytest.mark.parametrize("n", range(7))
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_encoded_clauses_are_canonical(self, n, variant):
+        # count_width hands the encoder's clauses to the engine as
+        # emitted: preprocess would only sort each clause's literals
+        clauses = encode(n, variant).clauses
+        assert preprocess(clauses, 1 << n) == [tuple(sorted(clause)) for clause in clauses]
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_same_search_as_the_preprocessed_clauses(self, n):
+        # the order of a clause's literals changes no count and no stat
+        instance = encode(n, Variant.H01)
+        num_vars = instance.predicate_count
+        engine = ComponentCounter(num_vars, preprocess(instance.clauses, num_vars))
+        for variant, report in count_width(n).items():
+            engine.stats = CounterStats()
+            start = engine._start(endpoint_units(n, variant))
+            assert engine.count(start) == report.count
+            assert engine.stats == report.stats
 
     def test_conflicting_start_searches_nothing(self):
         # an engine whose start is a conflict counts 0 without a search,

@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import Counter
 
 import pytest
 
@@ -40,10 +41,40 @@ def reference_closed_masks(n):
     return tuple(closed)
 
 
+def reference_permutation_maps(n):
+    """The lifted permutation maps, each vector image built per value and
+    per position: new position p takes the bit of old position perm[p]."""
+    maps = []
+    for perm in itertools.permutations(range(n)):
+        image = []
+        for value in range(1 << n):
+            moved = 0
+            for new_pos in range(n):
+                bit = (value >> (n - 1 - perm[new_pos])) & 1
+                moved |= bit << (n - 1 - new_pos)
+            image.append(moved)
+        maps.append(oracle._lift(image))
+    return tuple(maps)
+
+
 class TestClosedMasks:
     @pytest.mark.parametrize("n", range(5))
     def test_pairing_halves_matches_full_scan(self, n):
         assert oracle._closed_masks(n) == reference_closed_masks(n)
+
+    @pytest.mark.parametrize("n", range(5))
+    def test_endpoint_tally_counts_every_mask(self, n):
+        # the tally reads no mask in a Python loop; the reference tallies
+        # each mask's endpoint bits one by one
+        endpoints = oracle._required_bits(n, Variant.H)
+        reference = Counter(mask & endpoints for mask in oracle._closed_masks(n))
+        tally = oracle._endpoint_tally(n)
+        assert len(tally) == len(reference)
+        assert dict(tally) == reference
+
+    @pytest.mark.parametrize("n", range(5))
+    def test_permutation_maps_by_doubling(self, n):
+        assert oracle._permutation_maps(n) == reference_permutation_maps(n)
 
 
 class TestBruteCount:

@@ -125,6 +125,19 @@ class TestVerifyMatrix:
         with pytest.raises(ResourceLimitError, match="after 21 checks"):
             verify_matrix(5, budget_seconds=60.0, progress=jump_after_h0)
 
+    @pytest.mark.parametrize("n_max", [validation.VERIFY_DPLL_CAP + 1, 7, -1])
+    def test_n_max_outside_the_cap_is_rejected(self, monkeypatch, n_max):
+        # a wider n_max used to run the matrix of the cap under its own
+        # name; now no check runs and nothing is counted
+        def no_count(*args, **kwargs):
+            raise AssertionError("counted before n_max was checked")
+
+        monkeypatch.setattr(validation, "count_width", no_count)
+        seen = []
+        with pytest.raises(ValueError, match=f"verify cap {validation.VERIFY_DPLL_CAP}"):
+            verify_matrix(n_max, progress=seen.append)
+        assert seen == []
+
     def test_serializes(self):
         run = verify_matrix(1)
         payload = json.loads(json.dumps(run.to_dict()))
