@@ -200,39 +200,22 @@ def preprocess(clauses: Clauses, num_vars: int) -> Optional[list[tuple[int, ...]
     num_vars.  Clauses are read in order, so an empty clause before an
     invalid literal gives None and one after it the error.
     """
-    seen: set[int] = set()
-    ints = {int}
     out = []
     for clause in clauses:
         # each clause is read once, so an iterator clause is not used up
-        # by the first set; a tuple is returned as it is.  The set tests
-        # run in C: a clause whose literals were all checked in earlier
-        # clauses is not checked again.  A literal that is a bool, a float
-        # or an int subclass equals an int, so the types are tested too
+        # by the check.  A bool or a float equals an int, so the types are
+        # tested; an int subclass other than bool passes
         clause = tuple(clause)
-        try:
-            lits = set(clause)
-        except TypeError:
-            lits = None
-        if lits is None or not (seen.issuperset(lits) and ints.issuperset(map(type, clause))):
-            _check_literals(clause, num_vars)
-            lits = set(clause)
-            seen |= lits
+        for lit in clause:
+            if (type(lit) is not int and (not isinstance(lit, int) or isinstance(lit, bool))
+                    or not 0 < abs(lit) <= num_vars):
+                raise ValueError(f"literal {lit!r} invalid for {num_vars} variables")
+        lits = set(clause)
         if not lits:
             return None
         if lits.isdisjoint(map(neg, lits)):
             out.append(tuple(sorted(lits)))
     return list(dict.fromkeys(out))
-
-
-def _check_literals(clause: Sequence[int], num_vars: int) -> None:
-    """Raise ValueError on the first literal of the clause that is not a
-    nonzero int of magnitude at most num_vars; an int subclass other than
-    bool passes."""
-    for lit in clause:
-        if (type(lit) is not int and (not isinstance(lit, int) or isinstance(lit, bool))
-                or not 0 < abs(lit) <= num_vars):
-            raise ValueError(f"literal {lit!r} invalid for {num_vars} variables")
 
 
 class ComponentCounter:

@@ -8,10 +8,15 @@ decomposition of Habib & Nourine) instead of a scan of all 2^(2^n)
 subsets.  Nothing here shares code with the clause encoding or the
 counting search; that independence is the point.
 
-Maps on vectors act on masks through lifted tables, one 256-entry table
-per byte of the mask.  The isomorphism census walks the closed masks in
-order and expands each one not yet seen into its orbit, its images
-under the n! variable permutations.
+A list of maps on vectors acts on masks through one set of lifted
+tables, one table per byte of the mask, whose entry x is the tuple of
+x's images under every map; each table doubles once per vector.  One
+lookup per byte gives a mask's images under all the maps: under the
+meets with each vector when the closed masks are built, and under the
+n! variable permutations in the isomorphism census, which walks the
+closed masks in order and takes each one not yet seen with the set of
+its images as its orbit.  The permutations' own vector images come
+from the same doubling, over the n bits of a vector.
 
 Each width is walked once for all four variants.  The closed masks are
 the h01 families; the other variants only add the endpoint rules, which
@@ -31,7 +36,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
 from operator import and_, or_
-from typing import Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import ResourceLimitError
 from .families import VARIANTS, Variant, VectorFamily
@@ -40,6 +45,10 @@ from .families import VARIANTS, Variant, VectorFamily
 #: masks of width 4 with each other, about 24.6M pairs at one AND each,
 #: and then walk the orbits of the closed masks of width 5.
 ORACLE_CAP = 4
+
+#: Lifted tables: one per byte of a subset mask, whose entry x is the
+#: tuple of x's images under every map in a list.
+Tables = tuple[tuple[tuple[int, ...], ...], ...]
 
 
 def _require_small(n: int) -> None:
@@ -50,66 +59,53 @@ def _require_small(n: int) -> None:
             f"exhaustive enumeration is capped at n <= {ORACLE_CAP}, got {n}")
 
 
-def _mask_members(mask: int) -> list[int]:
-    members = []
-    while mask:
-        low = mask & -mask
-        members.append(low.bit_length() - 1)
-        mask ^= low
-    return members
-
-
-def _lift(image: list[int]) -> tuple[tuple[int, ...], ...]:
-    """Lift a map on the 2^n vectors (vector v goes to image[v]) to subset
-    masks: one table per byte of the mask, whose entry x is the image
-    mask of the vectors that the set bits of x stand for.  The table
-    doubles once per bit: the new upper half is the lower half plus the
-    bit's image."""
+def _tables(images: Sequence[tuple[int, ...]], maps: int) -> Tables:
+    """Lift `maps` maps from elements to sets of elements.  images[i]
+    holds element i's image under each map, as a mask; a set is a mask
+    with bit i for element i, and its image is the OR of its elements'
+    images.  There is one table per byte of the set mask (one at least),
+    and entry x of a table is the tuple of the images, under each map,
+    of the set that the bits of x stand for.  The table doubles once per
+    element: the new upper half is the lower half OR-ed with that
+    element's images."""
     tables = []
-    for base in range(0, len(image), 8):
-        table = [0]
-        for target in image[base:base + 8]:
-            bit = 1 << target
-            table += [entry | bit for entry in table]
+    for base in range(0, max(len(images), 1), 8):
+        table = [(0,) * maps]
+        for element in images[base:base + 8]:
+            table += [tuple(map(or_, entry, element)) for entry in table]
         tables.append(tuple(table))
     return tuple(tables)
 
 
-def _apply(lifted: tuple[tuple[int, ...], ...], mask: int) -> int:
-    """The image of a subset mask under a lifted vector map."""
-    image = 0
-    for table in lifted:
-        image |= table[mask & 0xFF]
+def _images(tables: Tables, mask: int) -> Iterable[int]:
+    """A set mask's image under each map of the tables, in map order, one
+    lookup per byte; an iterable to be read once."""
+    images = tables[0][mask & 0xFF]
+    for table in tables[1:]:
         mask >>= 8
-    return image
+        images = map(or_, images, table[mask & 0xFF])
+    return images
 
 
-@lru_cache(maxsize=None)
-def _meet_maps(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """For each vector r, the lifted map v -> v AND r."""
+def _meet_tables(n: int) -> Tables:
+    """The tables of the maps v -> v AND r on the vectors of width n, one
+    map per vector r in ascending order."""
     size = 1 << n
-    return tuple(_lift([v & r for v in range(size)]) for r in range(size))
+    return _tables([tuple(1 << (v & r) for r in range(size)) for v in range(size)], size)
 
 
-@lru_cache(maxsize=None)
-def _permutation_maps(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """For each permutation of variable positions, the lifted map it
-    induces on vector values.  Position 0 is x1 (most significant bit);
-    new position p takes the value of old position perm[p].  A vector's
-    image is the OR of its bits' images, so the image list doubles once
-    per bit, lowest first, as _lift's tables do: the new upper half is
-    the lower half plus the bit's image."""
-    maps = []
-    for perm in itertools.permutations(range(n)):
-        # old position perm[p], value bit n-1-perm[p], moves to bit n-1-p
-        moved = [0] * n
-        for new_pos, old_pos in enumerate(perm):
-            moved[n - 1 - old_pos] = 1 << (n - 1 - new_pos)
-        image = [0]
-        for bit in moved:
-            image += [value | bit for value in image]
-        maps.append(_lift(image))
-    return tuple(maps)
+def _permutation_tables(n: int) -> Tables:
+    """The tables of the maps that the n! permutations of the variable
+    positions induce on the vectors of width n.  Position 0 is x1 (most
+    significant bit); new position p takes the value of old position
+    perm[p].  A vector's images come from the same doubling over its n
+    bits, lowest first, each bit an old position moving to a new one."""
+    perms = list(itertools.permutations(range(n)))
+    bits = [tuple(1 << (n - 1 - perm.index(n - 1 - b)) for perm in perms)
+            for b in range(n)]
+    vectors, = _tables(bits, len(perms))
+    return _tables([tuple(1 << image for image in images) for images in vectors],
+                   len(perms))
 
 
 @lru_cache(maxsize=None)
@@ -124,10 +120,10 @@ def _closed_masks(n: int) -> tuple[int, ...]:
     if n == 0:
         return (0, 1)
     halves = _closed_masks(n - 1)
-    meets = _meet_maps(n - 1)
+    meets = _meet_tables(n - 1)
     shift = 1 << (n - 1)
-    lows = [(low, sum(1 << r for r, meet in enumerate(meets)
-                      if _apply(meet, low) & ~low))
+    lows = [(low, sum(1 << r for r, image in enumerate(_images(meets, low))
+                      if image & ~low))
             for low in halves]
     closed = []
     for high in halves:
@@ -170,21 +166,14 @@ def _orbits(n: int) -> tuple[tuple[int, int], ...]:
     permutations, as (first mask, size) in ascending order of first mask.
     Masks are visited in ascending order; each one not yet seen starts a
     new orbit, the set of its images.  Every size must divide n!."""
-    # per byte of the mask, a table whose entry x holds x's images under
-    # every permutation: one lookup per byte yields the whole orbit
-    first, *rest = [tuple(zip(*tables)) for tables in zip(*_permutation_maps(n))]
+    tables = _permutation_tables(n)
     group_order = factorial(n)
     seen: set[int] = set()
     orbits = []
     for mask in _closed_masks(n):
         if mask in seen:
             continue
-        images = first[mask & 0xFF]
-        upper = mask
-        for tables in rest:
-            upper >>= 8
-            images = map(or_, images, tables[upper & 0xFF])
-        orbit = set(images)
+        orbit = set(_images(tables, mask))
         if group_order % len(orbit) != 0:
             raise AssertionError(
                 f"orbit size {len(orbit)} does not divide {n}! = {group_order} "
@@ -198,11 +187,6 @@ def _variant_count(n: int, variant: Variant) -> int:
     required = _required_bits(n, variant)
     return sum(count for endpoints, count in _endpoint_tally(n)
                if endpoints & required == required)
-
-
-def _variant_masks(n: int, variant: Variant) -> Iterator[int]:
-    required = _required_bits(n, variant)
-    return (mask for mask in _closed_masks(n) if mask & required == required)
 
 
 def variant_counts(n: int) -> dict:
@@ -219,11 +203,13 @@ def brute_count(n: int, variant: Variant) -> int:
 
 
 def enumerate_families(n: int, variant: Variant) -> Iterator[VectorFamily]:
-    """The families brute_count counts, in ascending subset-mask order."""
+    """The families brute_count counts, in ascending subset-mask order.
+    The arguments are checked at the call, not at the first family."""
     variant = Variant.from_name(variant)
     _require_small(n)
-    for mask in _variant_masks(n, variant):
-        yield VectorFamily(n, _mask_members(mask))
+    required = _required_bits(n, variant)
+    return (VectorFamily(n, [v for v in range(1 << n) if mask >> v & 1])
+            for mask in _closed_masks(n) if mask & required == required)
 
 
 @dataclass(frozen=True)

@@ -694,10 +694,11 @@ class TestComponents:
 
     def test_variables_in_no_clause_count_quickly(self):
         # the free variables in no open clause are counted in one step,
-        # not seeded one by one
+        # not seeded one by one: seeded, the sweep's cost grows with the
+        # square of the declared variables, and this count takes seconds
         start = time.monotonic()
         assert count_models([(1, 2), (-3, 4)], 200_000) == 9 << 199_996
-        assert time.monotonic() - start < 3.0
+        assert time.monotonic() - start < 0.5
 
 
 class TestEngines:

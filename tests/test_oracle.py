@@ -1,6 +1,10 @@
+import ast
 import itertools
 import math
 from collections import Counter
+from functools import reduce
+from operator import or_
+from pathlib import Path
 
 import pytest
 
@@ -41,10 +45,10 @@ def reference_closed_masks(n):
     return tuple(closed)
 
 
-def reference_permutation_maps(n):
-    """The lifted permutation maps, each vector image built per value and
-    per position: new position p takes the bit of old position perm[p]."""
-    maps = []
+def reference_permutation_images(n):
+    """Each permutation's vector images, built per value and per position:
+    new position p takes the bit of old position perm[p]."""
+    images = []
     for perm in itertools.permutations(range(n)):
         image = []
         for value in range(1 << n):
@@ -53,8 +57,13 @@ def reference_permutation_maps(n):
                 bit = (value >> (n - 1 - perm[new_pos])) & 1
                 moved |= bit << (n - 1 - new_pos)
             image.append(moved)
-        maps.append(oracle._lift(image))
-    return tuple(maps)
+        images.append(image)
+    return images
+
+
+def image_mask(mask, image):
+    """The OR of the bits image[v] over the vectors v of a subset mask."""
+    return reduce(or_, (1 << target for v, target in enumerate(image) if mask >> v & 1), 0)
 
 
 class TestClosedMasks:
@@ -74,7 +83,23 @@ class TestClosedMasks:
 
     @pytest.mark.parametrize("n", range(5))
     def test_permutation_maps_by_doubling(self, n):
-        assert oracle._permutation_maps(n) == reference_permutation_maps(n)
+        # every one-vector mask checks the vector images, and every closed
+        # mask their lift to the per-byte tables
+        perms = reference_permutation_images(n)
+        tables = oracle._permutation_tables(n)
+        masks = [1 << v for v in range(1 << n)] + list(oracle._closed_masks(n))
+        for mask in masks:
+            assert list(oracle._images(tables, mask)) == [
+                image_mask(mask, image) for image in perms]
+
+    @pytest.mark.parametrize("n", range(4))
+    def test_meet_tables(self, n):
+        size = 1 << n
+        meets = [[v & r for v in range(size)] for r in range(size)]
+        tables = oracle._meet_tables(n)
+        for mask in range(1 << size):
+            assert list(oracle._images(tables, mask)) == [
+                image_mask(mask, image) for image in meets]
 
 
 class TestBruteCount:
@@ -124,6 +149,15 @@ class TestEnumerateFamilies:
             VectorFamily(2, [0b00, 0b01, 0b10, 0b11]),
         ]
         assert families == expected
+
+    def test_arguments_checked_at_the_call(self):
+        # no family is read, so the errors come from the call itself
+        with pytest.raises(ResourceLimitError):
+            enumerate_families(5, "h")
+        with pytest.raises(ValueError, match="unknown variant"):
+            enumerate_families(2, "bogus")
+        with pytest.raises(ValueError, match="nonnegative"):
+            enumerate_families(-1, Variant.H)
 
     def test_width_zero(self):
         families = list(enumerate_families(0, Variant.H))
@@ -216,10 +250,10 @@ class TestNonisomorphic:
         # the shared walk is exact only because no orbit crosses a
         # variant's endpoint rule
         ones = (1 << n) - 1
+        tables = oracle._permutation_tables(n)
         for mask in oracle._closed_masks(n):
             endpoints = (mask & 1, mask >> ones & 1)
-            for perm in oracle._permutation_maps(n):
-                image = oracle._apply(perm, mask)
+            for image in oracle._images(tables, mask):
                 assert (image & 1, image >> ones & 1) == endpoints
 
 
@@ -234,3 +268,17 @@ class TestContainment:
             assert h == h0 & h1
             assert h0 <= h01
             assert h1 <= h01
+
+
+def test_oracle_imports_neither_encoder_nor_counter():
+    # the oracle is the route to the counts that shares no code with the
+    # clause encoding or the counting search
+    imported = set()
+    for node in ast.walk(ast.parse(Path(oracle.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported.update(alias.name for alias in node.names)
+    modules = {name.rsplit(".", 1)[-1] for name in imported}
+    assert "families" in modules
+    assert not modules & {"encoder", "counter"}
