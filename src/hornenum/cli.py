@@ -19,8 +19,8 @@ from typing import Optional
 from . import theory
 from .counter import (DEFAULT_BUDGET_SECONDS, DEFAULT_EXTERNAL_PATTERN,
                       EXTERNAL_CMD_ENV, METHODS, count_variant)
-from .encoder import ENCODE_CAP, emit_dimacs, encode
-from .errors import ExternalToolError, ParseError, ResourceLimitError
+from .encoder import emit_dimacs, encode
+from .errors import ExternalToolError, ResourceLimitError
 from .families import VARIANTS, Variant, VectorFamily, is_meet_closed, meet_closure, variant_member
 from .validation import verify_matrix
 
@@ -56,7 +56,6 @@ def cmd_count(args: argparse.Namespace) -> int:
     report = count_variant(
         args.n, Variant.from_name(args.variant), args.method,
         threads=args.threads, budget_seconds=_budget(args.budget_seconds),
-        encode_cap=args.encode_cap,
         external_cmd=args.external_cmd, external_pattern=args.external_pattern)
     if args.json:
         payload = report.to_dict()
@@ -73,7 +72,7 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 
 def cmd_encode(args: argparse.Namespace) -> int:
-    instance = encode(args.n, Variant.from_name(args.variant), cap=args.encode_cap)
+    instance = encode(args.n, Variant.from_name(args.variant))
     text = emit_dimacs(instance)
     if args.json:
         payload = {
@@ -207,8 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_count.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
     p_count.add_argument("--budget-seconds", type=float, default=DEFAULT_BUDGET_SECONDS,
                          help="wall-clock budget; 0 disables")
-    p_count.add_argument("--encode-cap", type=int, default=ENCODE_CAP,
-                         help=argparse.SUPPRESS)
     p_count.add_argument("--external-cmd", default=None,
                          help="external counter template, {file} = DIMACS path "
                               f"(default ${EXTERNAL_CMD_ENV})")
@@ -219,8 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_encode = sub.add_parser("encode", help="emit the CNF instance as DIMACS")
     _add_common(p_encode)
     p_encode.add_argument("--out", default=None, help="output path (default stdout)")
-    p_encode.add_argument("--encode-cap", type=int, default=ENCODE_CAP,
-                          help=argparse.SUPPRESS)
     p_encode.set_defaults(func=cmd_encode)
 
     p_translate = sub.add_parser("translate",
@@ -257,9 +252,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

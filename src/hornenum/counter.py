@@ -77,7 +77,7 @@ from dataclasses import dataclass, field, fields
 from operator import neg, or_
 from typing import Optional, Sequence, Union
 
-from .encoder import ENCODE_CAP, CnfInstance, emit_dimacs, encode, endpoint_units
+from .encoder import CnfInstance, emit_dimacs, encode, endpoint_units
 from .errors import ExternalToolError, ResourceLimitError
 from .families import Variant
 from .identities import binomial_sum, doubling, inverse_binomial_sum
@@ -264,18 +264,16 @@ class ComponentCounter:
     subsume, then propagates from the input's unit clauses and any
     assumed literals.  count() from the engine's own start, once the
     start has closed a clause, hands the search to an engine over only
-    the open clauses (_open_table) that shares this one's stats, deadline
-    and cache limit.  A residual given to count() is searched over this
-    table, so that the counts of several residuals share one cache, as
+    the open clauses (_open_table) that shares this one's stats and
+    deadline.  A residual given to count() is searched over this table,
+    so that the counts of several residuals share one cache, as
     count_width's four variants do.
     """
 
     def __init__(self, num_vars: int, clauses: Sequence[tuple[int, ...]],
-                 deadline: Optional[float] = None,
-                 cache_limit: int = DEFAULT_CACHE_LIMIT):
+                 deadline: Optional[float] = None):
         self.num_vars = num_vars
         self.deadline = deadline
-        self.cache_limit = cache_limit
         self.clauses = clauses
         self.cache: dict[int, int] = {}
         self.stats = CounterStats()
@@ -314,12 +312,12 @@ class ComponentCounter:
         an instance whose start closed a clause (a unit clause satisfies
         some) is searched over a table of only the open clauses, in their
         order (_open_table): the same search on narrower clause masks, in
-        an engine that shares these stats, deadline and cache limit.  A
-        residual given here is counted over this table, so that counts of
-        residuals share its cache.  A deadline already past on entry (also
-        for an instance its unit clauses settle) or reached later, and a
-        search deeper than the interpreter's stack (two frames per
-        decision level), raise ResourceLimitError."""
+        an engine that shares these stats and deadline.  A residual given
+        here is counted over this table, so that counts of residuals share
+        its cache.  A deadline already past on entry (also for an instance
+        its unit clauses settle) or reached later, and a search deeper than
+        the interpreter's stack (two frames per decision level), raise
+        ResourceLimitError."""
         self._check_budget()
         if residual is None:
             residual = self._start()
@@ -369,10 +367,10 @@ class ComponentCounter:
 
     def _open_table(self, residual: Residual) -> tuple["ComponentCounter", Residual]:
         """An engine over only the residual's open clauses, in their
-        order, sharing this one's stats, deadline and cache limit, and the
-        residual re-indexed onto it.  Clause j of the new table is the j-th
-        open clause, so every loop meets the clauses in the same order and
-        the search is the same, on narrower clause masks."""
+        order, sharing this one's stats and deadline, and the residual
+        re-indexed onto it.  Clause j of the new table is the j-th open
+        clause, so every loop meets the clauses in the same order and the
+        search is the same, on narrower clause masks."""
         free, open_, shortened = residual
         ids, short = [], 0
         rest = open_
@@ -383,7 +381,7 @@ class ComponentCounter:
                 short |= 1 << len(ids)
             ids.append(low.bit_length() - 1)
         engine = ComponentCounter(self.num_vars, [self.clauses[i] for i in ids],
-                                  deadline=self.deadline, cache_limit=self.cache_limit)
+                                  deadline=self.deadline)
         engine.stats = self.stats
         return engine, (free, (1 << len(ids)) - 1, short)
 
@@ -540,7 +538,7 @@ class ComponentCounter:
             for state in self._branch(variables, clauses, shortened):
                 if state is not None:
                     total += self._count_residual(*state)
-        if len(self.cache) >= self.cache_limit:
+        if len(self.cache) >= DEFAULT_CACHE_LIMIT:
             self.cache.clear()
             self.stats.cache_evictions += 1
         self.cache[key] = total
@@ -780,7 +778,7 @@ def _check_deadline(deadline: Optional[float], stats: CounterStats) -> None:
 
 
 def _count_width(n: int, variants: Sequence[Variant],
-                 deadline: Optional[float], encode_cap: int) -> dict[Variant, CountReport]:
+                 deadline: Optional[float]) -> dict[Variant, CountReport]:
     """Count the variants at width n, in this order, in one engine over
     the clauses of h01, each under its endpoint literals.  A report's
     elapsed time runs from the end of the previous count, the first's
@@ -795,7 +793,7 @@ def _count_width(n: int, variants: Sequence[Variant],
     leaf rows ANDs, and h01 has no binary clause for _start to
     unpack)."""
     mark = time.monotonic()
-    instance = encode(n, Variant.H01, cap=encode_cap)
+    instance = encode(n, Variant.H01)
     engine = ComponentCounter(instance.predicate_count, instance.clauses, deadline=deadline)
     reports = {}
     for variant in variants:
@@ -815,20 +813,21 @@ def count_models(instance: Union[CnfInstance, Clauses], num_vars: Optional[int] 
                  components: bool = False) -> int:
     """Exact number of satisfying assignments over all declared variables.
 
-    Accepts a generated instance (variable count implied) or a raw clause
-    list plus num_vars.  budget_seconds=None disables the time budget.
+    Accepts a generated instance (variable count implied; a num_vars
+    that differs from it is a ValueError) or a raw clause list plus
+    num_vars.  budget_seconds=None disables the time budget.
     threads must be >= 1 and is otherwise unused: every count runs in this
     process.  `components` is accepted and ignored: there is one engine,
     and the keyword stays only because perfbench/workloads.py still
     passes it.
     """
+    clauses = instance
     if isinstance(instance, CnfInstance):
-        clauses: Clauses = instance.clauses
-        num_vars = instance.predicate_count
-    else:
-        clauses = instance
-        if num_vars is None:
-            raise ValueError("num_vars is required for raw clause lists")
+        if num_vars not in (None, instance.predicate_count):
+            raise ValueError(f"num_vars={num_vars} but the instance has {instance.predicate_count}")
+        clauses, num_vars = instance.clauses, instance.predicate_count
+    if num_vars is None:
+        raise ValueError("num_vars is required for raw clause lists")
     deadline = _deadline(budget_seconds)
     if num_vars < 0:
         raise ValueError("variable count must be nonnegative")
@@ -849,7 +848,8 @@ def run_external_counter(instance: CnfInstance, command: Optional[str] = None,
 
     The command template may reference the file as {file}; otherwise the
     path is appended.  The pattern must match somewhere in stdout, with
-    the count in group 1 (or the whole match).
+    the count in group 1 (or the whole match); no match, or a match that
+    is not an integer, raises ExternalToolError.
     """
     import shlex
     import subprocess
@@ -871,23 +871,24 @@ def run_external_counter(instance: CnfInstance, command: Optional[str] = None,
             proc = subprocess.run(cmd, shell=True, capture_output=True, text=True,
                                   timeout=timeout)
         except subprocess.TimeoutExpired as exc:
-            raise ResourceLimitError(f"external counter exceeded {timeout}s") from exc
+            raise ResourceLimitError(f"external counter exceeded {timeout:.1f}s") from exc
         output = proc.stdout + (("\n" + proc.stderr) if proc.stderr else "")
         if proc.returncode != 0:
             raise ExternalToolError(f"external counter exited {proc.returncode}",
                                     command=cmd, output=output)
         match = re.search(pattern, proc.stdout, re.MULTILINE)
-        if not match:
-            raise ExternalToolError(f"no count matching {pattern!r} in external output",
+        found = match and (match.group(1) if match.groups() else match.group(0))
+        if not (found and found.strip().isdecimal()):
+            raise ExternalToolError(f"no integer count matching {pattern!r} in external output",
                                     command=cmd, output=output)
-        return int(match.group(1) if match.groups() else match.group(0))
+        return int(found)
     finally:
         os.unlink(path)
 
 
 def count_width(n: int, *, threads: int = 1,
-                budget_seconds: Optional[float] = DEFAULT_BUDGET_SECONDS,
-                encode_cap: int = ENCODE_CAP) -> dict[Variant, CountReport]:
+                budget_seconds: Optional[float] = DEFAULT_BUDGET_SECONDS
+                ) -> dict[Variant, CountReport]:
     """Count all four variants at width n by method dpll, in one engine
     under one deadline: h01 first, then h1, h0 and h.
 
@@ -900,12 +901,11 @@ def count_width(n: int, *, threads: int = 1,
     if threads < 1:
         raise ValueError("threads must be >= 1")
     return _count_width(n, (Variant.H01, Variant.H1, Variant.H0, Variant.H),
-                        _deadline(budget_seconds), encode_cap)
+                        _deadline(budget_seconds))
 
 
 def count_variant(n: int, variant: Variant, method: str = "dpll", *,
                   threads: int = 1, budget_seconds: Optional[float] = DEFAULT_BUDGET_SECONDS,
-                  encode_cap: int = ENCODE_CAP,
                   external_cmd: Optional[str] = None,
                   external_pattern: Optional[str] = None) -> CountReport:
     """Count one variant at one width by the requested method.
@@ -913,8 +913,8 @@ def count_variant(n: int, variant: Variant, method: str = "dpll", *,
     dpll encodes and counts with the component-caching search; bruteforce
     defers to the exhaustive family enumeration; identity derives the
     value from dpll counts of other variants, all under one deadline;
-    external shells out to a configured tool.  All four must agree
-    wherever more than one applies.
+    external shells out to a configured tool, with the time left as its
+    timeout.  All four must agree wherever more than one applies.
     """
     variant = Variant.from_name(variant)
     if n < 0:
@@ -936,19 +936,20 @@ def count_variant(n: int, variant: Variant, method: str = "dpll", *,
                            time.monotonic() - start, CounterStats())
 
     if method == "external":
-        instance = encode(n, variant, cap=encode_cap)
-        value = run_external_counter(instance, command=external_cmd,
-                                     pattern=external_pattern, timeout=budget_seconds)
+        _check_deadline(deadline, CounterStats())
+        value = run_external_counter(
+            encode(n, variant), command=external_cmd, pattern=external_pattern,
+            timeout=None if deadline is None else deadline - time.monotonic())
         return CountReport(variant, n, "external", value,
                            time.monotonic() - start, CounterStats())
 
     if method == "dpll":
-        return _count_width(n, (variant,), deadline, encode_cap)[variant]
+        return _count_width(n, (variant,), deadline)[variant]
 
     stats = CounterStats()
 
     def dpll_count(k: int, v: Variant) -> int:
-        report = _count_width(k, (v,), deadline, encode_cap)[v]
+        report = _count_width(k, (v,), deadline)[v]
         stats.merge(report.stats)
         return report.count
 

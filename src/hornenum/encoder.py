@@ -20,7 +20,7 @@ from typing import Iterator
 from .errors import ResourceLimitError
 from .families import BitVector, Variant
 
-#: Default cap on n for encoding; 2^n predicates and ~4^n/2 pair probes.
+#: Widest n encoded; 2^n predicates and ~4^n/2 pair probes.
 ENCODE_CAP = 6
 
 
@@ -59,7 +59,7 @@ def vector_of(pid: int, n: int) -> BitVector:
     return BitVector(n, pid - 1)
 
 
-def encode(n: int, variant: Variant, cap: int = ENCODE_CAP) -> CnfInstance:
+def encode(n: int, variant: Variant) -> CnfInstance:
     """Build the meet-closure instance for width n under a variant.
 
     Ternary clauses: for each unordered pair r < s with u = r AND s not in
@@ -69,8 +69,8 @@ def encode(n: int, variant: Variant, cap: int = ENCODE_CAP) -> CnfInstance:
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    if n > cap:
-        raise ResourceLimitError(f"encoding cap is n <= {cap}, got {n}")
+    if n > ENCODE_CAP:
+        raise ResourceLimitError(f"encoding cap is n <= {ENCODE_CAP}, got {n}")
     variant = Variant.from_name(variant)
     size = 1 << n
     units = tuple((pid,) for pid in endpoint_units(n, variant))

@@ -205,7 +205,7 @@ def horn_to_equations(clauses: Iterable[HornClause]) -> frozenset[BinomialEquati
     return frozenset(equations)
 
 
-def models(constraints: Iterable[Constraint], n: int, cap: int = MODEL_ENUM_CAP) -> VectorFamily:
+def models(constraints: Iterable[Constraint], n: int) -> VectorFamily:
     """All points of {0,1}^n satisfying every constraint, by enumeration.
 
     Accepts equations and clauses interchangeably (also mixed).  Capped
@@ -214,8 +214,8 @@ def models(constraints: Iterable[Constraint], n: int, cap: int = MODEL_ENUM_CAP)
     constraints = list(constraints)
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    if n > cap:
-        raise ResourceLimitError(f"model enumeration needs 2^{n} points; cap is n <= {cap}")
+    if n > MODEL_ENUM_CAP:
+        raise ResourceLimitError(f"model enumeration is capped at n <= {MODEL_ENUM_CAP}, got {n}")
     for c in constraints:
         if c.max_index() >= n:
             raise ValueError(f"constraint {c} uses x{c.max_index() + 1} but n = {n}")
@@ -227,11 +227,11 @@ def models(constraints: Iterable[Constraint], n: int, cap: int = MODEL_ENUM_CAP)
     return VectorFamily(n, satisfying)
 
 
-def canonical_form(constraints: Iterable[Constraint], n: int, cap: int = MODEL_ENUM_CAP) -> VectorFamily:
+def canonical_form(constraints: Iterable[Constraint], n: int) -> VectorFamily:
     """The canonical representative of a theory: its model set, in the
     family's canonical ascending order.  Two systems, in either
     presentation, are equivalent iff their canonical forms are equal."""
-    return models(constraints, n, cap)
+    return models(constraints, n)
 
 
 def _parse_monomial(side: str, lineno: int, col_offset: int) -> Monomial:

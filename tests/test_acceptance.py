@@ -224,7 +224,7 @@ def incomparable_pairs(n):
 def test_criterion_5_encoder_structure(announce):
     with verdict(announce, 5, "encoder structural checks") as record:
         for n in range(7):
-            instance = encode(n, Variant.H01, cap=6)
+            instance = encode(n, Variant.H01)
             assert len(instance.ternary_clauses) < 4 ** n, n
         for n in range(5):
             expected_pairs = incomparable_pairs(n)

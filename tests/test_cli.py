@@ -83,6 +83,17 @@ class TestCount:
         assert payload["count"] == 14
         assert payload["method"] == "external"
 
+    def test_external_non_integer_count(self, capsys):
+        assert main(["count", "--n", "3", "--variant", "h",
+                     "--method", "external", "--external-cmd", "echo count=abc",
+                     "--external-pattern", r"count=(\w+)"]) == 4
+        err = capsys.readouterr().err
+        assert "external tool:" in err and "count=abc" in err
+
+    def test_width_over_encode_cap_is_resource_error(self, capsys):
+        assert main(["count", "--n", "7", "--variant", "h"]) == 3
+        assert "encoding cap" in capsys.readouterr().err
+
     def test_external_failure(self, capsys):
         assert main(["count", "--n", "2", "--variant", "h",
                      "--method", "external",
@@ -158,7 +169,7 @@ class TestTranslate:
         # force disagreement to exercise the mismatch path
         import hornenum.theory as theory
         monkeypatch.setattr(theory, "models",
-                            lambda constraints, n, cap=16: object())
+                            lambda constraints, n: object())
         source = tmp_path / "eqs.txt"
         source.write_text("x1 = x2\n")
         assert main(["translate", "to-clauses", str(source),

@@ -193,6 +193,12 @@ class TestCountModels:
         with pytest.raises(ValueError):
             count_models([(1,)])
 
+    def test_instance_num_vars_must_agree(self):
+        instance = encode(3, Variant.H)
+        assert count_models(instance, num_vars=8) == 45
+        with pytest.raises(ValueError, match="num_vars"):
+            count_models(instance, num_vars=2)
+
     def test_tautological_input_only(self):
         assert count_models([(1, -1)], 2) == 4
 
@@ -720,10 +726,11 @@ class TestEngines:
         assert counter.count() == expected
         assert counter.stats.cache_hits > 0
 
-    def test_cache_eviction_keeps_count_exact(self):
+    def test_cache_eviction_keeps_count_exact(self, monkeypatch):
+        monkeypatch.setattr(counter_module, "DEFAULT_CACHE_LIMIT", 16)
         instance = encode(5, Variant.H1)
         prepared = preprocess(instance.clauses, instance.predicate_count)
-        tiny = ComponentCounter(instance.predicate_count, prepared, cache_limit=16)
+        tiny = ComponentCounter(instance.predicate_count, prepared)
         assert tiny.count() == 1385552
         assert tiny.stats.cache_evictions > 0
 
@@ -745,12 +752,18 @@ class TestBudget:
         assert err.value.stats["nodes"] == 0
 
     @pytest.mark.parametrize("n", range(5))
-    def test_spent_budget_raises_at_every_width(self, n):
-        # at n <= 2 the unit clauses settle the instance before any node
-        for method in ("dpll", "bruteforce"):
+    def test_spent_budget_raises_at_every_width(self, n, monkeypatch):
+        # at n <= 2 the unit clauses settle the instance before any node;
+        # the external route raises before it starts the command
+        def no_run(*args, **kwargs):
+            raise AssertionError("external command started on a spent budget")
+
+        monkeypatch.setattr("subprocess.run", no_run)
+        for method in ("dpll", "bruteforce", "external"):
             for variant in Variant:
                 with pytest.raises(ResourceLimitError):
-                    count_variant(n, variant, method, budget_seconds=-1)
+                    count_variant(n, variant, method, budget_seconds=-1,
+                                  external_cmd=STUB_CMD)
 
     def test_spent_budget_raises_in_the_pool(self):
         # a contradiction leaves no residual to read the deadline, with
@@ -1022,9 +1035,13 @@ class TestCountWidth:
         with pytest.raises(ResourceLimitError):
             count_width(n, budget_seconds=-1)
 
-    def test_encoding_cap(self):
+    def test_encoding_cap(self, monkeypatch):
+        def no_engine(*args, **kwargs):
+            raise AssertionError("engine built above the encoding cap")
+
+        monkeypatch.setattr(counter_module, "ComponentCounter", no_engine)
         with pytest.raises(ResourceLimitError):
-            count_width(3, encode_cap=2)
+            count_width(7)
 
 
 class TestThreads:
@@ -1157,14 +1174,17 @@ class TestStart:
         counter = ComponentCounter(7, preprocess([(2, 3, 7), (1, 3, 7)], 7))
         assert counter._start((-1, -2)) == (0b11111000, 0b01, 0b01)
 
-    def test_open_table_reindexes_the_residual(self):
+    def test_open_table_reindexes_the_residual(self, monkeypatch):
         # the two residuals of the start's first decision, each counted
-        # over a table of only its open clauses; the counts sum to h(4)
+        # over a table of only its open clauses; the counts sum to h(4).
+        # A cache limit of 0 clears the cache before every entry, so each
+        # compacted engine evicts once per node
         instance = encode(4, Variant.H)
         num_vars = instance.predicate_count
         prepared = preprocess(instance.clauses, num_vars)
-        table = ComponentCounter(num_vars, prepared, cache_limit=7)
         reference = ComponentCounter(num_vars, prepared)
+        table = ComponentCounter(num_vars, prepared)
+        monkeypatch.setattr(counter_module, "DEFAULT_CACHE_LIMIT", 0)
         residuals = table._branch(*table._start())
         assert None not in residuals
         counts = []
@@ -1173,7 +1193,6 @@ class TestStart:
             ids = [i for i in range(len(prepared)) if open_ >> i & 1]
             engine, compact = table._open_table(residual)
             assert engine.clauses == [prepared[i] for i in ids]
-            assert engine.cache_limit == 7
             assert engine.stats is table.stats
             assert compact[:2] == (free, (1 << len(ids)) - 1)
             assert [compact[2] >> j & 1 for j in range(len(ids))] == [
@@ -1181,6 +1200,7 @@ class TestStart:
             counts.append(engine.count(compact))
             assert counts[-1] == reference.count(residual)
         assert sum(counts) == 2271
+        assert table.stats.cache_evictions == table.stats.nodes > 0
 
 
 class TestOneCoordinateSplit:
@@ -1285,6 +1305,14 @@ class TestExternalMethod:
         with pytest.raises(ExternalToolError):
             run_external_counter(encode(2, Variant.H),
                                  command="echo nonsense # {file}")
+
+    def test_non_integer_capture(self):
+        pattern = r"count=(\w+)"
+        with pytest.raises(ExternalToolError) as err:
+            count_variant(3, Variant.H, "external", external_cmd="echo count=abc # {file}",
+                          external_pattern=pattern)
+        assert repr(pattern) in str(err.value)
+        assert "count=abc" in err.value.output
 
     def test_custom_pattern(self):
         cmd = f"{sys.executable} {STUB} {{file}} | sed 's/^/models: /'"

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from hornenum import encoder
 from hornenum.encoder import emit_dimacs, encode, predicate_id, vector_of
 from hornenum.errors import ResourceLimitError
 from hornenum.families import BitVector, Variant
@@ -47,10 +48,12 @@ class TestEncode:
         # all-ones and all-zeros are the same vector at width 0
         assert encode(0, Variant.H).unit_clauses == ((1,),)
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
         with pytest.raises(ResourceLimitError):
             encode(7, Variant.H)
-        encode(7, Variant.H01, cap=7)  # cap is configurable
+        # the cap is a module constant, read on each call
+        monkeypatch.setattr(encoder, "ENCODE_CAP", 7)
+        encode(7, Variant.H01)
 
     def test_negative_n(self):
         with pytest.raises(ValueError):
@@ -68,7 +71,7 @@ class TestEncode:
 
     @pytest.mark.parametrize("n", range(7))
     def test_ternary_count_below_4_to_n(self, n):
-        assert len(encode(n, Variant.H01, cap=7).ternary_clauses) < 4 ** n
+        assert len(encode(n, Variant.H01).ternary_clauses) < 4 ** n
 
     @pytest.mark.parametrize("n", range(5))
     def test_clauses_are_horn(self, n):
