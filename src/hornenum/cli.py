@@ -36,8 +36,9 @@ THREADS_HELP = "must be >= 1; every count runs in one process"
 
 
 def _budget(value: float) -> Optional[float]:
-    """A budget of 0 or less means no budget."""
-    return value if value > 0 else None
+    """A budget of 0 or less means no budget; NaN goes on to the library,
+    which rejects it."""
+    return None if value <= 0 else value
 
 
 def _emit_json(payload: dict) -> None:

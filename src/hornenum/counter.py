@@ -69,18 +69,19 @@ derivation.  Each engine run reads it on entry and then every 512 nodes.
 
 from __future__ import annotations
 
+import math
 import os
 import re
 import sys
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from operator import neg, or_
 from typing import Optional, Sequence, Union
 
 from .encoder import CnfInstance, emit_dimacs, encode, endpoint_units
 from .errors import ExternalToolError, ResourceLimitError
 from .families import Variant
-from .identities import binomial_sum, doubling, inverse_binomial_sum
+from .identities import derive_count
 
 #: Default wall-clock budget per count, seconds.
 DEFAULT_BUDGET_SECONDS = 600.0
@@ -182,14 +183,7 @@ class CountReport:
     stats: CounterStats = field(default_factory=CounterStats)
 
     def to_dict(self) -> dict:
-        return {
-            "variant": self.variant.value,
-            "n": self.n,
-            "method": self.method,
-            "count": self.count,
-            "elapsed": self.elapsed,
-            "stats": self.stats.to_dict(),
-        }
+        return {**asdict(self), "variant": self.variant.value}
 
 
 def preprocess(clauses: Clauses, num_vars: int) -> Optional[list[tuple[int, ...]]]:
@@ -768,8 +762,19 @@ def _tables(k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tables
 
 
-def _deadline(budget_seconds: Optional[float]) -> Optional[float]:
-    return None if budget_seconds is None else time.monotonic() + budget_seconds
+def _deadline(threads: int, budget_seconds: Optional[float],
+              now: Optional[float] = None) -> Optional[float]:
+    """The deadline of a run that starts at now (by default, this
+    module's clock now), after checking its threads and budget: threads
+    below 1, and a NaN budget, which no clock reading ever passes, are a
+    ValueError.  A budget of None means no deadline."""
+    if threads < 1:
+        raise ValueError("threads must be >= 1")
+    if budget_seconds is None:
+        return None
+    if math.isnan(budget_seconds):
+        raise ValueError("budget_seconds must be a number of seconds, got nan")
+    return (time.monotonic() if now is None else now) + budget_seconds
 
 
 def _check_deadline(deadline: Optional[float], stats: CounterStats) -> None:
@@ -815,7 +820,8 @@ def count_models(instance: Union[CnfInstance, Clauses], num_vars: Optional[int] 
 
     Accepts a generated instance (variable count implied; a num_vars
     that differs from it is a ValueError) or a raw clause list plus
-    num_vars.  budget_seconds=None disables the time budget.
+    num_vars.  budget_seconds=None disables the time budget, and a NaN
+    budget is a ValueError.
     threads must be >= 1 and is otherwise unused: every count runs in this
     process.  `components` is accepted and ignored: there is one engine,
     and the keyword stays only because perfbench/workloads.py still
@@ -828,11 +834,9 @@ def count_models(instance: Union[CnfInstance, Clauses], num_vars: Optional[int] 
         clauses, num_vars = instance.clauses, instance.predicate_count
     if num_vars is None:
         raise ValueError("num_vars is required for raw clause lists")
-    deadline = _deadline(budget_seconds)
     if num_vars < 0:
         raise ValueError("variable count must be nonnegative")
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
+    deadline = _deadline(threads, budget_seconds)
     prepared = preprocess(clauses, num_vars)
     _check_deadline(deadline, CounterStats())
     if prepared is None:
@@ -848,8 +852,9 @@ def run_external_counter(instance: CnfInstance, command: Optional[str] = None,
 
     The command template may reference the file as {file}; otherwise the
     path is appended.  The pattern must match somewhere in stdout, with
-    the count in group 1 (or the whole match); no match, or a match that
-    is not an integer, raises ExternalToolError.
+    the count in group 1 (or the whole match); a pattern that does not
+    compile raises ValueError before the file is written, and no match,
+    or a match that is not an integer, raises ExternalToolError.
     """
     import shlex
     import subprocess
@@ -860,6 +865,10 @@ def run_external_counter(instance: CnfInstance, command: Optional[str] = None,
         raise ExternalToolError(
             f"no external counter configured (flag --external-cmd or ${EXTERNAL_CMD_ENV})")
     pattern = pattern or DEFAULT_EXTERNAL_PATTERN
+    try:
+        regex = re.compile(pattern, re.MULTILINE)
+    except re.error as exc:
+        raise ValueError(f"invalid external pattern {pattern!r}: {exc}") from None
     text = emit_dimacs(instance)
     with tempfile.NamedTemporaryFile("w", suffix=".cnf", delete=False) as handle:
         handle.write(text)
@@ -876,7 +885,7 @@ def run_external_counter(instance: CnfInstance, command: Optional[str] = None,
         if proc.returncode != 0:
             raise ExternalToolError(f"external counter exited {proc.returncode}",
                                     command=cmd, output=output)
-        match = re.search(pattern, proc.stdout, re.MULTILINE)
+        match = regex.search(proc.stdout)
         found = match and (match.group(1) if match.groups() else match.group(0))
         if not (found and found.strip().isdecimal()):
             raise ExternalToolError(f"no integer count matching {pattern!r} in external output",
@@ -898,10 +907,8 @@ def count_width(n: int, *, threads: int = 1,
     n = 6 in one node each.  threads must be >= 1 and is otherwise
     unused: every count runs in this process.
     """
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
     return _count_width(n, (Variant.H01, Variant.H1, Variant.H0, Variant.H),
-                        _deadline(budget_seconds))
+                        _deadline(threads, budget_seconds))
 
 
 def count_variant(n: int, variant: Variant, method: str = "dpll", *,
@@ -919,54 +926,31 @@ def count_variant(n: int, variant: Variant, method: str = "dpll", *,
     variant = Variant.from_name(variant)
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
+    start = time.monotonic()
+    deadline = _deadline(threads, budget_seconds, start)
     if method == "identity-derived":
         method = "identity"
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {', '.join(METHODS)}")
-    start = time.monotonic()
-    deadline = _deadline(budget_seconds)
-
-    if method == "bruteforce":
-        from .oracle import brute_count
-        _check_deadline(deadline, CounterStats())
-        value = brute_count(n, variant)
-        return CountReport(variant, n, "bruteforce", value,
-                           time.monotonic() - start, CounterStats())
-
-    if method == "external":
-        _check_deadline(deadline, CounterStats())
-        value = run_external_counter(
-            encode(n, variant), command=external_cmd, pattern=external_pattern,
-            timeout=None if deadline is None else deadline - time.monotonic())
-        return CountReport(variant, n, "external", value,
-                           time.monotonic() - start, CounterStats())
-
-    if method == "dpll":
-        return _count_width(n, (variant,), deadline)[variant]
-
     stats = CounterStats()
 
-    def dpll_count(k: int, v: Variant) -> int:
+    def dpll_count(v: Variant, k: int) -> int:
         report = _count_width(k, (v,), deadline)[v]
         stats.merge(report.stats)
         return report.count
 
-    # identity: derive from dpll counts of the other variants
-    if variant is Variant.H0:
-        if n == 0:
-            raise ValueError(
-                "no identity derives the h0 count at n=0: the all-ones and "
-                "all-zeros vectors coincide there, so the h0/h doubling fails")
-        value = doubling(dpll_count(n, Variant.H))
-    elif variant is Variant.H01:
-        value = doubling(dpll_count(n, Variant.H1))
-    elif variant is Variant.H1:
-        value = binomial_sum([dpll_count(k, Variant.H) for k in range(n + 1)])
+    if method == "dpll":
+        value = dpll_count(variant, n)
+    elif method == "identity":
+        method = "identity-derived"
+        value = derive_count(variant, n, dpll_count)
     else:
-        # h has no doubling source; invert the h1 binomial sum instead
-        h1 = [dpll_count(k, Variant.H1) for k in range(n + 1)]
-        value = inverse_binomial_sum(h1)[n]
-    return CountReport(variant, n, "identity-derived", value,
-                       time.monotonic() - start, stats)
+        _check_deadline(deadline, stats)
+        if method == "bruteforce":
+            from .oracle import brute_count
+            value = brute_count(n, variant)
+        else:
+            value = run_external_counter(
+                encode(n, variant), command=external_cmd, pattern=external_pattern,
+                timeout=None if deadline is None else deadline - time.monotonic())
+    return CountReport(variant, n, method, value, time.monotonic() - start, stats)

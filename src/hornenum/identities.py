@@ -7,8 +7,12 @@ vector optional decomposes over which k variables are fixed to 1).  Both
 are used in two roles: as a derivation method for counts and, computed
 from independently produced sides, as a consistency check.
 
+derive_count is the one place where the identities tying the variants
+together are written: the identity method, the doubled reference columns
+and the verify matrix's doubling and h1 binomial-sum checks all read it.
+
 The doubling relation for h0 degenerates at n = 0, where the all-ones and
-all-zeros vectors coincide; callers restrict that check to n >= 1.
+all-zeros vectors coincide; derive_count refuses h0 there.
 
 Everything here is exact integer arithmetic; the only float appears in
 the asymptotic diagnostic, which is informational by design.
@@ -17,7 +21,9 @@ the asymptotic diagnostic, which is informational by design.
 from __future__ import annotations
 
 import math
-from typing import Mapping, Sequence, Union
+from typing import Callable, Mapping, Sequence, Union
+
+from .families import Variant
 
 
 def binomial(n: int, k: int) -> int:
@@ -59,6 +65,24 @@ def inverse_binomial_sum(totals: Sequence[int]) -> list[int]:
     for k in range(len(totals)):
         base.append(totals[k] - sum(binomial(k, j) * base[j] for j in range(k)))
     return base
+
+
+def derive_count(variant: Variant, n: int, count: Callable[[Variant, int], int]) -> int:
+    """The variant's count at width n, derived from counts of other
+    variants that count(variant, k) supplies: h0(n) = 2 h(n) for n >= 1,
+    h01(n) = 2 h1(n), h1(n) = sum C(n,k) h(k) over k = 0..n, and h(n)
+    by inverting that sum over h1(0..n)."""
+    if variant is Variant.H0:
+        if n == 0:
+            raise ValueError(
+                "no identity derives the h0 count at n=0: the all-ones and "
+                "all-zeros vectors coincide there, so the h0/h doubling fails")
+        return doubling(count(Variant.H, n))
+    if variant is Variant.H01:
+        return doubling(count(Variant.H1, n))
+    if variant is Variant.H1:
+        return binomial_sum([count(Variant.H, k) for k in range(n + 1)])
+    return inverse_binomial_sum([count(Variant.H1, k) for k in range(n + 1)])[n]
 
 
 def asymptotic_report(counts: Union[Mapping[int, int], Sequence[int]]) -> list[dict]:

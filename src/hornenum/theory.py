@@ -15,13 +15,16 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, Optional, Union
+from typing import Callable, FrozenSet, Iterable, Iterator, Optional, Union
 
 from .errors import ParseError, ResourceLimitError
 from .families import BitVector, VectorFamily
 
 #: Largest n for which model sets are enumerated brute force (2^n points).
 MODEL_ENUM_CAP = 16
+
+#: A variable in either text format: x<k>, k >= 1, names index k - 1.
+VARIABLE = re.compile(r"x(\d+)")
 
 
 @dataclass(frozen=True)
@@ -234,25 +237,42 @@ def canonical_form(constraints: Iterable[Constraint], n: int) -> VectorFamily:
     return models(constraints, n)
 
 
+def _lines(text: str, separator: str, what: str) -> Iterator[tuple[int, str, int, str]]:
+    """The lines of a theory file that hold something once `#` comments are
+    cut, each as (line number, text before its one separator, the
+    separator's 0-based column, text after it)."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0]
+        if not line.strip():
+            continue
+        if line.count(separator) != 1:
+            raise ParseError(f"expected exactly one {separator!r} per {what}", lineno, 1)
+        at = line.index(separator)
+        yield lineno, line[:at], at, line[at + len(separator):]
+
+
+def _variable(text: str, lineno: int, col: int, expected: str = "a variable like x1") -> int:
+    """The 0-based index of the variable x<k>, k >= 1, that text names."""
+    m = VARIABLE.fullmatch(text)
+    if not m or int(m.group(1)) == 0:
+        raise ParseError(f"expected {expected}, got {text!r}", lineno, col)
+    return int(m.group(1)) - 1
+
+
+def _format_lines(items: Iterable, key: Callable) -> str:
+    """One item per line, in the order of key."""
+    return "".join(f"{item}\n" for item in sorted(items, key=key))
+
+
 def _parse_monomial(side: str, lineno: int, col_offset: int) -> Monomial:
     """One equation side: `0`, `1`, or variables separated by spaces or `*`."""
-    tokens = []
-    for match in re.finditer(r"[^\s*]+", side):
-        tokens.append((match.group(), col_offset + match.start()))
+    tokens = [(m.group(), col_offset + m.start()) for m in re.finditer(r"[^\s*]+", side)]
     if not tokens:
         raise ParseError("empty side in equation", lineno, col_offset)
     if len(tokens) == 1 and tokens[0][0] in ("0", "1"):
         return Monomial.zero() if tokens[0][0] == "0" else Monomial.one()
-    indices = set()
-    for text, col in tokens:
-        m = re.fullmatch(r"x(\d+)", text)
-        if not m or int(m.group(1)) == 0:
-            raise ParseError(
-                f"expected a variable like x1 (or a lone constant 0/1), got {text!r}",
-                lineno, col,
-            )
-        indices.add(int(m.group(1)) - 1)
-    return Monomial(indices)
+    return Monomial({_variable(text, lineno, col, "a variable like x1 (or a lone constant 0/1)")
+                     for text, col in tokens})
 
 
 def parse_equations(text: str) -> frozenset[BinomialEquation]:
@@ -262,15 +282,9 @@ def parse_equations(text: str) -> frozenset[BinomialEquation]:
     dropped, matching what the constructor would reject.
     """
     equations = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0]
-        if not line.strip():
-            continue
-        if line.count("=") != 1:
-            raise ParseError("expected exactly one '=' per equation", lineno, 1)
-        eq_pos = line.index("=")
-        lhs = _parse_monomial(line[:eq_pos], lineno, 1)
-        rhs = _parse_monomial(line[eq_pos + 1:], lineno, eq_pos + 2)
+    for lineno, lhs_text, eq_pos, rhs_text in _lines(text, "=", "equation"):
+        lhs = _parse_monomial(lhs_text, lineno, 1)
+        rhs = _parse_monomial(rhs_text, lineno, eq_pos + 2)
         if lhs != rhs:
             equations.add(BinomialEquation(lhs, rhs))
     return frozenset(equations)
@@ -279,15 +293,7 @@ def parse_equations(text: str) -> frozenset[BinomialEquation]:
 def format_equations(equations: Iterable[BinomialEquation]) -> str:
     """One equation per line, sides in normalized orientation, lines in the
     monomial total order; parsing the output reproduces the input set."""
-    ordered = sorted(equations, key=BinomialEquation.sort_key)
-    return "".join(f"{eq}\n" for eq in ordered)
-
-
-def _parse_clause_var(text: str, lineno: int, col: int) -> int:
-    m = re.fullmatch(r"x(\d+)", text.strip())
-    if not m or int(m.group(1)) == 0:
-        raise ParseError(f"expected a variable like x1, got {text.strip()!r}", lineno, col)
-    return int(m.group(1)) - 1
+    return _format_lines(equations, BinomialEquation.sort_key)
 
 
 def parse_clauses(text: str) -> frozenset[HornClause]:
@@ -297,27 +303,17 @@ def parse_clauses(text: str) -> frozenset[HornClause]:
     Tautological clauses (head inside body) are dropped.
     """
     clauses = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0]
-        if not line.strip():
-            continue
-        if line.count("->") != 1:
-            raise ParseError("expected exactly one '->' per clause", lineno, 1)
-        arrow = line.index("->")
-        body_text, head_text = line[:arrow], line[arrow + 2:]
+    for lineno, body_text, arrow, head_text in _lines(text, "->", "clause"):
         body = set()
         if body_text.strip():
             col = 1
             for part in body_text.split("&"):
-                body.add(_parse_clause_var(part, lineno, col))
+                body.add(_variable(part.strip(), lineno, col))
                 col += len(part) + 1
         head_clean = head_text.strip()
         if not head_clean:
             raise ParseError("missing clause head", lineno, arrow + 3)
-        if head_clean == "false":
-            head = None
-        else:
-            head = _parse_clause_var(head_text, lineno, arrow + 3)
+        head = None if head_clean == "false" else _variable(head_clean, lineno, arrow + 3)
         if head is None or head not in body:
             clauses.add(HornClause(body, head))
     return frozenset(clauses)
@@ -326,5 +322,4 @@ def parse_clauses(text: str) -> frozenset[HornClause]:
 def format_clauses(clauses: Iterable[HornClause]) -> str:
     """One clause per line, body variables ascending, lines ordered by
     (body size, body, head); inverse of parse_clauses up to normalization."""
-    ordered = sorted(clauses, key=HornClause.sort_key)
-    return "".join(f"{clause}\n" for clause in ordered)
+    return _format_lines(clauses, HornClause.sort_key)

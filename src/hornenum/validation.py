@@ -24,10 +24,11 @@ from typing import Callable, Optional
 
 # count_variant is no longer called here, but perfbench/workloads.py wraps
 # it under this module's name for its traced verify5 run.
-from .counter import DEFAULT_BUDGET_SECONDS, CountReport, count_variant, count_width  # noqa: F401
+from .counter import (DEFAULT_BUDGET_SECONDS, CountReport, _deadline,  # noqa: F401
+                      count_variant, count_width)
 from .errors import ResourceLimitError
 from .families import VARIANTS, Variant
-from .identities import binomial_sum, doubling
+from .identities import binomial_sum, derive_count, doubling
 from .oracle import ORACLE_CAP, brute_count, orbit_summary
 
 #: Published reference counts, n = 0..6.  h0 and h01 references derive
@@ -48,17 +49,18 @@ VERIFY_DPLL_CAP = 5
 
 
 def reference_count(variant: Variant, n: int) -> Optional[int]:
-    """Published (or doubling-derived) reference value, None if unknown."""
+    """Published reference value, derived by the identities for h0 and
+    h01 (h0(0) = 1 is the counted value, which no doubling gives); None
+    if unknown."""
     variant = Variant.from_name(variant)
     if not 0 <= n < len(REFERENCE_H):
         return None
-    if variant is Variant.H:
-        return REFERENCE_H[n]
-    if variant is Variant.H1:
-        return REFERENCE_H1[n]
-    if variant is Variant.H0:
-        return 1 if n == 0 else 2 * REFERENCE_H[n]
-    return 2 * REFERENCE_H1[n]
+    published = {Variant.H: REFERENCE_H, Variant.H1: REFERENCE_H1}
+    if variant in published:
+        return published[variant][n]
+    if variant is Variant.H0 and n == 0:
+        return 1
+    return derive_count(variant, n, lambda v, k: published[v][k])
 
 
 @dataclass(frozen=True)
@@ -117,8 +119,8 @@ def verify_matrix(n_max: int, *, threads: int = 1,
                   include_nonisomorphic: bool = True,
                   progress: Optional[Callable[[CheckResult], None]] = None) -> VerifyRun:
     """Run every agreement check available up to n_max, which must lie
-    in 0..VERIFY_DPLL_CAP; any other n_max raises ValueError before a
-    check runs.
+    in 0..VERIFY_DPLL_CAP; any other n_max, threads below 1 or a NaN
+    budget raises ValueError before a check runs.
 
     Checks, each computed from independent sides: oracle vs dpll for all
     variants (n <= 4); dpll vs the published reference counts (n <= 5);
@@ -140,7 +142,7 @@ def verify_matrix(n_max: int, *, threads: int = 1,
         raise ValueError(f"n_max must be between 0 and the verify cap "
                          f"{VERIFY_DPLL_CAP}, got {n_max}")
     run = VerifyRun(n_max)
-    deadline = None if budget_seconds is None else time.monotonic() + budget_seconds
+    deadline = _deadline(threads, budget_seconds, time.monotonic())
 
     def time_left() -> Optional[float]:
         if deadline is None:
@@ -190,12 +192,13 @@ def verify_matrix(n_max: int, *, threads: int = 1,
     for n in range(n_max + 1):
         if n >= 1:
             check(f"doubling: h0({n}) = 2 h({n})",
-                  lambda: doubling(dpll(Variant.H, n)), lambda: dpll(Variant.H0, n))
+                  lambda: derive_count(Variant.H0, n, dpll), lambda: dpll(Variant.H0, n))
         check(f"doubling: h01({n}) = 2 h1({n})",
-              lambda: doubling(dpll(Variant.H1, n)), lambda: dpll(Variant.H01, n))
+              lambda: derive_count(Variant.H01, n, dpll), lambda: dpll(Variant.H01, n))
         check(f"binomial sum: h1({n}) from h(0..{n})",
-              lambda: binomial_sum([dpll(Variant.H, k) for k in range(n + 1)]),
-              lambda: dpll(Variant.H1, n))
+              lambda: derive_count(Variant.H1, n, dpll), lambda: dpll(Variant.H1, n))
+        # written out, not read from derive_count, so that a fault there
+        # cannot pass every identity check
         check(f"binomial sum: h01({n}) from doubled h(0..{n})",
               lambda: binomial_sum([doubling(dpll(Variant.H, k)) for k in range(n + 1)]),
               lambda: dpll(Variant.H01, n))

@@ -90,6 +90,18 @@ class TestCount:
         err = capsys.readouterr().err
         assert "external tool:" in err and "count=abc" in err
 
+    def test_invalid_external_pattern_is_usage_error(self, capsys):
+        cmd = f"{sys.executable} {STUB} {{file}}"
+        assert main(["count", "--n", "2", "--variant", "h",
+                     "--method", "external", "--external-cmd", cmd,
+                     "--external-pattern", "("]) == 2
+        assert "invalid external pattern '('" in capsys.readouterr().err
+
+    def test_nan_budget_is_usage_error(self, capsys):
+        assert main(["count", "--n", "2", "--variant", "h",
+                     "--budget-seconds", "nan"]) == 2
+        assert "nan" in capsys.readouterr().err
+
     def test_width_over_encode_cap_is_resource_error(self, capsys):
         assert main(["count", "--n", "7", "--variant", "h"]) == 3
         assert "encoding cap" in capsys.readouterr().err
@@ -267,6 +279,12 @@ class TestVerify:
     def test_zero_threads_is_usage_error(self, capsys):
         assert main(["verify", "--n-max", "1", "--threads", "0"]) == 2
         assert "threads must be >= 1" in capsys.readouterr().err
+
+    def test_nan_budget_is_usage_error(self, capsys):
+        assert main(["verify", "--n-max", "2", "--budget-seconds", "nan"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "nan" in captured.err
 
     def test_skip_orbits(self, capsys):
         assert main(["verify", "--n-max", "1", "--skip-orbits", "--json"]) == 0

@@ -807,6 +807,21 @@ class TestBudget:
     def test_no_budget(self):
         assert count_models(encode(3, Variant.H), budget_seconds=None) == 45
 
+    def test_nan_budget_rejected(self):
+        # NaN compares false with every clock reading, so it would never
+        # stop a count; an infinite budget still means no limit
+        nan, inf = float("nan"), float("inf")
+        with pytest.raises(ValueError, match="nan"):
+            count_models(encode(3, Variant.H), budget_seconds=nan)
+        with pytest.raises(ValueError, match="nan"):
+            count_width(5, budget_seconds=nan)
+        for method in ("dpll", "bruteforce", "identity", "external"):
+            with pytest.raises(ValueError, match="nan"):
+                count_variant(3, Variant.H, method, budget_seconds=nan,
+                              external_cmd=STUB_CMD)
+        assert count_models(encode(3, Variant.H), budget_seconds=inf) == 45
+        assert count_width(3, budget_seconds=inf)[Variant.H].count == 45
+
     def test_pooled_count_stops_at_one_deadline(self):
         # one budget for the whole count, with threads=2 as with one
         start = time.monotonic()
@@ -915,6 +930,13 @@ class TestCountVariant:
                 identity = count_variant(n, variant, "identity")
                 assert identity.count == dpll.count
                 assert identity.method == "identity-derived"
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_identity_route_matches_the_reference(self, n):
+        for variant in Variant:
+            report = count_variant(n, variant, "identity")
+            assert report.count == reference_count(variant, n)
+            assert report.method == "identity-derived"
 
     @pytest.mark.parametrize("method", ["dpll", "bruteforce", "identity", "external"])
     def test_negative_width_rejected(self, method):
@@ -1313,6 +1335,15 @@ class TestExternalMethod:
                           external_pattern=pattern)
         assert repr(pattern) in str(err.value)
         assert "count=abc" in err.value.output
+
+    def test_invalid_pattern_rejected_before_running(self, monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("external command started with an invalid pattern")
+
+        monkeypatch.setattr("subprocess.run", no_run)
+        with pytest.raises(ValueError, match=r"invalid external pattern '\('"):
+            count_variant(2, Variant.H, "external", external_cmd=STUB_CMD,
+                          external_pattern="(")
 
     def test_custom_pattern(self):
         cmd = f"{sys.executable} {STUB} {{file}} | sed 's/^/models: /'"

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from hornenum.families import Variant
 from hornenum.identities import (asymptotic_report, binomial, binomial_sum,
-                                 doubling, inverse_binomial_sum)
+                                 derive_count, doubling, inverse_binomial_sum)
 from hornenum.validation import REFERENCE_H, REFERENCE_H1
 
 
@@ -64,6 +65,25 @@ class TestBinomialSum:
     def test_round_trip_other_direction(self, totals):
         base = inverse_binomial_sum(totals)
         assert [binomial_sum(base[: n + 1]) for n in range(len(base))] == totals
+
+
+class TestDeriveCount:
+    PUBLISHED = {Variant.H: REFERENCE_H, Variant.H1: REFERENCE_H1}
+
+    def published(self, variant, k):
+        return self.PUBLISHED[variant][k]
+
+    @pytest.mark.parametrize("n", range(1, len(REFERENCE_H)))
+    def test_published_columns(self, n):
+        assert derive_count(Variant.H, n, self.published) == REFERENCE_H[n]
+        assert derive_count(Variant.H1, n, self.published) == REFERENCE_H1[n]
+        assert derive_count(Variant.H0, n, self.published) == 2 * REFERENCE_H[n]
+        assert derive_count(Variant.H01, n, self.published) == 2 * REFERENCE_H1[n]
+
+    def test_h0_undefined_at_width_zero(self):
+        with pytest.raises(ValueError, match="n=0"):
+            derive_count(Variant.H0, 0, self.published)
+        assert derive_count(Variant.H01, 0, self.published) == 2
 
 
 class TestAsymptoticReport:

@@ -125,6 +125,12 @@ class TestVerifyMatrix:
         with pytest.raises(ResourceLimitError, match="after 21 checks"):
             verify_matrix(5, budget_seconds=60.0, progress=jump_after_h0)
 
+    def test_nan_budget_is_rejected_before_any_check(self):
+        seen = []
+        with pytest.raises(ValueError, match="nan"):
+            verify_matrix(2, budget_seconds=float("nan"), progress=seen.append)
+        assert seen == []
+
     @pytest.mark.parametrize("n_max", [validation.VERIFY_DPLL_CAP + 1, 7, -1])
     def test_n_max_outside_the_cap_is_rejected(self, monkeypatch, n_max):
         # a wider n_max used to run the matrix of the cap under its own
