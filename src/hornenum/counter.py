@@ -853,22 +853,22 @@ def run_external_counter(instance: CnfInstance, command: Optional[str] = None,
     The command template may reference the file as {file}; otherwise the
     path is appended.  The pattern must match somewhere in stdout, with
     the count in group 1 (or the whole match); a pattern that does not
-    compile raises ValueError before the file is written, and no match,
+    compile raises ValueError before the command is looked up, and no match,
     or a match that is not an integer, raises ExternalToolError.
     """
     import shlex
     import subprocess
     import tempfile
 
-    command = command or os.environ.get(EXTERNAL_CMD_ENV)
-    if not command:
-        raise ExternalToolError(
-            f"no external counter configured (flag --external-cmd or ${EXTERNAL_CMD_ENV})")
     pattern = pattern or DEFAULT_EXTERNAL_PATTERN
     try:
         regex = re.compile(pattern, re.MULTILINE)
     except re.error as exc:
         raise ValueError(f"invalid external pattern {pattern!r}: {exc}") from None
+    command = command or os.environ.get(EXTERNAL_CMD_ENV)
+    if not command:
+        raise ExternalToolError(
+            f"no external counter configured (flag --external-cmd or ${EXTERNAL_CMD_ENV})")
     text = emit_dimacs(instance)
     with tempfile.NamedTemporaryFile("w", suffix=".cnf", delete=False) as handle:
         handle.write(text)

@@ -9,14 +9,17 @@ subsets.  Nothing here shares code with the clause encoding or the
 counting search; that independence is the point.
 
 A list of maps on vectors acts on masks through one set of lifted
-tables, one table per byte of the mask, whose entry x is the tuple of
-x's images under every map; each table doubles once per vector.  One
-lookup per byte gives a mask's images under all the maps: under the
-meets with each vector when the closed masks are built, and under the
-n! variable permutations in the isomorphism census, which walks the
-closed masks in order and takes each one not yet seen with the set of
-its images as its orbit.  The permutations' own vector images come
-from the same doubling, over the n bits of a vector.
+tables, one table per byte of the mask, whose entry x is one packed int
+with one lane per map, lane m holding x's image under map m; each table
+doubles once per vector.  One lookup per byte, the entries OR-ed and
+the lanes unpacked in one call, gives a mask's images under all the
+maps: under the meets with each vector when the closed masks are built,
+and under the n! variable permutations in the isomorphism census.  The
+census walks the closed masks in order, skips those already seen, and
+adds each other one's images to the seen set as its orbit; orbits are
+disjoint, so the orbit's size is how much the seen set grew.  The
+permutations' own vector images come from the same doubling, over the
+n bits of a vector.
 
 Each width is walked once for all four variants.  The closed masks are
 the h01 families; the other variants only add the endpoint rules, which
@@ -30,13 +33,14 @@ by the two endpoint bits, a computation apart from the orbit walk.
 from __future__ import annotations
 
 import itertools
+import struct
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
-from operator import and_, or_
-from typing import Iterable, Iterator, Sequence
+from operator import and_
+from typing import Iterator, Sequence
 
 from .errors import ResourceLimitError
 from .families import VARIANTS, Variant, VectorFamily
@@ -46,9 +50,10 @@ from .families import VARIANTS, Variant, VectorFamily
 #: and then walk the orbits of the closed masks of width 5.
 ORACLE_CAP = 4
 
-#: Lifted tables: one per byte of a subset mask, whose entry x is the
-#: tuple of x's images under every map in a list.
-Tables = tuple[tuple[tuple[int, ...], ...], ...]
+#: Lifted tables: one per byte of a subset mask, whose entry x packs x's
+#: images under every map of a list into one int, one lane per map, and
+#: the struct that unpacks such an int's bytes into its lanes.
+Tables = tuple[tuple[tuple[int, ...], ...], struct.Struct]
 
 
 def _require_small(n: int) -> None:
@@ -64,27 +69,35 @@ def _tables(images: Sequence[tuple[int, ...]], maps: int) -> Tables:
     holds element i's image under each map, as a mask; a set is a mask
     with bit i for element i, and its image is the OR of its elements'
     images.  There is one table per byte of the set mask (one at least),
-    and entry x of a table is the tuple of the images, under each map,
-    of the set that the bits of x stand for.  The table doubles once per
-    element: the new upper half is the lower half OR-ed with that
-    element's images."""
+    and entry x of a table is one int holding the images, under each map,
+    of the set that the bits of x stand for: lane m, the narrowest of 8,
+    16, 32 or 64 bits that holds every image, is the image under map m.
+    Lanes never carry into each other, so OR-ing two entries ORs each
+    map's images.  The table doubles once per element: the new upper
+    half is the lower half OR-ed with that element's packed images."""
+    width = max((image.bit_length() for element in images for image in element), default=0)
+    code = next(code for code in "BHIQ" if width <= 8 * struct.calcsize("<" + code))
+    lanes = struct.Struct(f"<{maps}{code}")
     tables = []
     for base in range(0, max(len(images), 1), 8):
-        table = [(0,) * maps]
+        table = [0]
         for element in images[base:base + 8]:
-            table += [tuple(map(or_, entry, element)) for entry in table]
+            packed = int.from_bytes(lanes.pack(*element), "little")
+            table += [entry | packed for entry in table]
         tables.append(tuple(table))
-    return tuple(tables)
+    return tuple(tables), lanes
 
 
-def _images(tables: Tables, mask: int) -> Iterable[int]:
-    """A set mask's image under each map of the tables, in map order, one
-    lookup per byte; an iterable to be read once."""
-    images = tables[0][mask & 0xFF]
-    for table in tables[1:]:
+def _images(tables: Tables, mask: int) -> tuple[int, ...]:
+    """A set mask's image under each map of the tables, in map order: the
+    OR of one packed entry per byte of the mask, unpacked into its lanes
+    in one call."""
+    entries, lanes = tables
+    packed = entries[0][mask & 0xFF]
+    for table in entries[1:]:
         mask >>= 8
-        images = map(or_, images, table[mask & 0xFF])
-    return images
+        packed |= table[mask & 0xFF]
+    return lanes.unpack(packed.to_bytes(lanes.size, "little"))
 
 
 def _meet_tables(n: int) -> Tables:
@@ -103,9 +116,9 @@ def _permutation_tables(n: int) -> Tables:
     perms = list(itertools.permutations(range(n)))
     bits = [tuple(1 << (n - 1 - perm.index(n - 1 - b)) for perm in perms)
             for b in range(n)]
-    vectors, = _tables(bits, len(perms))
-    return _tables([tuple(1 << image for image in images) for images in vectors],
-                   len(perms))
+    vectors = _tables(bits, len(perms))
+    return _tables([tuple(1 << image for image in _images(vectors, v))
+                    for v in range(1 << n)], len(perms))
 
 
 @lru_cache(maxsize=None)
@@ -164,22 +177,23 @@ def _endpoint_tally(n: int) -> tuple[tuple[int, int], ...]:
 def _orbits(n: int) -> tuple[tuple[int, int], ...]:
     """The orbits of the closed masks of width n under the n! variable
     permutations, as (first mask, size) in ascending order of first mask.
-    Masks are visited in ascending order; each one not yet seen starts a
-    new orbit, the set of its images.  Every size must divide n!."""
+    Masks are visited in ascending order, and those already seen are
+    skipped at C speed; each one left starts a new orbit, its images,
+    which go into the seen set.  Orbits are disjoint, so the orbit's size
+    is how much the seen set grew.  Every size must divide n!."""
     tables = _permutation_tables(n)
     group_order = factorial(n)
     seen: set[int] = set()
     orbits = []
-    for mask in _closed_masks(n):
-        if mask in seen:
-            continue
-        orbit = set(_images(tables, mask))
-        if group_order % len(orbit) != 0:
+    for mask in itertools.filterfalse(seen.__contains__, _closed_masks(n)):
+        before = len(seen)
+        seen.update(_images(tables, mask))
+        size = len(seen) - before
+        if group_order % size != 0:
             raise AssertionError(
-                f"orbit size {len(orbit)} does not divide {n}! = {group_order} "
+                f"orbit size {size} does not divide {n}! = {group_order} "
                 f"(orbit of mask {mask:#x})")
-        seen |= orbit
-        orbits.append((mask, len(orbit)))
+        orbits.append((mask, size))
     return tuple(orbits)
 
 

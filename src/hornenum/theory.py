@@ -252,10 +252,14 @@ def _lines(text: str, separator: str, what: str) -> Iterator[tuple[int, str, int
 
 
 def _variable(text: str, lineno: int, col: int, expected: str = "a variable like x1") -> int:
-    """The 0-based index of the variable x<k>, k >= 1, that text names."""
-    m = VARIABLE.fullmatch(text)
+    """The 0-based index of the variable x<k>, k >= 1, that text names,
+    blanks around it allowed.  col is the column where text starts; an
+    error points past the leading blanks, at the variable itself."""
+    name = text.strip()
+    m = VARIABLE.fullmatch(name)
     if not m or int(m.group(1)) == 0:
-        raise ParseError(f"expected {expected}, got {text!r}", lineno, col)
+        raise ParseError(f"expected {expected}, got {name!r}", lineno,
+                         col + len(text) - len(text.lstrip()))
     return int(m.group(1)) - 1
 
 
@@ -308,12 +312,12 @@ def parse_clauses(text: str) -> frozenset[HornClause]:
         if body_text.strip():
             col = 1
             for part in body_text.split("&"):
-                body.add(_variable(part.strip(), lineno, col))
+                body.add(_variable(part, lineno, col))
                 col += len(part) + 1
         head_clean = head_text.strip()
         if not head_clean:
             raise ParseError("missing clause head", lineno, arrow + 3)
-        head = None if head_clean == "false" else _variable(head_clean, lineno, arrow + 3)
+        head = None if head_clean == "false" else _variable(head_text, lineno, arrow + 3)
         if head is None or head not in body:
             clauses.add(HornClause(body, head))
     return frozenset(clauses)

@@ -97,6 +97,13 @@ class TestCount:
                      "--external-pattern", "("]) == 2
         assert "invalid external pattern '('" in capsys.readouterr().err
 
+    def test_invalid_external_pattern_without_command_is_usage_error(self, capsys,
+                                                                     monkeypatch):
+        monkeypatch.delenv("HORNENUM_EXTERNAL_CMD", raising=False)
+        assert main(["count", "--n", "2", "--variant", "h",
+                     "--method", "external", "--external-pattern", "("]) == 2
+        assert "invalid external pattern '('" in capsys.readouterr().err
+
     def test_nan_budget_is_usage_error(self, capsys):
         assert main(["count", "--n", "2", "--variant", "h",
                      "--budget-seconds", "nan"]) == 2

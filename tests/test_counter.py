@@ -1345,6 +1345,12 @@ class TestExternalMethod:
             count_variant(2, Variant.H, "external", external_cmd=STUB_CMD,
                           external_pattern="(")
 
+    def test_invalid_pattern_rejected_without_a_command(self, monkeypatch):
+        # a bad pattern is a usage error even when no command is configured
+        monkeypatch.delenv("HORNENUM_EXTERNAL_CMD", raising=False)
+        with pytest.raises(ValueError, match=r"invalid external pattern '\('"):
+            run_external_counter(encode(2, Variant.H), pattern="(")
+
     def test_custom_pattern(self):
         cmd = f"{sys.executable} {STUB} {{file}} | sed 's/^/models: /'"
         got = run_external_counter(encode(2, Variant.H01), command=cmd,

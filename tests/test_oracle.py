@@ -1,6 +1,7 @@
 import ast
 import itertools
 import math
+import random
 from collections import Counter
 from functools import reduce
 from operator import or_
@@ -81,25 +82,43 @@ class TestClosedMasks:
         assert len(tally) == len(reference)
         assert dict(tally) == reference
 
-    @pytest.mark.parametrize("n", range(5))
+    @pytest.mark.parametrize("n", range(6))
     def test_permutation_maps_by_doubling(self, n):
         # every one-vector mask checks the vector images, and every closed
-        # mask their lift to the per-byte tables
+        # mask their lift to the per-byte tables; past the oracle's cap a
+        # seeded sample of masks stands in for the closed ones (at n = 5:
+        # 120 maps in 32-bit lanes)
         perms = reference_permutation_images(n)
         tables = oracle._permutation_tables(n)
-        masks = [1 << v for v in range(1 << n)] + list(oracle._closed_masks(n))
-        for mask in masks:
+        if n <= oracle.ORACLE_CAP:
+            sample = list(oracle._closed_masks(n))
+        else:
+            rng = random.Random(n)
+            sample = [rng.getrandbits(1 << n) for _ in range(300)]
+        for mask in [1 << v for v in range(1 << n)] + sample:
             assert list(oracle._images(tables, mask)) == [
                 image_mask(mask, image) for image in perms]
 
-    @pytest.mark.parametrize("n", range(4))
+    @pytest.mark.parametrize("n", range(5))
     def test_meet_tables(self, n):
+        # every mask up to n = 3; a seeded sample at n = 4 (16-bit lanes)
         size = 1 << n
         meets = [[v & r for v in range(size)] for r in range(size)]
         tables = oracle._meet_tables(n)
-        for mask in range(1 << size):
+        masks = range(1 << size) if n < 4 else random.Random(n).sample(range(1 << size), 500)
+        for mask in masks:
             assert list(oracle._images(tables, mask)) == [
                 image_mask(mask, image) for image in meets]
+
+    @pytest.mark.parametrize("n", range(5))
+    def test_orbit_firsts_and_sizes(self, n):
+        # an orbit's size is read from how much the seen set grew; an
+        # independent set of its first mask's images checks it
+        tables = oracle._permutation_tables(n)
+        for first, size in oracle._orbits(n):
+            images = oracle._images(tables, first)
+            assert first == min(images)
+            assert size == len(set(images))
 
 
 class TestBruteCount:

@@ -227,14 +227,14 @@ class TestClauseGrammar:
         assert err.value.line == 1
 
     @pytest.mark.parametrize("text, column, message", [
-        ("x1 & y2 -> x3", 5, "expected a variable like x1, got 'y2'"),
-        ("x1 -> y3", 6, "expected a variable like x1, got 'y3'"),
+        ("x1 & y2 -> x3", 6, "expected a variable like x1, got 'y2'"),
+        ("x1 -> y3", 7, "expected a variable like x1, got 'y3'"),
         ("x1 ->", 6, "missing clause head"),
         ("x1 -> x2 -> x3", 1, "expected exactly one '->' per clause"),
     ])
     def test_error_columns(self, text, column, message):
-        # a variable's column is that of the text between its separators,
-        # the blank before it included
+        # a bad variable's column is that of its first character, past the
+        # blanks after its separator, in the body and the head alike
         with pytest.raises(ParseError) as err:
             parse_clauses("x1 -> x2\n" + text)
         assert (err.value.line, err.value.column) == (2, column)
