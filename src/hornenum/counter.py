@@ -36,11 +36,12 @@ variables, branches on the variable in the most open clauses, shortened
 ones weighing five times.
 The `dpll` method name refers to this search.
 
-An engine's start first lets each binary clause of the input close the
-clauses it subsumes, as propagation does for a clause left binary.  It
-then assigns the assumed literals and propagates from them and from the
-input's unit clauses: no other clause can become unit or binary before
-one of these assignments reaches it.  An
+An engine has one start: the mask of the clauses in force, every
+clause by default; a clause out of force is closed from the start.
+Propagation runs from the variables of the unit and binary clauses in
+force: it assigns each unit clause's literal and lets each binary clause
+close the clauses it subsumes, as for a clause left binary, and no other
+clause can become unit or binary before one of these reaches it.  An
 engine that counts from its own start (count() with no residual, as
 count_models does) and whose start closed a clause searches a table
 rebuilt over only the open clauses, in their order: the same search, on
@@ -49,13 +50,15 @@ instance.
 
 The four variants of a width share their ternary clauses and differ
 only in their endpoint unit clauses, so count_width counts all four in
-one engine over the clauses of h01, which has none: each variant starts
-from the residual that assumes its endpoint literals.  h01 is counted
+one engine over the clauses of h, each variant from the mask of the
+ternary clauses and its own endpoint unit clauses.  h01 is counted
 first; h1, h0 and h are then answered from its component cache, whose
 keys name a subproblem of the shared clause table whichever variant
-reached it.  Each variant's residual is passed to count(), so all four
-are searched over that one table and none is rebuilt.  count_variant
-counts one variant the same way, in an engine of its own.
+reached it: a unit clause is closed from the start when out of force,
+and once it propagates when in force.  Each variant's residual is
+passed to count(), so all four are searched over that one table and
+none is rebuilt.  count_variant counts one variant the same way, in an
+engine of its own.
 
 Counts are over ALL declared variables, so a variable appearing in no
 clause doubles the count.  There is deliberately no pure-literal rule:
@@ -127,9 +130,9 @@ class CounterStats:
         into singles and pairs leaves more than TABLE_BASE variables
         (see _count_table); nodes - cache_hits - decisions is the number
         of nodes counted by truth table, leaves - leaf_fallbacks.
-    propagations: literals implied by unit clauses, the input's own unit
-        clauses and a variant's endpoint literals included; a decision
-        literal is not counted.
+    propagations: literals implied by unit clauses, those of the unit
+        clauses in force at the start included; a decision literal is not
+        counted.
     components: parts of residuals wider than TABLE_VARS that split into
         more than one component (a residual in one piece, or one counted
         whole, adds nothing).  The parts are those of the open clauses
@@ -254,14 +257,14 @@ class ComponentCounter:
     one whose split leaves more than TABLE_BASE variables, by branching
     on the variable of highest score.
 
-    The start (_start) closes the clauses that the input's binary clauses
-    subsume, then propagates from the input's unit clauses and any
-    assumed literals.  count() from the engine's own start, once the
-    start has closed a clause, hands the search to an engine over only
-    the open clauses (_open_table) that shares this one's stats and
-    deadline.  A residual given to count() is searched over this table,
-    so that the counts of several residuals share one cache, as
-    count_width's four variants do.
+    The one start (_start) takes the mask of the clauses in force, every
+    clause by default, and propagates from its unit and binary clauses.
+    count() from the engine's own start, once the start has closed a
+    clause, hands the search to an engine over only the open clauses
+    (_open_table) that shares this one's stats and deadline.  A residual
+    given to count() is searched over this table, so that the counts of
+    several residuals share one cache, as count_width's four variants,
+    each a mask over one table, do.
     """
 
     def __init__(self, num_vars: int, clauses: Sequence[tuple[int, ...]],
@@ -277,10 +280,9 @@ class ComponentCounter:
         self._positive: list[int] = []
         self._sat_pos = sat_pos = [0] * (num_vars + 1)
         self._sat_neg = sat_neg = [0] * (num_vars + 1)
-        # what _start propagates and closes from: the variables of the
-        # unit clauses, and the ids of the binary clauses
-        self._units: list[int] = []
-        self._binary: list[int] = []
+        # the ids of the unit and binary clauses, whose variables _start
+        # propagates from
+        self._seeds: list[int] = []
         for i, clause in enumerate(clauses):
             vars_mask = positive = 0
             for lit in clause:
@@ -293,10 +295,8 @@ class ComponentCounter:
             vars_mask |= positive
             self._vars.append(vars_mask)
             self._positive.append(positive)
-            if len(clause) == 1:
-                self._units.append(abs(clause[0]))
-            elif len(clause) == 2:
-                self._binary.append(i)
+            if len(clause) <= 2:
+                self._seeds.append(i)
         self._occ = list(map(or_, sat_pos, sat_neg))
         self._near: list[int] = []
 
@@ -330,34 +330,20 @@ class ComponentCounter:
         self.stats.subproblems = 1
         return result
 
-    def _start(self, assumed: Sequence[int] = ()) -> Optional[Residual]:
-        """The residual after the input's unit clauses and the assumed
-        literals, or None on a conflict.  Each input binary clause first
-        closes every other clause that holds both its literals, the rule
-        _propagate applies to a clause left binary; no two binary clauses
-        of a preprocessed table hold the same two literals, so none closes
-        another.  The assumed literals are then assigned, each counted as
-        a propagation, as a unit clause is, and propagation runs from the
-        variables of the unit clauses and of the assumed literals, highest
-        first: no other clause can become unit or binary."""
-        sat_pos, sat_neg, bit = self._sat_pos, self._sat_neg, self._bit
-        free, open_, shortened = ((1 << self.num_vars) - 1) << 1, (1 << len(bit)) - 1, 0
-        for i in self._binary:
-            a, b = self.clauses[i]
-            open_ ^= ((sat_pos[a] if a > 0 else sat_neg[-a])
-                      & (sat_pos[b] if b > 0 else sat_neg[-b]) & open_) ^ bit[i]
-        for lit in assumed:
-            v = abs(lit)
-            if not free >> v & 1:
-                if -lit in assumed:
-                    return None
-                continue
-            free ^= 1 << v
-            open_ &= ~(sat_pos[v] if lit > 0 else sat_neg[v])
-            shortened |= self._occ[v]
-            self.stats.propagations += 1
-        queue = sorted({*self._units, *map(abs, assumed)})
-        return self._propagate(free, open_, shortened, queue)
+    def _start(self, open_: Optional[int] = None) -> Optional[Residual]:
+        """The residual of the clauses in force, the clause mask open_ (by
+        default every clause), or None on a conflict: a clause out of force
+        is closed from the start.  Propagation runs from the variables of
+        the unit and binary clauses in force, highest first.  It assigns
+        each unit clause's literal, counted as a propagation, and lets each
+        binary clause close every other clause that holds both its
+        literals; no other clause can become unit or binary before one of
+        these assignments reaches it."""
+        clauses = self.clauses
+        if open_ is None:
+            open_ = (1 << len(clauses)) - 1
+        queue = sorted({abs(lit) for i in self._seeds if open_ >> i & 1 for lit in clauses[i]})
+        return self._propagate(((1 << self.num_vars) - 1) << 1, open_, 0, queue)
 
     def _open_table(self, residual: Residual) -> tuple["ComponentCounter", Residual]:
         """An engine over only the residual's open clauses, in their
@@ -385,7 +371,9 @@ class ComponentCounter:
 
     def _propagate(self, free: int, open_: int, shortened: int,
                    queue: list[int]) -> Optional[Residual]:
-        """Propagate units from the just-assigned variables in queue.
+        """Propagate units from the variables in queue: those just
+        assigned, or at the start those of the unit and binary clauses in
+        force, whose scan assigns a unit and closes what a binary subsumes.
 
         Only the open clauses of an assigned variable can become unit or
         empty.  A unit is assigned when it is found, so a clause that a
@@ -785,7 +773,8 @@ def _check_deadline(deadline: Optional[float], stats: CounterStats) -> None:
 def _count_width(n: int, variants: Sequence[Variant],
                  deadline: Optional[float]) -> dict[Variant, CountReport]:
     """Count the variants at width n, in this order, in one engine over
-    the clauses of h01, each under its endpoint literals.  A report's
+    the clauses of h, each started from the mask of its clauses in force:
+    the ternary clauses and its endpoint unit clauses.  A report's
     elapsed time runs from the end of the previous count, the first's
     from the call, so it includes the encoding and the clause table.
     Each variant starts with fresh stats, and the cache stays for the
@@ -794,17 +783,19 @@ def _count_width(n: int, variants: Sequence[Variant],
     The encoder's clauses go to the engine as emitted, not through
     preprocess: none is empty, tautological or a duplicate, and every
     literal is in range, so preprocess would only sort each clause's
-    literals, an order the search never reads (clause masks are ORs,
-    leaf rows ANDs, and h01 has no binary clause for _start to
-    unpack)."""
+    literals, an order the search never reads (clause masks are ORs and
+    leaf rows ANDs, and a unit clause has one literal)."""
     mark = time.monotonic()
-    instance = encode(n, Variant.H01)
+    instance = encode(n, Variant.H)
     engine = ComponentCounter(instance.predicate_count, instance.clauses, deadline=deadline)
+    units = instance.unit_clauses
+    ternary = (1 << len(instance.clauses)) - (1 << len(units))
     reports = {}
     for variant in variants:
         engine.stats = CounterStats()
         engine._check_budget()
-        start = engine._start(endpoint_units(n, variant))
+        start = engine._start(ternary | sum(1 << units.index((pid,))
+                                            for pid in endpoint_units(n, variant)))
         value = 0 if start is None else engine.count(start)
         now = time.monotonic()
         reports[variant] = CountReport(variant, n, "dpll", value, now - mark, engine.stats)
@@ -901,11 +892,12 @@ def count_width(n: int, *, threads: int = 1,
     """Count all four variants at width n by method dpll, in one engine
     under one deadline: h01 first, then h1, h0 and h.
 
-    h0 and h01 are h and h1 with the all-ones predicate free, and it is in
-    no clause; h is the branch of h1 with the all-zeros predicate true.  So
-    after h01 the other three come from the component cache, at n = 5 and
-    n = 6 in one node each.  threads must be >= 1 and is otherwise
-    unused: every count runs in this process.
+    Each variant is a mask over the clauses of h (see _count_width).  h0
+    and h01 are h and h1 with the all-ones predicate free, and it is in
+    no ternary clause; h is the branch of h1 with the all-zeros predicate
+    true.  So after h01 the other three come from the component cache,
+    at n = 5 and n = 6 in one node each.  threads must be >= 1 and is
+    otherwise unused: every count runs in this process.
     """
     return _count_width(n, (Variant.H01, Variant.H1, Variant.H0, Variant.H),
                         _deadline(threads, budget_seconds))

@@ -56,6 +56,14 @@ class Variant(Enum):
 VARIANTS = (Variant.H, Variant.H0, Variant.H1, Variant.H01)
 
 
+def _is_int(x) -> bool:
+    """Whether x is an int and not a bool.  A float, a numeric string and
+    a bool would all pass through int() silently, so the type is tested;
+    an int subclass other than bool passes.  Callers test `type(x) is
+    int` first, the common case."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class BitVector:
     """An immutable point of {0,1}^width, packed into a Python int.
@@ -69,10 +77,14 @@ class BitVector:
     value: int
 
     def __post_init__(self):
-        if not 0 <= self.width <= MAX_WIDTH:
-            raise ValueError(f"width must be in [0, {MAX_WIDTH}], got {self.width}")
-        if not 0 <= self.value < (1 << self.width):
-            raise ValueError(f"value {self.value} out of range for width {self.width}")
+        width, value = self.width, self.value
+        if ((type(width) is not int or type(value) is not int)
+                and not (_is_int(width) and _is_int(value))):
+            raise ValueError(f"width and value must be ints, got {width!r} and {value!r}")
+        if not 0 <= width <= MAX_WIDTH:
+            raise ValueError(f"width must be in [0, {MAX_WIDTH}], got {width}")
+        if not 0 <= value < (1 << width):
+            raise ValueError(f"value {value} out of range for width {width}")
 
     @classmethod
     def from_string(cls, text: str) -> "BitVector":
@@ -144,8 +156,8 @@ class VectorFamily:
     __slots__ = ("_width", "_values", "_value_set")
 
     def __init__(self, width: int, members: Iterable[Union[BitVector, int]] = ()):
-        if not 0 <= width <= MAX_WIDTH:
-            raise ValueError(f"width must be in [0, {MAX_WIDTH}], got {width}")
+        if type(width) is not int and not _is_int(width) or not 0 <= width <= MAX_WIDTH:
+            raise ValueError(f"width must be an int in [0, {MAX_WIDTH}], got {width!r}")
         values = set()
         for m in members:
             if isinstance(m, BitVector):
@@ -153,6 +165,8 @@ class VectorFamily:
                     raise ValueError(f"member width {m.width} does not match family width {width}")
                 values.add(m.value)
             else:
+                if type(m) is not int and not _is_int(m):
+                    raise ValueError(f"member {m!r} is neither a BitVector nor an int")
                 v = int(m)
                 if not 0 <= v < (1 << width):
                     raise ValueError(f"member value {v} out of range for width {width}")

@@ -80,6 +80,31 @@ def pool_slices(bins):
             for entry in pool["slices"] if entry["bin"] in bins]
 
 
+def variant_mask(n, variant):
+    """The clauses of encode(n, h) in force for a variant, as count_width
+    starts it: the ternary clauses, and the unit clauses of its
+    endpoints."""
+    instance = encode(n, Variant.H)
+    units = instance.unit_clauses
+    return ((1 << len(instance.clauses)) - (1 << len(units))
+            | sum(1 << units.index((pid,)) for pid in endpoint_units(n, variant)))
+
+
+def unit_table(clauses, num_vars):
+    """An engine over the clauses followed by a unit clause for each
+    literal, the mask of the clauses themselves, and the id of each
+    literal's unit clause.  The mask with the units of some literals
+    puts those literals in force, as count_width puts each variant's
+    endpoints; preprocess keeps the first of two equal clauses, so the
+    clauses come first, as preprocess(clauses) returns them."""
+    literals = [lit for v in range(1, num_vars + 1) for lit in (v, -v)]
+    prepared = preprocess(list(clauses) + [(lit,) for lit in literals], num_vars)
+    if prepared is None:
+        return None
+    unit = {lit: prepared.index((lit,)) for lit in literals}
+    return ComponentCounter(num_vars, prepared), (1 << len(preprocess(clauses, num_vars))) - 1, unit
+
+
 def bfs_components(counter, free, open_):
     """A residual's free variables in no open clause, and the components
     of the others as (variables, clauses) by lowest variable, found by a
@@ -796,9 +821,9 @@ class TestBudget:
                                    deadline=time.monotonic() + 0.05)
         start = ComponentCounter._start
 
-        def slow_start(self, assumed=()):
+        def slow_start(self, open_=None):
             time.sleep(0.1)
-            return start(self, assumed)
+            return start(self, open_)
 
         monkeypatch.setattr(ComponentCounter, "_start", slow_start)
         with pytest.raises(ResourceLimitError):
@@ -1001,12 +1026,13 @@ class TestCountWidth:
 
     def test_stats_include_the_endpoint_propagations(self):
         # a variant's stats are those of an engine started from its
-        # endpoint literals, which count as propagations, and one run;
-        # in count_width they start fresh for each variant
-        instance = encode(4, Variant.H01)
+        # endpoint unit clauses, whose literals count as propagations, and
+        # one run; in count_width they start fresh for each variant.  h
+        # has both endpoint units in force, so its mask is every clause
+        instance = encode(4, Variant.H)
         num_vars = instance.predicate_count
         engine = ComponentCounter(num_vars, preprocess(instance.clauses, num_vars))
-        assert engine.count(engine._start(endpoint_units(4, Variant.H))) == 2271
+        assert engine.count(engine._start()) == 2271
         assert count_variant(4, Variant.H).stats == engine.stats
         assert engine.stats.propagations >= len(endpoint_units(4, Variant.H)) == 2
         stats = count_width(4)[Variant.H].stats
@@ -1024,14 +1050,25 @@ class TestCountWidth:
     @pytest.mark.parametrize("n", range(6))
     def test_same_search_as_the_preprocessed_clauses(self, n):
         # the order of a clause's literals changes no count and no stat
-        instance = encode(n, Variant.H01)
+        instance = encode(n, Variant.H)
         num_vars = instance.predicate_count
         engine = ComponentCounter(num_vars, preprocess(instance.clauses, num_vars))
         for variant, report in count_width(n).items():
             engine.stats = CounterStats()
-            start = engine._start(endpoint_units(n, variant))
+            start = engine._start(variant_mask(n, variant))
             assert engine.count(start) == report.count
             assert engine.stats == report.stats
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_unit_clauses_out_of_force_change_nothing(self, n):
+        # h's table with only its ternary clauses in force is h01's
+        # search: the closed unit clauses add no node, key or stat
+        instance = encode(n, Variant.H)
+        engine = ComponentCounter(instance.predicate_count, instance.clauses)
+        start = engine._start(variant_mask(n, Variant.H01))
+        report = count_width(n)[Variant.H01]
+        assert engine.count(start) == report.count
+        assert engine.stats == report.stats
 
     def test_conflicting_start_searches_nothing(self):
         # an engine whose start is a conflict counts 0 without a search,
@@ -1099,38 +1136,36 @@ class TestThreads:
             (r.count, r.stats.to_dict()) for r in serial.values()]
 
 
-def count_assuming(counter, assumed):
-    """The counter's count under the assumed literals, as count_width
-    takes each variant's: from _start(assumed), 0 on a conflict."""
-    start = counter._start(assumed)
-    return 0 if start is None else counter.count(start)
-
-
 class TestAssumedLiterals:
+    """Literals put in force by the unit clauses of a start's mask (see
+    unit_table), as count_width puts each variant's endpoints."""
+
     def test_conflicting_literals_count_zero(self):
-        counter = ComponentCounter(3, preprocess([(1,), (2, 3)], 3))
-        assert counter._start((-1,)) is None
-        assert counter._start((2, -2)) is None
-        assert count_assuming(counter, (-1,)) == 0
-        assert count_assuming(counter, (1,)) == 3
+        counter, own, unit = unit_table([(1,), (2, 3)], 3)
+        assert counter._start(own | 1 << unit[-1]) is None
+        assert counter._start(own | 1 << unit[2] | 1 << unit[-2]) is None
+        assert counter.stats.subproblems == 0
+        assert counter.count(counter._start(own | 1 << unit[1])) == 3
 
     @pytest.mark.parametrize("tables", [True, False])
     def test_matches_the_reference_on_random_instances(self, rng, request, tables):
-        # one engine, so later counts reuse the cache of earlier ones
+        # one engine per instance, so later counts reuse the cache of
+        # earlier ones
         if not tables:
             request.getfixturevalue("branching_only")
         for _ in range(60):
             num_vars, clauses = random_instance(rng)
-            prepared = preprocess(clauses, num_vars)
-            if prepared is None:
+            table = unit_table(clauses, num_vars)
+            if table is None:
                 continue
-            counter = ComponentCounter(num_vars, prepared)
+            counter, own, unit = table
             for _ in range(3):
                 assumed = tuple(rng.choice((1, -1)) * rng.randint(1, num_vars)
                                 for _ in range(rng.randint(0, 2)))
                 expected = brute_reference(list(clauses) + [(lit,) for lit in assumed],
                                            num_vars)
-                assert count_assuming(counter, assumed) == expected
+                start = counter._start(own | sum(1 << unit[lit] for lit in set(assumed)))
+                assert (0 if start is None else counter.count(start)) == expected
 
 
 def effort(stats):
@@ -1140,47 +1175,42 @@ def effort(stats):
             stats.cache_hits)
 
 
-def full_scan_start(counter, assumed=()):
-    """The start residual reached by scanning every variable's clauses,
-    highest variable first, after the assumed literals."""
-    free, open_, shortened = ((1 << counter.num_vars) - 1) << 1, (1 << len(counter.clauses)) - 1, 0
-    for lit in assumed:
-        v = abs(lit)
-        if not free >> v & 1:
-            if -lit in assumed:
-                return None
-            continue
-        free ^= 1 << v
-        open_ &= ~(counter._sat_pos[v] if lit > 0 else counter._sat_neg[v])
-        shortened |= counter._occ[v]
-        counter.stats.propagations += 1
-    return counter._propagate(free, open_, shortened, list(range(1, counter.num_vars + 1)))
+def full_scan_start(counter, open_=None):
+    """The start residual reached from the clauses in force, open_ (by
+    default every clause), by scanning every variable's clauses, highest
+    variable first."""
+    if open_ is None:
+        open_ = (1 << len(counter.clauses)) - 1
+    return counter._propagate(((1 << counter.num_vars) - 1) << 1, open_, 0,
+                              list(range(1, counter.num_vars + 1)))
 
 
 class TestStart:
     def test_agrees_with_a_scan_of_every_variable(self, rng):
-        # units, binary clauses and assumed literals.  A clause that a unit
-        # leaves binary may tie with an input binary clause on the same two
-        # literals, and the two scans may then keep a different one of the
-        # two open: the free variables and the count must still agree.
-        # Without unit clauses and assumed literals only the input's binary
-        # clauses close clauses, none closes another, and the residuals
-        # must be the same
+        # units, binary clauses, and unit clauses in force for chosen
+        # literals.  A clause that a unit leaves binary may tie with an
+        # input binary clause on the same two literals, and the two scans
+        # may then keep a different one of the two open: the free
+        # variables and the count must still agree.  Without unit clauses
+        # only the input's binary clauses close clauses, none closes
+        # another, and the residuals must be the same
         closed = 0
         for _ in range(400):
             num_vars, clauses = random_instance(rng, max_vars=8, max_clauses=24, max_width=4)
-            prepared = preprocess(clauses, num_vars)
-            if prepared is None:
+            table = unit_table(clauses, num_vars)
+            if table is None:
                 continue
+            counter, own, unit = table
+            reference = unit_table(clauses, num_vars)[0]
             assumed = tuple(rng.choice((1, -1)) * rng.randint(1, num_vars)
                             for _ in range(rng.randint(0, 3)))
-            counter, reference = (ComponentCounter(num_vars, prepared) for _ in range(2))
-            start, expected = counter._start(assumed), full_scan_start(reference, assumed)
+            mask = own | sum(1 << unit[lit] for lit in set(assumed))
+            start, expected = counter._start(mask), full_scan_start(reference, mask)
             assert (start is None) == (expected is None)
             if start is not None:
                 assert start[0] == expected[0]
                 assert counter.count(start) == reference.count(expected)
-            wide = [clause for clause in prepared if len(clause) > 1]
+            wide = [clause for clause in preprocess(clauses, num_vars) if len(clause) > 1]
             counter, reference = (ComponentCounter(num_vars, wide) for _ in range(2))
             start = counter._start()
             assert start == full_scan_start(reference)
@@ -1189,12 +1219,22 @@ class TestStart:
         assert closed >= 50
 
     def test_same_binary_clause_from_two_assumptions(self):
-        # -1 and -2 leave both clauses the binary clause (3 7), and the
-        # first one scanned closes the other: propagation pops the highest
-        # assumed variable first, so variable 2's scan leaves clause 0
-        # binary first, and clause 0 stays open, not clause 1
-        counter = ComponentCounter(7, preprocess([(2, 3, 7), (1, 3, 7)], 7))
-        assert counter._start((-1, -2)) == (0b11111000, 0b01, 0b01)
+        # the unit clauses -1 and -2 leave both ternary clauses the binary
+        # clause (3 7), and the first one scanned closes the other.  The
+        # start pops the highest variable of a unit clause first, and the
+        # scan of variable 2 meets its unit clause 3 before clause 0 (the
+        # highest id first): -2 leaves clause 0 binary, which closes
+        # clause 1, so clause 0 stays open, not clause 1
+        counter = ComponentCounter(7, preprocess([(2, 3, 7), (1, 3, 7), (-1,), (-2,)], 7))
+        assert counter._start() == (0b11111000, 0b0001, 0b0001)
+        assert counter.stats.propagations == 2
+
+    def test_a_unit_clause_and_its_negation_conflict(self):
+        # both in force, the start is a conflict; either one alone is not
+        counter = ComponentCounter(2, preprocess([(1,), (-1,), (-1, 2)], 2))
+        assert counter._start() is None
+        assert counter.count(counter._start(0b101)) == 1
+        assert counter.count(counter._start(0b110)) == 2
 
     def test_open_table_reindexes_the_residual(self, monkeypatch):
         # the two residuals of the start's first decision, each counted
@@ -1253,6 +1293,32 @@ class TestOneCoordinateSplit:
                 ComponentCounter(16, prepared))
             total += size * count_models(clauses, 16)
         assert total == reference_count(variant, 5)
+
+    def test_one_engine_with_a_mask_per_class(self):
+        # one table: the unit clause P_(0...0), the ternary clauses, and
+        # the binary clause (-P_s, P_u) for each u strictly inside s.  A
+        # class's mask puts in force the ternary clauses and the binary
+        # clauses its members meet into, and h's the unit clause too, so
+        # all 2 x 184 counts share one component cache
+        ternary = list(encode(4, Variant.H01).clauses)
+        binary = [(-(s + 1), u + 1) for s in range(16) for u in range(16) if u & s == u != s]
+        assert len(binary) == 65
+        prepared = preprocess([(1,)] + ternary + binary, 16)
+        engine = ComponentCounter(16, prepared)
+        ids = {clause: i for i, clause in enumerate(prepared)}
+        shared = (1 << (1 + len(ternary))) - 2
+        totals = {Variant.H1: 0, Variant.H: 0}
+        for first, size in _orbits(4):
+            if not first >> 15 & 1:
+                continue
+            members = [r for r in range(16) if first >> r & 1]
+            mask = shared | sum(1 << i for i in {ids[(-(s + 1), (r & s) + 1)]
+                                                 for r in members for s in range(16) if r & s != s})
+            for variant, unit in ((Variant.H1, 0), (Variant.H, 1)):
+                start = engine._start(mask | unit)
+                totals[variant] += size * (0 if start is None else engine.count(start))
+        for variant, total in totals.items():
+            assert total == reference_count(variant, 5)
 
 
 class TestCompactedStart:

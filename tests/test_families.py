@@ -44,6 +44,18 @@ class TestBitVector:
         with pytest.raises(ValueError):
             BitVector(MAX_WIDTH + 1, 0)
 
+    def test_width_and_value_must_be_ints(self):
+        # a float, a bool or a numeric string is not silently read as an
+        # int; an int subclass other than bool is one
+        for width, value in ((3, 1.5), (True, 1), (3, True), ("3", 1), (3, "1"), (3.0, 1)):
+            with pytest.raises(ValueError):
+                BitVector(width, value)
+
+        class Count(int):
+            pass
+
+        assert str(BitVector(Count(3), Count(5))) == "101"
+
     def test_bad_strings(self):
         with pytest.raises(ValueError):
             BitVector.from_string("01x")
@@ -98,6 +110,19 @@ class TestVectorFamily:
             VectorFamily(2, [bv("011")])
         with pytest.raises(ValueError):
             VectorFamily(2, [4])
+
+    def test_members_and_width_must_be_ints(self):
+        for member in (1.5, "3", True, None):
+            with pytest.raises(ValueError):
+                VectorFamily(3, [member])
+        for width in (3.0, "3", True):
+            with pytest.raises(ValueError):
+                VectorFamily(width, [1])
+
+        class Count(int):
+            pass
+
+        assert VectorFamily(Count(3), [Count(1), 3]).values == (1, 3)
 
     def test_full_and_empty(self):
         assert len(VectorFamily.full(3)) == 8
