@@ -97,7 +97,7 @@ class BitVector:
         bits = list(bits)
         value = 0
         for b in bits:
-            if b not in (0, 1):
+            if not _is_int(b) or b not in (0, 1):
                 raise ValueError(f"bits must be 0 or 1, got {b!r}")
             value = (value << 1) | b
         return cls(len(bits), value)

@@ -8,6 +8,11 @@ constraints, and both directions of the translation live here, together
 with brute-force model enumeration that serves as the semantic referee:
 two systems are equivalent exactly when their model sets coincide.
 
+Each object derives its ascending indices, sort key and (for a monomial)
+largest index once, at construction, so ordering, printing and the width
+check of every evaluation read stored values.  `models()` stays the
+per-point referee: one `BitVector` per point, `holds_at` per constraint.
+
 Variables are 0-indexed in code and rendered as x1..xn in text.
 """
 
@@ -26,6 +31,9 @@ MODEL_ENUM_CAP = 16
 #: A variable in either text format: x<k>, k >= 1, names index k - 1.
 VARIABLE = re.compile(r"x(\d+)")
 
+#: One token of an equation side: a run of characters other than blanks and `*`.
+_TOKEN = re.compile(r"[^\s*]+")
+
 
 @dataclass(frozen=True)
 class Monomial:
@@ -41,8 +49,13 @@ class Monomial:
         object.__setattr__(self, "vars", frozenset(self.vars))
         if self.is_zero and self.vars:
             raise ValueError("the zero monomial carries no variables")
-        if any(i < 0 for i in self.vars):
+        indices = tuple(sorted(self.vars))
+        if indices and indices[0] < 0:
             raise ValueError("variable indices must be nonnegative")
+        # derived once, read on every evaluation, comparison and print
+        object.__setattr__(self, "_indices", indices)
+        object.__setattr__(self, "_key", (0, 0, ()) if self.is_zero else (1, len(indices), indices))
+        object.__setattr__(self, "_max", indices[-1] if indices else -1)
 
     @classmethod
     def zero(cls) -> "Monomial":
@@ -62,20 +75,18 @@ class Monomial:
 
     def sort_key(self) -> tuple:
         """Total order: 0 first, then products by (size, variable indices)."""
-        if self.is_zero:
-            return (0, 0, ())
-        return (1, len(self.vars), tuple(sorted(self.vars)))
+        return self._key
 
     def max_index(self) -> int:
         """Largest variable index used, or -1 for constants."""
-        return max(self.vars, default=-1)
+        return self._max
 
     def __str__(self) -> str:
         if self.is_zero:
             return "0"
-        if not self.vars:
+        if not self._indices:
             return "1"
-        return " ".join(f"x{i + 1}" for i in sorted(self.vars))
+        return " ".join(f"x{i + 1}" for i in self._indices)
 
 
 @dataclass(frozen=True)
@@ -92,16 +103,19 @@ class BinomialEquation:
     def __post_init__(self):
         if self.lhs == self.rhs:
             raise ValueError(f"reflexive equation {self.lhs} = {self.rhs}")
-        if self.lhs.sort_key() > self.rhs.sort_key():
+        lhs_key, rhs_key = self.lhs._key, self.rhs._key
+        if lhs_key > rhs_key:
             lhs, rhs = self.rhs, self.lhs
             object.__setattr__(self, "lhs", lhs)
             object.__setattr__(self, "rhs", rhs)
+            lhs_key, rhs_key = rhs_key, lhs_key
+        object.__setattr__(self, "_key", (lhs_key, rhs_key))
 
     def sort_key(self) -> tuple:
-        return (self.lhs.sort_key(), self.rhs.sort_key())
+        return self._key
 
     def max_index(self) -> int:
-        return max(self.lhs.max_index(), self.rhs.max_index())
+        return max(self.lhs._max, self.rhs._max)
 
     def holds_at(self, v: BitVector) -> bool:
         return eval_monomial(self.lhs, v) == eval_monomial(self.rhs, v)
@@ -124,23 +138,24 @@ class HornClause:
 
     def __post_init__(self):
         object.__setattr__(self, "body", frozenset(self.body))
-        if any(i < 0 for i in self.body):
+        body = tuple(sorted(self.body))
+        if body and body[0] < 0:
             raise ValueError("variable indices must be nonnegative")
         if self.head is not None:
             if self.head < 0:
                 raise ValueError("variable indices must be nonnegative")
             if self.head in self.body:
                 raise ValueError(f"tautological clause: head x{self.head + 1} is in the body")
+        head_key = (1, 0) if self.head is None else (0, self.head)
+        object.__setattr__(self, "_body", body)
+        object.__setattr__(self, "_key", (len(body), body, head_key))
 
     def sort_key(self) -> tuple:
-        head_key = (1, 0) if self.head is None else (0, self.head)
-        return (len(self.body), tuple(sorted(self.body)), head_key)
+        return self._key
 
     def max_index(self) -> int:
-        indices = set(self.body)
-        if self.head is not None:
-            indices.add(self.head)
-        return max(indices, default=-1)
+        top = self._body[-1] if self._body else -1
+        return top if self.head is None else max(top, self.head)
 
     def holds_at(self, v: BitVector) -> bool:
         if any(v.bit(i) == 0 for i in self.body):
@@ -150,12 +165,14 @@ class HornClause:
         return v.bit(self.head) == 1
 
     def __str__(self) -> str:
-        body = " & ".join(f"x{i + 1}" for i in sorted(self.body))
+        body = " & ".join(f"x{i + 1}" for i in self._body)
         head = "false" if self.head is None else f"x{self.head + 1}"
         return f"{body} -> {head}" if body else f"-> {head}"
 
 
-Constraint = Union[BinomialEquation, HornClause]
+# quoted, so that typing's cache of Union objects holds no reference to
+# these classes and a fresh import of the package can free the old ones
+Constraint = Union["BinomialEquation", "HornClause"]
 
 
 def eval_monomial(m: Monomial, v: BitVector) -> bool:
@@ -163,8 +180,8 @@ def eval_monomial(m: Monomial, v: BitVector) -> bool:
     true where all its variables are 1 (so 1 is true everywhere)."""
     if m.is_zero:
         return False
-    if m.max_index() >= v.width:
-        raise ValueError(f"monomial uses x{m.max_index() + 1} but vector has width {v.width}")
+    if m._max >= v.width:
+        raise ValueError(f"monomial uses x{m._max + 1} but vector has width {v.width}")
     return all(v.bit(i) == 1 for i in m.vars)
 
 
@@ -270,7 +287,7 @@ def _format_lines(items: Iterable, key: Callable) -> str:
 
 def _parse_monomial(side: str, lineno: int, col_offset: int) -> Monomial:
     """One equation side: `0`, `1`, or variables separated by spaces or `*`."""
-    tokens = [(m.group(), col_offset + m.start()) for m in re.finditer(r"[^\s*]+", side)]
+    tokens = [(m.group(), col_offset + m.start()) for m in _TOKEN.finditer(side)]
     if not tokens:
         raise ParseError("empty side in equation", lineno, col_offset)
     if len(tokens) == 1 and tokens[0][0] in ("0", "1"):

@@ -26,6 +26,16 @@ class TestBitVector:
 
     def test_from_bits(self):
         assert BitVector.from_bits([1, 0, 1]) == bv("101")
+        # a bit is an int, as the fields are: a bool or a float is refused,
+        # not read as 0/1 or left to fail in the packing
+        for bits in ([True, False], [0, False], [1.0], [1, 0.0], ["1"], [2]):
+            with pytest.raises(ValueError):
+                BitVector.from_bits(bits)
+
+        class Bit(int):
+            pass
+
+        assert BitVector.from_bits([Bit(1), Bit(0)]) == bv("10")
 
     def test_width_zero(self):
         v = BitVector(0, 0)

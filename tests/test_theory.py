@@ -1,3 +1,7 @@
+import copy
+import dataclasses
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -54,8 +58,12 @@ class TestEvalMonomial:
         assert not eval_monomial(m, BitVector.from_string("100"))
 
     def test_width_mismatch(self):
-        with pytest.raises(ValueError):
-            eval_monomial(Monomial.of(3), BitVector(2, 0))
+        # the largest index decides, whatever order the set iterates in
+        for m in (Monomial.of(3), Monomial.of(3, 0, 1), Monomial.of(1, 3)):
+            for width in (2, 3):
+                with pytest.raises(ValueError, match=f"uses x4 but vector has width {width}"):
+                    eval_monomial(m, BitVector(width, 0))
+            assert eval_monomial(m, BitVector.all_ones(4))
 
 
 class TestEquationNormalization:
@@ -285,3 +293,107 @@ def test_equation_format_parse_identity(eqs):
 @settings(max_examples=200)
 def test_clause_format_parse_identity(cls):
     assert parse_clauses(format_clauses(cls)) == cls
+
+
+# each object derives its sorted indices, sort key and largest index once,
+# at construction; these references derive them from the fields alone
+
+def monomial_reference(m):
+    if m.is_zero:
+        return (0, 0, ()), -1, "0"
+    indices = tuple(sorted(m.vars))
+    text = " ".join(f"x{i + 1}" for i in indices) if indices else "1"
+    return (1, len(indices), indices), max(indices, default=-1), text
+
+
+def equation_reference(e):
+    (lhs_key, lhs_max, lhs_text), (rhs_key, rhs_max, rhs_text) = (
+        monomial_reference(e.lhs), monomial_reference(e.rhs))
+    assert lhs_key < rhs_key
+    return (lhs_key, rhs_key), max(lhs_max, rhs_max), f"{lhs_text} = {rhs_text}"
+
+
+def clause_reference(c):
+    body = tuple(sorted(c.body))
+    head_key = (1, 0) if c.head is None else (0, c.head)
+    indices = set(body) | ({c.head} if c.head is not None else set())
+    text = " & ".join(f"x{i + 1}" for i in body)
+    head = "false" if c.head is None else f"x{c.head + 1}"
+    return ((len(body), body, head_key), max(indices, default=-1),
+            f"{text} -> {head}" if text else f"-> {head}")
+
+
+def reference(obj):
+    return {Monomial: monomial_reference, BinomialEquation: equation_reference,
+            HornClause: clause_reference}[type(obj)](obj)
+
+
+def derived(obj):
+    return obj.sort_key(), obj.max_index(), str(obj)
+
+
+wide_monomials = st.one_of(
+    st.just(Monomial.zero()),
+    st.sets(st.integers(0, 40), max_size=6).map(Monomial),
+)
+wide_equations = st.tuples(wide_monomials, wide_monomials).filter(
+    lambda p: p[0] != p[1]).map(lambda p: BinomialEquation(*p))
+wide_clauses = st.tuples(st.sets(st.integers(0, 40), max_size=6),
+                         st.one_of(st.none(), st.integers(0, 40))).filter(
+    lambda p: p[1] is None or p[1] not in p[0]).map(lambda p: HornClause(*p))
+theory_objects = st.one_of(wide_monomials, wide_equations, wide_clauses)
+
+
+@given(theory_objects)
+@settings(max_examples=300)
+def test_stored_data_matches_the_fields(obj):
+    assert derived(obj) == reference(obj)
+    assert obj.sort_key() is obj.sort_key()  # read, not rebuilt per call
+
+
+@given(theory_objects)
+@settings(max_examples=200)
+def test_stored_data_survives_copies(obj):
+    for other in (dataclasses.replace(obj), copy.copy(obj), copy.deepcopy(obj),
+                  pickle.loads(pickle.dumps(obj))):
+        assert other == obj and hash(other) == hash(obj)
+        assert derived(other) == derived(obj)
+
+
+@given(wide_monomials, st.sets(st.integers(0, 40), max_size=6))
+@settings(max_examples=200)
+def test_replace_derives_afresh(m, indices):
+    # replace goes through the constructor, so nothing derived is stale
+    other = dataclasses.replace(Monomial.one(), vars=indices)
+    assert derived(other) == monomial_reference(other)
+    clause = dataclasses.replace(HornClause({41}, None), body=indices)
+    assert derived(clause) == clause_reference(clause)
+    if m != other:
+        # replacing a side re-orients the equation and its key
+        e = dataclasses.replace(BinomialEquation(m, Monomial.of(41)), rhs=other)
+        assert derived(e) == equation_reference(e)
+
+
+class TestPinnedIdentity:
+    """repr, == and hash come from the dataclass fields only."""
+
+    def test_repr(self):
+        assert repr(Monomial.of(2, 0)) == "Monomial(vars=frozenset({0, 2}), is_zero=False)"
+        assert repr(Monomial.zero()) == "Monomial(vars=frozenset(), is_zero=True)"
+        assert repr(eq(Monomial.of(0, 1), Monomial.of(0))) == (
+            "BinomialEquation(lhs=Monomial(vars=frozenset({0}), is_zero=False), "
+            "rhs=Monomial(vars=frozenset({0, 1}), is_zero=False))")
+        assert repr(HornClause({1, 0}, None)) == "HornClause(body=frozenset({0, 1}), head=None)"
+
+    def test_eq_and_hash(self):
+        m = Monomial.of(2, 0)
+        assert m == Monomial(frozenset({0, 2}), False) and m != Monomial.of(0)
+        assert hash(m) == hash((frozenset({0, 2}), False))
+        e = eq(Monomial.of(0, 1), Monomial.of(0))
+        assert hash(e) == hash((Monomial.of(0), Monomial.of(0, 1)))
+        c = HornClause({0, 1}, 2)
+        assert c == HornClause(frozenset({0, 1}), 2) and c != HornClause({0, 1}, None)
+        assert hash(c) == hash((frozenset({0, 1}), 2))
+        assert [f.name for f in dataclasses.fields(BinomialEquation)] == ["lhs", "rhs"]
+        assert [f.name for f in dataclasses.fields(HornClause)] == ["body", "head"]
+        assert [f.name for f in dataclasses.fields(Monomial)] == ["vars", "is_zero"]
