@@ -32,8 +32,6 @@ EXIT_EXTERNAL = 4
 
 VARIANT_NAMES = [v.value for v in VARIANTS]
 
-THREADS_HELP = "must be >= 1; every count runs in one process"
-
 
 def _budget(value: float) -> Optional[float]:
     """A budget of 0 or less means no budget; NaN goes on to the library,
@@ -186,14 +184,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if run.passed else EXIT_MISMATCH
 
 
-def _add_common(parser: argparse.ArgumentParser, *, n_required: bool = True) -> None:
-    parser.add_argument("--n", type=int, required=n_required,
-                        help="number of propositional variables")
-    parser.add_argument("--variant", choices=VARIANT_NAMES, required=True,
-                        help="which constant conventions the theories may use")
-    parser.add_argument("--json", action="store_true", help="machine-readable output")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hornenum",
@@ -201,12 +191,24 @@ def build_parser() -> argparse.ArgumentParser:
                     "meet-closed vector families and exact model counting.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_count = sub.add_parser("count", help="count one variant at one width")
-    _add_common(p_count)
+    # the flags that several subcommands share, each declared once
+    as_json = argparse.ArgumentParser(add_help=False)
+    as_json.add_argument("--json", action="store_true", help="machine-readable output")
+    width = argparse.ArgumentParser(add_help=False)
+    width.add_argument("--n", type=int, required=True, help="number of propositional variables")
+    width.add_argument("--variant", choices=VARIANT_NAMES, required=True,
+                       help="which constant conventions the theories may use")
+    budget = argparse.ArgumentParser(add_help=False)
+    budget.add_argument("--threads", type=int, default=1,
+                        help="must be >= 1; every count runs in one process")
+    budget.add_argument("--budget-seconds", type=float, default=DEFAULT_BUDGET_SECONDS,
+                        help="wall-clock budget for the whole run; 0 disables")
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default=None, help="output path (default stdout)")
+
+    p_count = sub.add_parser("count", parents=[width, as_json, budget],
+                             help="count one variant at one width")
     p_count.add_argument("--method", choices=list(METHODS), default="dpll")
-    p_count.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
-    p_count.add_argument("--budget-seconds", type=float, default=DEFAULT_BUDGET_SECONDS,
-                         help="wall-clock budget; 0 disables")
     p_count.add_argument("--external-cmd", default=None,
                          help="external counter template, {file} = DIMACS path "
                               f"(default ${EXTERNAL_CMD_ENV})")
@@ -214,35 +216,28 @@ def build_parser() -> argparse.ArgumentParser:
                          help="regex locating the count in external output")
     p_count.set_defaults(func=cmd_count)
 
-    p_encode = sub.add_parser("encode", help="emit the CNF instance as DIMACS")
-    _add_common(p_encode)
-    p_encode.add_argument("--out", default=None, help="output path (default stdout)")
+    p_encode = sub.add_parser("encode", parents=[width, as_json, out],
+                              help="emit the CNF instance as DIMACS")
     p_encode.set_defaults(func=cmd_encode)
 
-    p_translate = sub.add_parser("translate",
+    p_translate = sub.add_parser("translate", parents=[out, as_json],
                                  help="translate equations to clauses or back")
     p_translate.add_argument("direction", choices=["to-clauses", "to-equations"])
     p_translate.add_argument("input", help="input file")
-    p_translate.add_argument("--out", default=None, help="output path (default stdout)")
     p_translate.add_argument("--verify", action="store_true",
                              help="check that model sets are preserved (needs --n)")
     p_translate.add_argument("--n", type=int, default=None)
-    p_translate.add_argument("--json", action="store_true")
     p_translate.set_defaults(func=cmd_translate)
 
-    p_check = sub.add_parser("check", help="closure report for a family file")
+    p_check = sub.add_parser("check", parents=[as_json], help="closure report for a family file")
     p_check.add_argument("family_file")
-    p_check.add_argument("--json", action="store_true")
     p_check.set_defaults(func=cmd_check)
 
-    p_verify = sub.add_parser("verify", help="run the cross-validation matrix")
+    p_verify = sub.add_parser("verify", parents=[budget, as_json],
+                              help="run the cross-validation matrix")
     p_verify.add_argument("--n-max", type=int, default=4)
-    p_verify.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
-    p_verify.add_argument("--budget-seconds", type=float, default=DEFAULT_BUDGET_SECONDS,
-                          help="wall-clock budget for the whole run; 0 disables")
     p_verify.add_argument("--skip-orbits", action="store_true",
                           help="skip the isomorphism census")
-    p_verify.add_argument("--json", action="store_true")
     p_verify.set_defaults(func=cmd_verify)
 
     return parser

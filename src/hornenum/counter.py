@@ -83,7 +83,7 @@ from typing import Optional, Sequence, Union
 
 from .encoder import CnfInstance, emit_dimacs, encode, endpoint_units
 from .errors import ExternalToolError, ResourceLimitError
-from .families import Variant
+from .families import Variant, _check_width
 from .identities import derive_count
 
 #: Default wall-clock budget per count, seconds.
@@ -825,8 +825,7 @@ def count_models(instance: Union[CnfInstance, Clauses], num_vars: Optional[int] 
         clauses, num_vars = instance.clauses, instance.predicate_count
     if num_vars is None:
         raise ValueError("num_vars is required for raw clause lists")
-    if num_vars < 0:
-        raise ValueError("variable count must be nonnegative")
+    _check_width(num_vars, name="num_vars")
     deadline = _deadline(threads, budget_seconds)
     prepared = preprocess(clauses, num_vars)
     _check_deadline(deadline, CounterStats())
@@ -916,8 +915,7 @@ def count_variant(n: int, variant: Variant, method: str = "dpll", *,
     timeout.  All four must agree wherever more than one applies.
     """
     variant = Variant.from_name(variant)
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
+    _check_width(n)
     start = time.monotonic()
     deadline = _deadline(threads, budget_seconds, start)
     if method == "identity-derived":

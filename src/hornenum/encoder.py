@@ -17,8 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .errors import ResourceLimitError
-from .families import BitVector, Variant
+from .families import BitVector, Variant, _check_width
 
 #: Widest n encoded; 2^n predicates and ~4^n/2 pair probes.
 ENCODE_CAP = 6
@@ -54,6 +53,7 @@ def predicate_id(mu: BitVector) -> int:
 
 def vector_of(pid: int, n: int) -> BitVector:
     """Inverse of predicate_id for width n."""
+    _check_width(n)
     if not 1 <= pid <= (1 << n):
         raise ValueError(f"predicate id {pid} out of range [1, {1 << n}] for n={n}")
     return BitVector(n, pid - 1)
@@ -67,10 +67,7 @@ def encode(n: int, variant: Variant) -> CnfInstance:
     and/or all-zeros predicate as the variant requires; at n = 0 the two
     endpoints coincide and the unit is emitted once.
     """
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
-    if n > ENCODE_CAP:
-        raise ResourceLimitError(f"encoding cap is n <= {ENCODE_CAP}, got {n}")
+    _check_width(n, ENCODE_CAP, "encoding")
     variant = Variant.from_name(variant)
     size = 1 << n
     units = tuple((pid,) for pid in endpoint_units(n, variant))

@@ -13,9 +13,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator, Optional, Union
 
-from .errors import ParseError
+from .errors import ParseError, ResourceLimitError
 
 #: Hard cap on vector width for family-level work.  Packed-int meets stay
 #: cheap only while a vector fits one machine word.
@@ -59,9 +59,23 @@ VARIANTS = (Variant.H, Variant.H0, Variant.H1, Variant.H01)
 def _is_int(x) -> bool:
     """Whether x is an int and not a bool.  A float, a numeric string and
     a bool would all pass through int() silently, so the type is tested;
-    an int subclass other than bool passes.  Callers test `type(x) is
-    int` first, the common case."""
+    an int subclass other than bool passes.  Callers on a hot path test
+    `type(x) is int` first, the common case."""
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _check_width(n, cap: Optional[int] = None, what: str = "", name: str = "n") -> None:
+    """The width rule of every public entry point that takes a number of
+    variables: n must be an int and not a bool (else ValueError, naming
+    the value) and at least 0 (else ValueError), and if the caller gives
+    its cap, at most that (else ResourceLimitError, naming `what` the cap
+    bounds)."""
+    if type(n) is not int and not _is_int(n):
+        raise ValueError(f"{name} must be an int, got {n!r}")
+    if n < 0:
+        raise ValueError(f"{name} must be nonnegative, got {n}")
+    if cap is not None and n > cap:
+        raise ResourceLimitError(f"{what} cap is {name} <= {cap}, got {n}")
 
 
 @dataclass(frozen=True)

@@ -36,14 +36,13 @@ import itertools
 import struct
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from math import factorial
 from operator import and_
 from typing import Iterator, Sequence
 
-from .errors import ResourceLimitError
-from .families import VARIANTS, Variant, VectorFamily
+from .families import VARIANTS, Variant, VectorFamily, _check_width
 
 #: Widest n the oracle enumerates; n = 5 would pair the 4,960 closed
 #: masks of width 4 with each other, about 24.6M pairs at one AND each,
@@ -54,14 +53,6 @@ ORACLE_CAP = 4
 #: images under every map of a list into one int, one lane per map, and
 #: the struct that unpacks such an int's bytes into its lanes.
 Tables = tuple[tuple[tuple[int, ...], ...], struct.Struct]
-
-
-def _require_small(n: int) -> None:
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
-    if n > ORACLE_CAP:
-        raise ResourceLimitError(
-            f"exhaustive enumeration is capped at n <= {ORACLE_CAP}, got {n}")
 
 
 def _tables(images: Sequence[tuple[int, ...]], maps: int) -> Tables:
@@ -212,7 +203,7 @@ def brute_count(n: int, variant: Variant) -> int:
     """Number of families of the variant: the closed families of width n,
     every one visited, tallied by the variant's endpoint rule."""
     variant = Variant.from_name(variant)
-    _require_small(n)
+    _check_width(n, ORACLE_CAP, "exhaustive enumeration")
     return _variant_count(n, variant)
 
 
@@ -220,7 +211,7 @@ def enumerate_families(n: int, variant: Variant) -> Iterator[VectorFamily]:
     """The families brute_count counts, in ascending subset-mask order.
     The arguments are checked at the call, not at the first family."""
     variant = Variant.from_name(variant)
-    _require_small(n)
+    _check_width(n, ORACLE_CAP, "exhaustive enumeration")
     required = _required_bits(n, variant)
     return (VectorFamily(n, [v for v in range(1 << n) if mask >> v & 1])
             for mask in _closed_masks(n) if mask & required == required)
@@ -237,13 +228,8 @@ class OrbitSummary:
     orbit_sizes: tuple[int, ...]
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "variant": self.variant.value,
-            "labeled_count": self.labeled_count,
-            "orbit_count": self.orbit_count,
-            "orbit_sizes": list(self.orbit_sizes),
-        }
+        return {**asdict(self), "variant": self.variant.value,
+                "orbit_sizes": list(self.orbit_sizes)}
 
 
 def orbit_summary(n: int, variant: Variant) -> OrbitSummary:
@@ -257,7 +243,7 @@ def orbit_summary(n: int, variant: Variant) -> OrbitSummary:
     the endpoint tally, only if no permutation ever leaves the variant.
     """
     variant = Variant.from_name(variant)
-    _require_small(n)
+    _check_width(n, ORACLE_CAP, "exhaustive enumeration")
     required = _required_bits(n, variant)
     sizes = [size for first, size in _orbits(n) if first & required == required]
     return OrbitSummary(n, variant, _variant_count(n, variant), len(sizes),

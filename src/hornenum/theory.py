@@ -22,8 +22,8 @@ import re
 from dataclasses import dataclass
 from typing import Callable, FrozenSet, Iterable, Iterator, Optional, Union
 
-from .errors import ParseError, ResourceLimitError
-from .families import BitVector, VectorFamily
+from .errors import ParseError
+from .families import BitVector, VectorFamily, _check_width
 
 #: Largest n for which model sets are enumerated brute force (2^n points).
 MODEL_ENUM_CAP = 16
@@ -232,10 +232,7 @@ def models(constraints: Iterable[Constraint], n: int) -> VectorFamily:
     because the loop is 2^n evaluations.
     """
     constraints = list(constraints)
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
-    if n > MODEL_ENUM_CAP:
-        raise ResourceLimitError(f"model enumeration is capped at n <= {MODEL_ENUM_CAP}, got {n}")
+    _check_width(n, MODEL_ENUM_CAP, "model enumeration")
     for c in constraints:
         if c.max_index() >= n:
             raise ValueError(f"constraint {c} uses x{c.max_index() + 1} but n = {n}")

@@ -27,7 +27,7 @@ from typing import Callable, Optional
 from .counter import (DEFAULT_BUDGET_SECONDS, CountReport, _deadline,  # noqa: F401
                       count_variant, count_width)
 from .errors import ResourceLimitError
-from .families import VARIANTS, Variant
+from .families import VARIANTS, Variant, _check_width, _is_int
 from .identities import binomial_sum, derive_count, doubling
 from .oracle import ORACLE_CAP, brute_count, orbit_summary
 
@@ -51,10 +51,11 @@ VERIFY_DPLL_CAP = 5
 def reference_count(variant: Variant, n: int) -> Optional[int]:
     """Published reference value, derived by the identities for h0 and
     h01 (h0(0) = 1 is the counted value, which no doubling gives); None
-    if unknown."""
+    for an int n outside the table, and a ValueError for any other n."""
     variant = Variant.from_name(variant)
-    if not 0 <= n < len(REFERENCE_H):
+    if _is_int(n) and not 0 <= n < len(REFERENCE_H):
         return None
+    _check_width(n)
     published = {Variant.H: REFERENCE_H, Variant.H1: REFERENCE_H1}
     if variant in published:
         return published[variant][n]
@@ -118,8 +119,8 @@ def verify_matrix(n_max: int, *, threads: int = 1,
                   budget_seconds: Optional[float] = DEFAULT_BUDGET_SECONDS,
                   include_nonisomorphic: bool = True,
                   progress: Optional[Callable[[CheckResult], None]] = None) -> VerifyRun:
-    """Run every agreement check available up to n_max, which must lie
-    in 0..VERIFY_DPLL_CAP; any other n_max, threads below 1 or a NaN
+    """Run every agreement check available up to n_max, which must be an
+    int in 0..VERIFY_DPLL_CAP; any other n_max, threads below 1 or a NaN
     budget raises ValueError before a check runs.
 
     Checks, each computed from independent sides: oracle vs dpll for all
@@ -138,9 +139,9 @@ def verify_matrix(n_max: int, *, threads: int = 1,
     check that starts after the deadline, or by the end of a run that
     overran in its last check.
     """
-    if not 0 <= n_max <= VERIFY_DPLL_CAP:
-        raise ValueError(f"n_max must be between 0 and the verify cap "
-                         f"{VERIFY_DPLL_CAP}, got {n_max}")
+    if not (_is_int(n_max) and 0 <= n_max <= VERIFY_DPLL_CAP):
+        raise ValueError(f"n_max must be an int between 0 and the verify cap "
+                         f"{VERIFY_DPLL_CAP}, got {n_max!r}")
     run = VerifyRun(n_max)
     deadline = _deadline(threads, budget_seconds, time.monotonic())
 

@@ -1,8 +1,13 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hornenum.errors import ParseError
+from hornenum import (brute_count, canonical_form, count_models, count_variant, count_width,
+                      encode, enumerate_families, models, nonisomorphic_count, orbit_summary,
+                      reference_count, variant_counts, vector_of, verify_matrix)
+from hornenum.errors import ParseError, ResourceLimitError
 from hornenum.families import (MAX_WIDTH, BitVector, Variant, VectorFamily,
                                is_meet_closed, meet, meet_closure, variant_member)
 
@@ -279,3 +284,46 @@ def test_closed_families_are_exactly_model_sets(width):
             assert model_set == fam
         else:
             assert model_set != fam
+
+
+# Every public entry point that takes a number of variables, with the
+# first width above its cap and the error that width raises, or None
+# where the entry point has no cap of its own.
+WIDTH_ENTRY_POINTS = {
+    "encode": (lambda n: encode(n, "h"), 7, ResourceLimitError),
+    "vector_of": (lambda n: vector_of(1, n), None, None),
+    "count_width": (count_width, 7, ResourceLimitError),
+    "count_variant dpll": (lambda n: count_variant(n, "h", "dpll"), 7, ResourceLimitError),
+    "count_variant identity": (lambda n: count_variant(n, "h1", "identity"), None, None),
+    "count_variant bruteforce": (lambda n: count_variant(n, "h", "bruteforce"),
+                                 5, ResourceLimitError),
+    "count_models": (lambda n: count_models([(1,)], n), None, None),
+    "brute_count": (lambda n: brute_count(n, "h"), 5, ResourceLimitError),
+    "enumerate_families": (lambda n: enumerate_families(n, "h"), 5, ResourceLimitError),
+    "orbit_summary": (lambda n: orbit_summary(n, "h"), 5, ResourceLimitError),
+    "nonisomorphic_count": (lambda n: nonisomorphic_count(n, "h"), 5, ResourceLimitError),
+    "variant_counts": (variant_counts, 5, ResourceLimitError),
+    "models": (lambda n: models([], n), 17, ResourceLimitError),
+    "canonical_form": (lambda n: canonical_form([], n), 17, ResourceLimitError),
+    "verify_matrix": (verify_matrix, 6, ValueError),
+    "reference_count": (lambda n: reference_count("h", n), None, None),
+}
+
+
+@pytest.mark.parametrize("entry", WIDTH_ENTRY_POINTS)
+def test_every_width_follows_one_rule(entry):
+    call, above_cap, error = WIDTH_ENTRY_POINTS[entry]
+    # a bool, a float or a numeric string is refused by name, not read as
+    # an int or left to fail deeper with a TypeError
+    for n in (True, 2.0, "3"):
+        with pytest.raises(ValueError, match=re.escape(repr(n))):
+            call(n)
+    if entry == "reference_count":
+        assert call(-1) is None
+    else:
+        message = "verify cap 5" if entry == "verify_matrix" else "must be nonnegative"
+        with pytest.raises(ValueError, match=message):
+            call(-1)
+    if above_cap is not None:
+        with pytest.raises(error):
+            call(above_cap)
