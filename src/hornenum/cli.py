@@ -73,6 +73,8 @@ def cmd_count(args: argparse.Namespace) -> int:
 def cmd_encode(args: argparse.Namespace) -> int:
     instance = encode(args.n, Variant.from_name(args.variant))
     text = emit_dimacs(instance)
+    if args.out or not args.json:
+        _write_out(text, args.out)
     if args.json:
         payload = {
             "command": "encode",
@@ -82,13 +84,9 @@ def cmd_encode(args: argparse.Namespace) -> int:
             "clauses": instance.clause_count,
             "out": args.out,
         }
-        if args.out:
-            _write_out(text, args.out)
-        else:
+        if not args.out:
             payload["dimacs"] = text
         _emit_json(payload)
-    else:
-        _write_out(text, args.out)
     return EXIT_OK
 
 
@@ -110,6 +108,9 @@ def cmd_translate(args: argparse.Namespace) -> int:
             raise ValueError("--verify needs --n to fix the variable count")
         match = (theory.models(parsed_in, args.n) == theory.models(translated, args.n))
 
+    # the file is written before any output, so a failed write prints nothing
+    if args.out or not args.json:
+        _write_out(rendered, args.out)
     if args.json:
         _emit_json({
             "command": "translate",
@@ -121,13 +122,9 @@ def cmd_translate(args: argparse.Namespace) -> int:
             "models_match": match,
             "output": None if args.out else rendered,
         })
-        if args.out:
-            _write_out(rendered, args.out)
-    else:
-        _write_out(rendered, args.out)
-        if match is not None:
-            print(f"model sets {'match' if match else 'DIFFER'} at n={args.n}",
-                  file=sys.stderr if args.out is None else sys.stdout)
+    elif match is not None:
+        print(f"model sets {'match' if match else 'DIFFER'} at n={args.n}",
+              file=sys.stderr if args.out is None else sys.stdout)
     if match is False:
         return EXIT_MISMATCH
     return EXIT_OK

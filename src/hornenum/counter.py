@@ -83,7 +83,7 @@ from typing import Optional, Sequence, Union
 
 from .encoder import CnfInstance, emit_dimacs, encode, endpoint_units
 from .errors import ExternalToolError, ResourceLimitError
-from .families import Variant, _check_width
+from .families import Variant, _check_width, _is_int
 from .identities import derive_count
 
 #: Default wall-clock budget per count, seconds.
@@ -170,7 +170,7 @@ class CounterStats:
             setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
 
     def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -754,9 +754,10 @@ def _deadline(threads: int, budget_seconds: Optional[float],
               now: Optional[float] = None) -> Optional[float]:
     """The deadline of a run that starts at now (by default, this
     module's clock now), after checking its threads and budget: threads
-    below 1, and a NaN budget, which no clock reading ever passes, are a
-    ValueError.  A budget of None means no deadline."""
-    if threads < 1:
+    that are not an int (a bool is not one) or below 1, and a NaN budget,
+    which no clock reading ever passes, are a ValueError.  A budget of
+    None means no deadline."""
+    if not _is_int(threads) or threads < 1:
         raise ValueError("threads must be >= 1")
     if budget_seconds is None:
         return None

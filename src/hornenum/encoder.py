@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .families import BitVector, Variant, _check_width
+from .families import BitVector, Variant, _check_width, _is_int
 
 #: Widest n encoded; 2^n predicates and ~4^n/2 pair probes.
 ENCODE_CAP = 6
@@ -52,10 +52,11 @@ def predicate_id(mu: BitVector) -> int:
 
 
 def vector_of(pid: int, n: int) -> BitVector:
-    """Inverse of predicate_id for width n."""
+    """Inverse of predicate_id for width n; a pid that is not an int (a
+    bool is not one) is out of range."""
     _check_width(n)
-    if not 1 <= pid <= (1 << n):
-        raise ValueError(f"predicate id {pid} out of range [1, {1 << n}] for n={n}")
+    if not _is_int(pid) or not 1 <= pid <= (1 << n):
+        raise ValueError(f"predicate id {pid!r} out of range [1, {1 << n}] for n={n}")
     return BitVector(n, pid - 1)
 
 
@@ -83,16 +84,10 @@ def encode(n: int, variant: Variant) -> CnfInstance:
 
 
 def endpoint_units(n: int, variant: Variant) -> tuple[int, ...]:
-    """The predicate ids that a variant's unit clauses pin true: the
-    all-ones vector's, then the all-zeros vector's, as the variant
-    requires; at n = 0 the two coincide and the id appears once."""
-    size = 1 << n
-    ids = []
-    if variant.requires_all_ones:
-        ids.append(size)
-    if variant.requires_all_zeros and 1 not in ids:
-        ids.append(1)
-    return tuple(ids)
+    """The predicate ids that a variant's unit clauses pin true: those of
+    Variant.required_vectors, in its order (all-ones, then all-zeros, one
+    id at n = 0, where the two coincide)."""
+    return tuple(v + 1 for v in variant.required_vectors(n))
 
 
 def emit_dimacs(instance: CnfInstance) -> str:

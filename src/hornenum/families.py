@@ -21,11 +21,16 @@ from .errors import ParseError, ResourceLimitError
 #: cheap only while a vector fits one machine word.
 MAX_WIDTH = 64
 
+#: Widest family VectorFamily.full builds; it lists all 2^width members.
+FULL_WIDTH_CAP = 16
+
 
 class Variant(Enum):
     """The four counting problems, named by which constants the source
     equation systems may use (h = neither, h0 = constant 0 allowed,
-    h1 = constant 1 allowed, h01 = both)."""
+    h1 = constant 1 allowed, h01 = both).  On the family side a variant
+    fixes which lattice endpoints every family contains; required_vectors
+    is the one place that rule is read."""
 
     H = "h"
     H0 = "h0"
@@ -41,6 +46,16 @@ class Variant(Enum):
     def requires_all_zeros(self) -> bool:
         """Families in this variant must contain the all-zeros vector."""
         return self in (Variant.H, Variant.H0)
+
+    def required_vectors(self, n: int) -> tuple[int, ...]:
+        """The values of the width-n vectors that every family of this
+        variant contains: the all-ones vector 2^n - 1 if it requires it,
+        then the all-zeros vector 0 if it requires that.  At n = 0 the two
+        coincide and the vector is listed once."""
+        vectors = ((1 << n) - 1,) if self.requires_all_ones else ()
+        if self.requires_all_zeros and 0 not in vectors:
+            vectors += (0,)
+        return vectors
 
     @classmethod
     def from_name(cls, name: Union[str, "Variant"]) -> "Variant":
@@ -76,6 +91,17 @@ def _check_width(n, cap: Optional[int] = None, what: str = "", name: str = "n") 
         raise ValueError(f"{name} must be nonnegative, got {n}")
     if cap is not None and n > cap:
         raise ResourceLimitError(f"{what} cap is {name} <= {cap}, got {n}")
+
+
+def _content_lines(text: str) -> Iterator[tuple[int, str]]:
+    """The line rule of every text format: each line is cut at its first
+    `#`, and each one that still holds something besides blanks is
+    yielded as (line number, the text before the `#`).  The text is not
+    stripped, so its columns are the file's."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0]
+        if line.strip():
+            yield lineno, line
 
 
 @dataclass(frozen=True)
@@ -191,10 +217,9 @@ class VectorFamily:
 
     @classmethod
     def full(cls, width: int) -> "VectorFamily":
-        """The family of all 2^width vectors (width capped at 16 to keep the
-        member list enumerable)."""
-        if width > 16:
-            raise ValueError(f"full family only supported up to width 16, got {width}")
+        """The family of all 2^width vectors; the width follows the width
+        rule, capped at FULL_WIDTH_CAP to keep the member list enumerable."""
+        _check_width(width, FULL_WIDTH_CAP, "full family", "width")
         return cls(width, range(1 << width))
 
     @classmethod
@@ -245,24 +270,25 @@ class VectorFamily:
 
     @classmethod
     def parse(cls, text: str, width: int | None = None) -> "VectorFamily":
-        """Parse the to_text format.  Blank lines and lines starting with
-        '#' are ignored; the width is taken from the first vector unless
-        given explicitly."""
+        """Parse the to_text format.  Blank lines are ignored and `#`
+        starts a comment, anywhere on a line; blanks around a vector are
+        ignored.  The width is taken from the first vector unless given
+        explicitly.  A ParseError gives the file column: an unexpected
+        character's own, a width mismatch the vector's first."""
         values = []
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            for col, ch in enumerate(line, start=1):
+        for lineno, line in _content_lines(text):
+            vector = line.strip()
+            start = len(line) - len(line.lstrip()) + 1
+            for col, ch in enumerate(vector, start=start):
                 if ch not in "01":
                     raise ParseError(f"unexpected character {ch!r} in vector", lineno, col)
             if width is None:
-                width = len(line)
-            elif len(line) != width:
+                width = len(vector)
+            elif len(vector) != width:
                 raise ParseError(
-                    f"vector has width {len(line)}, expected {width}", lineno, 1
+                    f"vector has width {len(vector)}, expected {width}", lineno, start
                 )
-            values.append(int(line, 2))
+            values.append(int(vector, 2))
         if width is None:
             raise ParseError("no vectors found", 1, 1)
         return cls(width, values)
@@ -298,11 +324,7 @@ def meet_closure(family: VectorFamily) -> VectorFamily:
 
 
 def variant_member(family: VectorFamily, variant: Variant) -> bool:
-    """Whether the family counts toward the given variant: it must be
-    meet-closed, and contain the all-ones and/or all-zeros vector as the
-    variant demands."""
-    if variant.requires_all_ones and (1 << family.width) - 1 not in family:
-        return False
-    if variant.requires_all_zeros and 0 not in family:
-        return False
-    return is_meet_closed(family)
+    """Whether the family counts toward the given variant: it must hold
+    each of the variant's required vectors, and be meet-closed."""
+    return (all(v in family for v in variant.required_vectors(family.width))
+            and is_meet_closed(family))

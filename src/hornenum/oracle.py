@@ -138,10 +138,10 @@ def _closed_masks(n: int) -> tuple[int, ...]:
 
 def _required_bits(n: int, variant: Variant) -> int:
     """The variant's endpoint rule as the mask bits its families must
-    hold: bit 0 for the all-zeros vector, bit 2^n - 1 for the all-ones
-    vector (one bit at n = 0, where the two coincide)."""
-    return ((1 if variant.requires_all_zeros else 0)
-            | (1 << ((1 << n) - 1) if variant.requires_all_ones else 0))
+    hold: bit v for each of Variant.required_vectors (bit 2^n - 1 for the
+    all-ones vector, bit 0 for the all-zeros one, one bit at n = 0).  The
+    vectors are distinct, so their sum is their OR."""
+    return sum(1 << v for v in variant.required_vectors(n))
 
 
 @lru_cache(maxsize=None)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Callable, FrozenSet, Iterable, Iterator, Optional, Union
 
 from .errors import ParseError
-from .families import BitVector, VectorFamily, _check_width
+from .families import BitVector, VectorFamily, _check_width, _content_lines
 
 #: Largest n for which model sets are enumerated brute force (2^n points).
 MODEL_ENUM_CAP = 16
@@ -253,12 +253,9 @@ def canonical_form(constraints: Iterable[Constraint], n: int) -> VectorFamily:
 
 def _lines(text: str, separator: str, what: str) -> Iterator[tuple[int, str, int, str]]:
     """The lines of a theory file that hold something once `#` comments are
-    cut, each as (line number, text before its one separator, the
-    separator's 0-based column, text after it)."""
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0]
-        if not line.strip():
-            continue
+    cut (families._content_lines), each as (line number, text before its
+    one separator, the separator's 0-based column, text after it)."""
+    for lineno, line in _content_lines(text):
         if line.count(separator) != 1:
             raise ParseError(f"expected exactly one {separator!r} per {what}", lineno, 1)
         at = line.index(separator)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import functools
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional
 
 # count_variant is no longer called here, but perfbench/workloads.py wraps
@@ -76,14 +76,13 @@ class CheckResult:
     elapsed: float = 0.0
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "expected": self.expected if isinstance(self.expected, (int, str, type(None))) else str(self.expected),
-            "actual": self.actual if isinstance(self.actual, (int, str, type(None))) else str(self.actual),
-            "warning": self.warning,
-            "elapsed": self.elapsed,
-        }
+        """The fields in order; a side that is not an int, a str or None
+        is given as its str."""
+        out = asdict(self)
+        for side in ("expected", "actual"):
+            if not isinstance(out[side], (int, str, type(None))):
+                out[side] = str(getattr(self, side))
+        return out
 
 
 @dataclass

@@ -223,6 +223,17 @@ class TestTranslate:
     def test_missing_file(self, capsys):
         assert main(["translate", "to-clauses", "/no/such/file"]) == 2
 
+    def test_json_out_that_cannot_be_written_prints_nothing(self, tmp_path, capsys):
+        # the file is written before the payload is printed, as encode does
+        source = tmp_path / "eqs.txt"
+        source.write_text("x1 = x2\n")
+        target = tmp_path / "missing" / "x.horn"
+        assert main(["translate", "to-clauses", str(source), "--json",
+                     "--out", str(target)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error:" in captured.err
+
 
 class TestCheck:
     def test_closed_family(self, tmp_path, capsys):
@@ -254,6 +265,14 @@ class TestCheck:
         assert payload["variants"]["h1"] is True
         assert payload["variants"]["h"] is False
         assert payload["closure"] is None
+
+    def test_comments_and_indents_anywhere(self, tmp_path, capsys):
+        source = tmp_path / "family.txt"
+        source.write_text("00  # bottom\n  01\n11\n")
+        assert main(["check", str(source), "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["size"] == 3
+        assert payload["meet_closed"] is True
 
     def test_ragged_widths_is_usage_error(self, tmp_path, capsys):
         source = tmp_path / "family.txt"

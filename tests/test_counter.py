@@ -971,7 +971,8 @@ class TestCountVariant:
 
     @pytest.mark.parametrize("method", ["dpll", "bruteforce", "identity", "external"])
     def test_bad_threads_rejected(self, method):
-        for threads in (0, -1):
+        # a bool or a float is not a thread count, though it compares as one
+        for threads in (0, -1, True, 1.5):
             with pytest.raises(ValueError, match="threads must be >= 1"):
                 count_variant(2, Variant.H, method, threads=threads, external_cmd=STUB_CMD)
 
@@ -1085,7 +1086,7 @@ class TestCountWidth:
             raise AssertionError("encoded before threads was checked")
 
         monkeypatch.setattr(counter_module, "encode", no_encode)
-        for threads in (0, -1):
+        for threads in (0, -1, True, 1.5):
             with pytest.raises(ValueError, match="threads must be >= 1"):
                 count_width(3, threads=threads)
 

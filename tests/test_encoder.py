@@ -123,6 +123,12 @@ class TestPredicateIds:
         with pytest.raises(ValueError):
             vector_of(5, 2)
 
+    def test_pid_must_be_an_int(self):
+        # True compares equal to 1, and 1.0 lies in [1, 2]; neither is an id
+        for pid in (True, 1.0, "1"):
+            with pytest.raises(ValueError, match="out of range"):
+                vector_of(pid, 1)
+
 
 class TestDimacs:
     def test_n2_h01_text(self):

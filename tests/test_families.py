@@ -1,3 +1,4 @@
+import itertools
 import re
 
 import pytest
@@ -7,8 +8,9 @@ from hypothesis import strategies as st
 from hornenum import (brute_count, canonical_form, count_models, count_variant, count_width,
                       encode, enumerate_families, models, nonisomorphic_count, orbit_summary,
                       reference_count, variant_counts, vector_of, verify_matrix)
+from hornenum import oracle
 from hornenum.errors import ParseError, ResourceLimitError
-from hornenum.families import (MAX_WIDTH, BitVector, Variant, VectorFamily,
+from hornenum.families import (MAX_WIDTH, VARIANTS, BitVector, Variant, VectorFamily,
                                is_meet_closed, meet, meet_closure, variant_member)
 
 
@@ -162,6 +164,23 @@ class TestVectorFamily:
             VectorFamily.parse("01\n011\n")
         assert err.value.line == 2
 
+    def test_parse_trailing_comment(self):
+        # `#` starts a comment anywhere, as in equation and clause files
+        assert VectorFamily.parse("01  # note\n10#x\n").values == (1, 2)
+
+    def test_parse_error_gives_the_file_column(self):
+        with pytest.raises(ParseError) as err:
+            VectorFamily.parse("  0x1")
+        assert (err.value.line, err.value.column) == (1, 4)
+        with pytest.raises(ParseError) as err:
+            VectorFamily.parse("01\n\t 10 2 # note\n")
+        assert (err.value.line, err.value.column) == (2, 5)
+
+    def test_parse_width_mismatch_points_at_the_vector(self):
+        with pytest.raises(ParseError, match="width 3, expected 2") as err:
+            VectorFamily.parse("01\n   011  # three\n")
+        assert (err.value.line, err.value.column) == (2, 4)
+
     def test_parse_empty_input(self):
         with pytest.raises(ParseError):
             VectorFamily.parse("# nothing\n")
@@ -245,6 +264,30 @@ class TestVariantMember:
                 Variant.from_name(name)
 
 
+# The endpoint rule stated independently of Variant.required_vectors: which
+# of the all-ones and all-zeros vectors each variant's families contain.
+ENDPOINTS = {Variant.H: ("ones", "zeros"), Variant.H0: ("zeros",),
+             Variant.H1: ("ones",), Variant.H01: ()}
+
+
+@pytest.mark.parametrize("variant", VARIANTS, ids=lambda v: v.value)
+@pytest.mark.parametrize("n", range(7))
+def test_every_reader_of_the_endpoint_rule_agrees(n, variant):
+    named = {"ones": (1 << n) - 1, "zeros": 0}
+    required = list(dict.fromkeys(named[e] for e in ENDPOINTS[variant]))
+    if n == 0:
+        assert len(required) == (1 if ENDPOINTS[variant] else 0)
+    assert variant.required_vectors(n) == tuple(required)
+    assert encode(n, variant).unit_clauses == tuple((v + 1,) for v in required)
+    assert oracle._required_bits(n, variant) == sum(1 << v for v in required)
+    # each family of endpoints alone is meet-closed, so membership is the
+    # endpoint rule alone
+    for held in itertools.product((False, True), repeat=2):
+        members = [v for v, keep in zip(named.values(), held) if keep]
+        fam = VectorFamily(n, members)
+        assert variant_member(fam, variant) == all(v in members for v in required)
+
+
 def axiomatize(fam):
     """Clauses whose models are exactly the (meet-closed) family: for each
     variable subset S, either rule out S (no member extends it) or force
@@ -307,6 +350,7 @@ WIDTH_ENTRY_POINTS = {
     "canonical_form": (lambda n: canonical_form([], n), 17, ResourceLimitError),
     "verify_matrix": (verify_matrix, 6, ValueError),
     "reference_count": (lambda n: reference_count("h", n), None, None),
+    "VectorFamily.full": (VectorFamily.full, 17, ResourceLimitError),
 }
 
 

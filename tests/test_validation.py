@@ -159,3 +159,7 @@ class TestCheckResult:
         assert payload == {"name": "x", "passed": False, "expected": 1,
                            "actual": 2, "warning": False,
                            "elapsed": check.elapsed}
+        assert list(payload) == ["name", "passed", "expected", "actual", "warning", "elapsed"]
+        # a side that is not an int, a str or None is given as its str
+        payload = CheckResult("y", True, (1, 2), None).to_dict()
+        assert (payload["expected"], payload["actual"]) == ("(1, 2)", None)
