@@ -1,5 +1,9 @@
+import functools
 import itertools
+import operator
+import random
 import re
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -189,6 +193,15 @@ class TestVectorFamily:
         with pytest.raises(ValueError):
             VectorFamily(0, [0]).to_text()
 
+    def test_repr_shows_the_empty_vector(self):
+        # at width 0 the one vector is shown as BitVector shows it, so the
+        # family holding it differs from the empty family
+        assert repr(VectorFamily(0, [0])) == "VectorFamily(width=0, {<empty>})"
+        assert repr(VectorFamily(0, [])) == "VectorFamily(width=0, {})"
+        assert repr(VectorFamily(2, [2, 1])) == "VectorFamily(width=2, {01, 10})"
+        assert repr(VectorFamily(4, range(9))) == (
+            "VectorFamily(width=4, {0000, 0001, 0010, 0011, 0100, 0101, 0110, 0111, ...})")
+
     def test_equality_and_hash(self):
         a = VectorFamily(2, [1, 2])
         b = VectorFamily(2, [2, 1])
@@ -231,6 +244,32 @@ class TestClosure:
         assert len(closed) >= len(fam)
         assert set(fam.values) <= set(closed.values)
         assert meet_closure(closed) == closed
+        assert_meets_of_inputs(closed, fam)
+
+    def test_wide_closure_scales_with_its_size(self):
+        # 24 random width-64 vectors close to thousands of members; the
+        # closure is built and checked in about (members x closure) steps,
+        # without the pairwise is_meet_closed over the result
+        rng = random.Random(24)
+        fam = VectorFamily(64, [rng.getrandbits(64) for _ in range(24)])
+        start = time.perf_counter()
+        closed = meet_closure(fam)
+        assert time.perf_counter() - start <= 2.0
+        assert len(closed) > 1000
+        present = set(closed.values)
+        assert present >= set(fam.values)
+        assert all(g & u in present for g in fam.values for u in closed.values)
+        # with each member a meet of inputs, the line above makes the result
+        # closed: u & v is u met with the inputs of v one at a time
+        assert_meets_of_inputs(closed, fam)
+
+
+def assert_meets_of_inputs(closed, fam):
+    """Every member u of the closure is the AND of the input members that
+    contain u, so it is a meet of inputs and the closure is the least."""
+    for u in closed.values:
+        above = [g for g in fam.values if g & u == u]
+        assert above and functools.reduce(operator.and_, above) == u
 
 
 class TestVariantMember:
