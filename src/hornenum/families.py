@@ -311,9 +311,9 @@ def meet_closure(family: VectorFamily) -> VectorFamily:
     """Smallest meet-closed superset, built one member at a time.
 
     For a closed family C and a vector g, closure(C + {g}) is C, g and
-    every meet g & c with c in C: that set is closed, since a meet of two
-    of its members is a member of C, g, or g & (a meet of members of C),
-    and each of its members is a meet of members of C + {g}.  So one pass
+    every meet g & c with c in C: that set is closed, since the meet of two
+    of its members is in C, is g, or is g & c' for some c' in C, and each
+    of its members is a meet of members of C + {g}.  So one pass
     over the members costs about (members x closure size) set operations.
     """
     closed: set[int] = set()
