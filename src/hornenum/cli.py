@@ -130,6 +130,11 @@ def cmd_translate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _vectors(count: int) -> str:
+    """`count` vectors, as a phrase: "1 vector", "2 vectors"."""
+    return f"{count} vector{'s' if count != 1 else ''}"
+
+
 def cmd_check(args: argparse.Namespace) -> int:
     with open(args.family_file) as handle:
         family = VectorFamily.parse(handle.read())
@@ -147,14 +152,14 @@ def cmd_check(args: argparse.Namespace) -> int:
             "closure": None if closure is None else [str(v) for v in closure],
         })
     else:
-        print(f"{args.family_file}: width {family.width}, {len(family)} vectors")
+        print(f"{args.family_file}: width {family.width}, {_vectors(len(family))}")
         print(f"meet-closed: {'yes' if closed else 'no'}")
         print("variants: " + ", ".join(f"{name}={'yes' if ok else 'no'}"
                                        for name, ok in memberships.items()))
         if closure is not None:
-            added = len(closure) - len(family)
-            print(f"closure adds {added} vector{'s' if added != 1 else ''}:")
-            sys.stdout.write(closure.to_text())
+            added = [v for v in closure if v not in family]
+            print(f"closure adds {_vectors(len(added))}:")
+            print(*added, sep="\n")
     return EXIT_OK
 
 

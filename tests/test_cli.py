@@ -244,6 +244,9 @@ class TestCheck:
         assert "width 2, 3 vectors" in out
         assert "meet-closed: yes" in out
         assert "h=yes" in out
+        source.write_text("01\n01\n")
+        assert main(["check", str(source)]) == 0
+        assert "width 2, 1 vector\n" in capsys.readouterr().out
 
     def test_unclosed_family_prints_closure(self, tmp_path, capsys):
         source = tmp_path / "family.txt"
@@ -251,8 +254,9 @@ class TestCheck:
         assert main(["check", str(source)]) == 0
         out = capsys.readouterr().out
         assert "meet-closed: no" in out
-        assert "closure adds 1 vector:" in out
-        assert "00" in out
+        lines = out.splitlines()
+        header = lines.index("closure adds 1 vector:")
+        assert lines[header + 1:] == ["00"]
 
     def test_json(self, tmp_path, capsys):
         source = tmp_path / "family.txt"

@@ -246,10 +246,49 @@ class TestClosure:
         assert meet_closure(closed) == closed
         assert_meets_of_inputs(closed, fam)
 
+    @given(st.integers(0, MAX_WIDTH), st.lists(st.integers(0, (1 << MAX_WIDTH) - 1), max_size=8),
+           st.data())
+    @settings(max_examples=200)
+    def test_agrees_with_the_pairwise_scan(self, width, values, data):
+        fam = VectorFamily(width, [v & ((1 << width) - 1) for v in values])
+        closed = meet_closure(fam)
+        assert is_meet_closed(fam) == pairwise_is_meet_closed(fam)
+        assert is_meet_closed(closed) and pairwise_is_meet_closed(closed)
+        # one member short of a closure is often open, sometimes closed
+        dropped = data.draw(st.sampled_from(closed.values)) if len(closed) else None
+        short = VectorFamily(width, [v for v in closed.values if v != dropped])
+        assert is_meet_closed(short) == pairwise_is_meet_closed(short)
+
+    def test_full_family_at_the_cap_is_closed(self):
+        # 2^16 members, 2^31 pairs; only the top and its 16 coatoms are kept
+        fam = VectorFamily.full(16)
+        start = time.perf_counter()
+        assert is_meet_closed(fam)
+        assert time.perf_counter() - start <= 2.0
+
+    def test_wide_closed_family_costs_its_irreducible_members(self):
+        rng = random.Random(24)
+        closed = meet_closure(VectorFamily(64, [rng.getrandbits(64) for _ in range(24)]))
+        assert len(closed) == 15468
+        start = time.perf_counter()
+        assert is_meet_closed(closed)
+        assert time.perf_counter() - start <= 2.0
+        start = time.perf_counter()
+        assert meet_closure(closed) == closed
+        assert time.perf_counter() - start <= 2.0
+
+    def test_open_family_stops_at_its_first_missing_meet(self):
+        # the closure of these 64 vectors has 357,205 members and takes
+        # seconds to build; the answer must come before that
+        rng = random.Random(64)
+        fam = VectorFamily(64, [rng.getrandbits(64) for _ in range(64)])
+        start = time.perf_counter()
+        assert not is_meet_closed(fam)
+        assert time.perf_counter() - start <= 0.2
+
     def test_wide_closure_scales_with_its_size(self):
         # 24 random width-64 vectors close to thousands of members; the
-        # closure is built and checked in about (members x closure) steps,
-        # without the pairwise is_meet_closed over the result
+        # closure is built and checked in about (members x closure) steps
         rng = random.Random(24)
         fam = VectorFamily(64, [rng.getrandbits(64) for _ in range(24)])
         start = time.perf_counter()
@@ -262,6 +301,18 @@ class TestClosure:
         # with each member a meet of inputs, the line above makes the result
         # closed: u & v is u met with the inputs of v one at a time
         assert_meets_of_inputs(closed, fam)
+
+
+def pairwise_is_meet_closed(family):
+    """The reference closedness test: the meet of every pair of members is
+    a member, scanned pair by pair."""
+    values = family.values
+    present = set(values)
+    for i, r in enumerate(values):
+        for s in values[i + 1:]:
+            if r & s not in present:
+                return False
+    return True
 
 
 def assert_meets_of_inputs(closed, fam):
