@@ -269,13 +269,13 @@ class VectorFamily:
         return "".join(f"{BitVector(self._width, v)}\n" for v in self._values)
 
     @classmethod
-    def parse(cls, text: str, width: int | None = None) -> "VectorFamily":
+    def parse(cls, text: str) -> "VectorFamily":
         """Parse the to_text format.  Blank lines are ignored and `#`
         starts a comment, anywhere on a line; blanks around a vector are
-        ignored.  The width is taken from the first vector unless given
-        explicitly.  A ParseError gives the file column: an unexpected
-        character's own, a width mismatch the vector's first."""
-        values = []
+        ignored.  The width is taken from the first vector.  A ParseError
+        gives the file column: an unexpected character's own, a width
+        mismatch the vector's first."""
+        values, width = [], None
         for lineno, line in _content_lines(text):
             vector = line.strip()
             start = len(line) - len(line.lstrip()) + 1

@@ -11,7 +11,10 @@ two systems are equivalent exactly when their model sets coincide.
 Each object derives its ascending indices, sort key and (for a monomial)
 largest index once, at construction, so ordering, printing and the width
 check of every evaluation read stored values.  `models()` stays the
-per-point referee: one `BitVector` per point, `holds_at` per constraint.
+per-point referee: it checks the width once, then runs each constraint's
+private evaluator over the plain-int points of range(2^n).  The public
+evaluators (`eval_monomial`, `holds_at`) apply one fit rule to the
+`BitVector` they are given and then run that same evaluator.
 
 Variables are 0-indexed in code and rendered as x1..xn in text.
 """
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 from typing import Callable, FrozenSet, Iterable, Iterator, Optional, Union
 
 from .errors import ParseError
-from .families import BitVector, VectorFamily, _check_width, _content_lines
+from .families import BitVector, VectorFamily, _check_width, _content_lines, _is_int
 
 #: Largest n for which model sets are enumerated brute force (2^n points).
 MODEL_ENUM_CAP = 16
@@ -31,8 +34,16 @@ MODEL_ENUM_CAP = 16
 #: A variable in either text format: x<k>, k >= 1, names index k - 1.
 VARIABLE = re.compile(r"x(\d+)")
 
-#: One token of an equation side: a run of characters other than blanks and `*`.
-_TOKEN = re.compile(r"[^\s*]+")
+#: One token of an equation side: a `*`, or a run of characters other than blanks and `*`.
+_TOKEN = re.compile(r"\*|[^\s*]+")
+
+
+def _index(i) -> int:
+    """The one rule on a variable index: an int, not a bool, and at least
+    0.  Anything else is a ValueError that names the value."""
+    if type(i) is not int and not _is_int(i) or i < 0:
+        raise ValueError(f"a variable index must be an int >= 0, got {i!r}")
+    return i
 
 
 @dataclass(frozen=True)
@@ -49,9 +60,7 @@ class Monomial:
         object.__setattr__(self, "vars", frozenset(self.vars))
         if self.is_zero and self.vars:
             raise ValueError("the zero monomial carries no variables")
-        indices = tuple(sorted(self.vars))
-        if indices and indices[0] < 0:
-            raise ValueError("variable indices must be nonnegative")
+        indices = tuple(sorted(map(_index, self.vars)))
         # derived once, read on every evaluation, comparison and print
         object.__setattr__(self, "_indices", indices)
         object.__setattr__(self, "_key", (0, 0, ()) if self.is_zero else (1, len(indices), indices))
@@ -88,6 +97,11 @@ class Monomial:
             return "1"
         return " ".join(f"x{i + 1}" for i in self._indices)
 
+    def _holds(self, value: int, top: int) -> bool:
+        """The evaluator: the monomial's value at the point whose bit
+        top - i is x(i+1)."""
+        return not self.is_zero and all(value >> (top - i) & 1 for i in self._indices)
+
 
 @dataclass(frozen=True)
 class BinomialEquation:
@@ -118,7 +132,11 @@ class BinomialEquation:
         return max(self.lhs._max, self.rhs._max)
 
     def holds_at(self, v: BitVector) -> bool:
-        return eval_monomial(self.lhs, v) == eval_monomial(self.rhs, v)
+        return self._holds(v.value, _top(self, v))
+
+    def _holds(self, value: int, top: int) -> bool:
+        """The evaluator, over a plain-int point as in Monomial._holds."""
+        return self.lhs._holds(value, top) == self.rhs._holds(value, top)
 
     def __str__(self) -> str:
         return f"{self.lhs} = {self.rhs}"
@@ -138,14 +156,9 @@ class HornClause:
 
     def __post_init__(self):
         object.__setattr__(self, "body", frozenset(self.body))
-        body = tuple(sorted(self.body))
-        if body and body[0] < 0:
-            raise ValueError("variable indices must be nonnegative")
-        if self.head is not None:
-            if self.head < 0:
-                raise ValueError("variable indices must be nonnegative")
-            if self.head in self.body:
-                raise ValueError(f"tautological clause: head x{self.head + 1} is in the body")
+        body = tuple(sorted(map(_index, self.body)))
+        if self.head is not None and _index(self.head) in self.body:
+            raise ValueError(f"tautological clause: head x{self.head + 1} is in the body")
         head_key = (1, 0) if self.head is None else (0, self.head)
         object.__setattr__(self, "_body", body)
         object.__setattr__(self, "_key", (len(body), body, head_key))
@@ -158,11 +171,12 @@ class HornClause:
         return top if self.head is None else max(top, self.head)
 
     def holds_at(self, v: BitVector) -> bool:
-        if any(v.bit(i) == 0 for i in self.body):
-            return True
-        if self.head is None:
-            return False
-        return v.bit(self.head) == 1
+        return self._holds(v.value, _top(self, v))
+
+    def _holds(self, value: int, top: int) -> bool:
+        """The evaluator, over a plain-int point as in Monomial._holds."""
+        return (not all(value >> (top - i) & 1 for i in self._body)
+                or self.head is not None and value >> (top - self.head) & 1 == 1)
 
     def __str__(self) -> str:
         body = " & ".join(f"x{i + 1}" for i in self._body)
@@ -175,14 +189,19 @@ class HornClause:
 Constraint = Union["BinomialEquation", "HornClause"]
 
 
+def _top(item: Union[Monomial, Constraint], v: BitVector) -> int:
+    """The fit rule of the public evaluators: an item that uses x(k) on a
+    point narrower than k is a ValueError.  Gives top = width - 1, the bit
+    of the point's value that holds x1."""
+    if item.max_index() >= v.width:
+        raise ValueError(f"{item} uses x{item.max_index() + 1} but vector has width {v.width}")
+    return v.width - 1
+
+
 def eval_monomial(m: Monomial, v: BitVector) -> bool:
     """Value of the monomial at a point: 0 is false everywhere, a product is
     true where all its variables are 1 (so 1 is true everywhere)."""
-    if m.is_zero:
-        return False
-    if m._max >= v.width:
-        raise ValueError(f"monomial uses x{m._max + 1} but vector has width {v.width}")
-    return all(v.bit(i) == 1 for i in m.vars)
+    return m._holds(v.value, _top(m, v))
 
 
 def equations_to_horn(equations: Iterable[BinomialEquation]) -> frozenset[HornClause]:
@@ -236,12 +255,9 @@ def models(constraints: Iterable[Constraint], n: int) -> VectorFamily:
     for c in constraints:
         if c.max_index() >= n:
             raise ValueError(f"constraint {c} uses x{c.max_index() + 1} but n = {n}")
-    satisfying = []
-    for value in range(1 << n):
-        v = BitVector(n, value)
-        if all(c.holds_at(v) for c in constraints):
-            satisfying.append(value)
-    return VectorFamily(n, satisfying)
+    top, evaluators = n - 1, [c._holds for c in constraints]
+    return VectorFamily(n, [value for value in range(1 << n)
+                            if all(holds(value, top) for holds in evaluators)])
 
 
 def canonical_form(constraints: Iterable[Constraint], n: int) -> VectorFamily:
@@ -280,14 +296,20 @@ def _format_lines(items: Iterable, key: Callable) -> str:
 
 
 def _parse_monomial(side: str, lineno: int, col_offset: int) -> Monomial:
-    """One equation side: `0`, `1`, or variables separated by spaces or `*`."""
+    """One equation side: `0`, `1`, or variables separated by spaces or `*`.
+    A `*` must stand between two factors.  Scanning left to right, the
+    first `*` that lacks one is at an end of the side or has a `*` next;
+    its column is the error's."""
     tokens = [(m.group(), col_offset + m.start()) for m in _TOKEN.finditer(side)]
+    for k, (text, col) in enumerate(tokens):
+        if text == "*" and (k in (0, len(tokens) - 1) or tokens[k + 1][0] == "*"):
+            raise ParseError("expected a factor on each side of '*'", lineno, col)
     if not tokens:
         raise ParseError("empty side in equation", lineno, col_offset)
     if len(tokens) == 1 and tokens[0][0] in ("0", "1"):
         return Monomial.zero() if tokens[0][0] == "0" else Monomial.one()
     return Monomial({_variable(text, lineno, col, "a variable like x1 (or a lone constant 0/1)")
-                     for text, col in tokens})
+                     for text, col in tokens if text != "*"})
 
 
 def parse_equations(text: str) -> frozenset[BinomialEquation]:

@@ -220,6 +220,14 @@ class TestTranslate:
         err = capsys.readouterr().err
         assert "line 2" in err
 
+    def test_stray_star_is_a_parse_error(self, tmp_path, capsys):
+        source = tmp_path / "eqs.txt"
+        source.write_text("x1 * = x2\n")
+        assert main(["translate", "to-clauses", str(source)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "line 1, column 4: expected a factor on each side of '*'" in captured.err
+
     def test_missing_file(self, capsys):
         assert main(["translate", "to-clauses", "/no/such/file"]) == 2
 

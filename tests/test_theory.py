@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import pickle
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -64,6 +65,41 @@ class TestEvalMonomial:
                 with pytest.raises(ValueError, match=f"uses x4 but vector has width {width}"):
                     eval_monomial(m, BitVector(width, 0))
             assert eval_monomial(m, BitVector.all_ones(4))
+
+
+# the one fit rule of the public evaluators: whatever evaluates it, an item
+# that uses x(k) on a vector narrower than k is a ValueError at every point
+@pytest.mark.parametrize("item, k", [
+    (Monomial.of(0, 3), 4),
+    (BinomialEquation(Monomial.of(0), Monomial.of(1, 4)), 5),
+    (BinomialEquation(Monomial.zero(), Monomial.of(2)), 3),
+    (HornClause({5}, None), 6),  # a body too wide raised IndexError
+    (HornClause({0}, 5), 6),     # a head too wide was read as satisfied
+], ids=str)
+def test_fit_rule(item, k):
+    evaluate = (lambda v: eval_monomial(item, v)) if isinstance(item, Monomial) else item.holds_at
+    for width in (0, 2, k - 1):
+        for value in range(1 << width):
+            with pytest.raises(ValueError, match=f"uses x{k} but vector has width {width}$"):
+                evaluate(BitVector(width, value))
+    evaluate(BitVector(k, 0))
+
+
+# the one index rule: an int, not a bool, at least 0; anything else is a
+# ValueError that names the value
+@pytest.mark.parametrize("build, shown", [
+    (lambda: Monomial.of(1.5), "1.5"),              # printed x2.5
+    (lambda: HornClause({True}, 2), "True"),        # printed x2 -> x3
+    (lambda: HornClause({1}, True), "True"),        # reported a tautology
+    (lambda: HornClause({0}, 1.0), "1.0"),          # was accepted
+    (lambda: Monomial(frozenset({"1"})), "'1'"),    # raised TypeError
+    (lambda: Monomial.of(0, -1), "-1"),
+    (lambda: HornClause({-2}, None), "-2"),
+    (lambda: HornClause({0}, -1), "-1"),
+])
+def test_index_rule(build, shown):
+    with pytest.raises(ValueError, match=f"^a variable index must be an int >= 0, got {re.escape(shown)}$"):
+        build()
 
 
 class TestEquationNormalization:
@@ -180,6 +216,22 @@ class TestEquationGrammar:
 
     def test_star_separator(self):
         assert parse_equations("x1*x2 = x3") == parse_equations("x1 x2 = x3")
+        assert parse_equations("x1 * x2 = x3") == parse_equations("x1 x2 = x3")
+
+    @pytest.mark.parametrize("text, column", [
+        ("x1 * = x2", 4),
+        ("* x1 = x2", 1),
+        ("x2 = x1 *", 9),
+        ("x1 * * x2 = x3", 4),
+        ("x1 = *", 6),
+    ])
+    def test_stray_star(self, text, column):
+        # a `*` stands between two factors; the first that lacks one is
+        # the error's column
+        with pytest.raises(ParseError) as err:
+            parse_equations("x1 = x2\n" + text)
+        assert (err.value.line, err.value.column) == (2, column)
+        assert str(err.value) == f"line 2, column {column}: expected a factor on each side of '*'"
 
     def test_comments_and_blanks(self):
         text = "# two constraints\n\nx1 = 1\nx2 x1 = 0  # inline\n"
@@ -281,6 +333,54 @@ def test_horn_to_equations_preserves_models(cls):
 @settings(max_examples=300)
 def test_model_sets_are_meet_closed(constraints):
     assert is_meet_closed(models(constraints, 4))
+
+
+def reference_holds(c, v):
+    """holds_at and eval_monomial as they were, each bit read through
+    BitVector.bit."""
+    if isinstance(c, HornClause):
+        if any(v.bit(i) == 0 for i in c.body):
+            return True
+        return c.head is not None and v.bit(c.head) == 1
+    def side(m):
+        return not m.is_zero and all(v.bit(i) == 1 for i in m.vars)
+    return side(c.lhs) == side(c.rhs)
+
+
+def reference_models(constraints, n):
+    """The per-point loop models() used to run: one BitVector per point,
+    each constraint evaluated at it."""
+    satisfying = []
+    for value in range(1 << n):
+        v = BitVector(n, value)
+        if all(reference_holds(c, v) for c in constraints):
+            satisfying.append(value)
+    return VectorFamily(n, satisfying)
+
+
+def mixed_theories(n):
+    """Lists of equations and clauses over the variables of width n."""
+    index = st.integers(0, n - 1) if n else st.nothing()
+    sides = st.one_of(st.just(Monomial.zero()), st.sets(index, max_size=min(n, 4)).map(Monomial))
+    eqs = st.tuples(sides, sides).filter(lambda p: p[0] != p[1]).map(
+        lambda p: BinomialEquation(*p))
+    cls = st.tuples(st.sets(index, max_size=min(n, 4)), st.one_of(st.none(), index)).filter(
+        lambda p: p[1] is None or p[1] not in p[0]).map(lambda p: HornClause(*p))
+    return st.tuples(st.just(n), st.lists(st.one_of(eqs, cls), max_size=8))
+
+
+@given(st.integers(0, 8).flatmap(mixed_theories))
+@settings(max_examples=300)
+def test_models_match_the_per_point_reference(theory):
+    n, constraints = theory
+    eqs = [c for c in constraints if isinstance(c, BinomialEquation)]
+    cls = [c for c in constraints if isinstance(c, HornClause)]
+    for system in (constraints, equations_to_horn(eqs), horn_to_equations(cls)):
+        assert models(system, n) == reference_models(system, n)
+    # the public edge runs the same evaluator as models()
+    for value in range(1 << n):
+        v = BitVector(n, value)
+        assert [c.holds_at(v) for c in constraints] == [reference_holds(c, v) for c in constraints]
 
 
 @given(equation_sets)
