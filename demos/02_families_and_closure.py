@@ -5,7 +5,7 @@ coordinatewise AND.  Starting from an arbitrary family, repeatedly adding
 meets reaches the smallest Horn-representable superset.
 """
 
-from hornenum import (VectorFamily, Variant, is_meet_closed, meet,
+from hornenum import (BitVector, VectorFamily, Variant, is_meet_closed,
                       meet_closure, variant_member)
 
 
@@ -14,7 +14,8 @@ def main():
     print("family:")
     print(a.to_text(), end="")
     first, second, _ = list(a)
-    print(f"meet of {first} and {second}:", meet(first, second))
+    # the meet is the coordinatewise AND: `&` on the vectors' values
+    print(f"meet of {first} and {second}:", BitVector(a.width, first.value & second.value))
     print("meet-closed:", is_meet_closed(a))
 
     closed = meet_closure(a)

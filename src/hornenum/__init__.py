@@ -11,7 +11,7 @@ cross-check every number more than one way.
 from .counter import CountReport, CounterStats, count_models, count_variant, count_width
 from .encoder import CnfInstance, emit_dimacs, encode, predicate_id, vector_of
 from .errors import ExternalToolError, ParseError, ResourceLimitError
-from .families import (BitVector, Variant, VectorFamily, is_meet_closed, meet,
+from .families import (BitVector, Variant, VectorFamily, is_meet_closed,
                        meet_closure, variant_member)
 from .identities import asymptotic_report, binomial, binomial_sum, doubling, inverse_binomial_sum
 from .oracle import (OrbitSummary, brute_count, enumerate_families,
@@ -33,7 +33,7 @@ __all__ = [
     "emit_dimacs",
     "encode", "enumerate_families", "equations_to_horn", "eval_monomial",
     "format_clauses", "format_equations", "horn_to_equations",
-    "inverse_binomial_sum", "is_meet_closed", "meet", "meet_closure", "models",
+    "inverse_binomial_sum", "is_meet_closed", "meet_closure", "models",
     "nonisomorphic_count", "orbit_summary", "parse_clauses", "parse_equations",
     "predicate_id", "reference_count", "variant_counts", "variant_member",
     "vector_of", "verify_matrix",

@@ -1,11 +1,14 @@
-"""Bit vectors, vector families, and the meet operation.
+"""Bit vectors as ints, vector families, and meet closure.
 
-A width-n bit vector stands for a point of {0,1}^n; coordinate i holds the
-value of variable x(i+1), and the textual form writes x1 as the leftmost
-(most significant) character.  A family of such vectors is a candidate Horn
-set: it is one exactly when it is closed under the coordinatewise AND of any
-two members (the "meet").  The four counting variants differ only in which
-of the two lattice endpoints (all-ones, all-zeros) the family must contain.
+A width-n bit vector stands for a point of {0,1}^n and is held as an int:
+coordinate i holds the value of variable x(i+1), which is bit n-1-i, so the
+textual form writes x1 as the leftmost (most significant) character.  A
+family of such vectors is a candidate Horn set: it is one exactly when it
+is closed under the meet of any two members, the coordinatewise AND, which
+is `&` on their values.  The four counting variants differ only in which of
+the two lattice endpoints (all-ones, all-zeros) the family must contain.
+BitVector is only the type for printing a vector and for the public
+evaluators; the work is done on ints.
 """
 
 from __future__ import annotations
@@ -21,9 +24,6 @@ from .errors import ParseError, ResourceLimitError
 #: cheap only while a vector fits one machine word.
 MAX_WIDTH = 64
 
-#: Widest family VectorFamily.full builds; it lists all 2^width members.
-FULL_WIDTH_CAP = 16
-
 
 class Variant(Enum):
     """The four counting problems, named by which constants the source
@@ -37,23 +37,13 @@ class Variant(Enum):
     H1 = "h1"
     H01 = "h01"
 
-    @property
-    def requires_all_ones(self) -> bool:
-        """Families in this variant must contain the all-ones vector."""
-        return self in (Variant.H, Variant.H1)
-
-    @property
-    def requires_all_zeros(self) -> bool:
-        """Families in this variant must contain the all-zeros vector."""
-        return self in (Variant.H, Variant.H0)
-
     def required_vectors(self, n: int) -> tuple[int, ...]:
         """The values of the width-n vectors that every family of this
-        variant contains: the all-ones vector 2^n - 1 if it requires it,
-        then the all-zeros vector 0 if it requires that.  At n = 0 the two
-        coincide and the vector is listed once."""
-        vectors = ((1 << n) - 1,) if self.requires_all_ones else ()
-        if self.requires_all_zeros and 0 not in vectors:
+        variant contains: the all-ones vector 2^n - 1 in h and h1, then
+        the all-zeros vector 0 in h and h0.  At n = 0 the two coincide and
+        the vector is listed once."""
+        vectors = ((1 << n) - 1,) if self in (Variant.H, Variant.H1) else ()
+        if self in (Variant.H, Variant.H0) and 0 not in vectors:
             vectors += (0,)
         return vectors
 
@@ -106,7 +96,8 @@ def _content_lines(text: str) -> Iterator[tuple[int, str]]:
 
 @dataclass(frozen=True)
 class BitVector:
-    """An immutable point of {0,1}^width, packed into a Python int.
+    """An immutable point of {0,1}^width, packed into a Python int: the
+    type for printing a vector and for the public evaluators.
 
     Variable x1 occupies the most significant bit of ``value``, so the
     integer value of a vector equals the number its textual form denotes in
@@ -126,51 +117,11 @@ class BitVector:
         if not 0 <= value < (1 << width):
             raise ValueError(f"value {value} out of range for width {width}")
 
-    @classmethod
-    def from_string(cls, text: str) -> "BitVector":
-        if not text or any(c not in "01" for c in text):
-            raise ValueError(f"expected a nonempty string of 0/1 characters, got {text!r}")
-        return cls(len(text), int(text, 2))
-
-    @classmethod
-    def from_bits(cls, bits: Iterable[int]) -> "BitVector":
-        bits = list(bits)
-        value = 0
-        for b in bits:
-            if not _is_int(b) or b not in (0, 1):
-                raise ValueError(f"bits must be 0 or 1, got {b!r}")
-            value = (value << 1) | b
-        return cls(len(bits), value)
-
-    @classmethod
-    def all_ones(cls, width: int) -> "BitVector":
-        return cls(width, (1 << width) - 1)
-
-    @classmethod
-    def all_zeros(cls, width: int) -> "BitVector":
-        return cls(width, 0)
-
     def bit(self, index: int) -> int:
         """Value of variable x(index+1); index counts from 0."""
         if not 0 <= index < self.width:
             raise IndexError(f"variable index {index} out of range for width {self.width}")
         return (self.value >> (self.width - 1 - index)) & 1
-
-    def bits(self) -> tuple[int, ...]:
-        return tuple(self.bit(i) for i in range(self.width))
-
-    @property
-    def is_all_ones(self) -> bool:
-        return self.value == (1 << self.width) - 1
-
-    @property
-    def is_all_zeros(self) -> bool:
-        return self.value == 0
-
-    def meet(self, other: "BitVector") -> "BitVector":
-        if self.width != other.width:
-            raise ValueError(f"width mismatch: {self.width} vs {other.width}")
-        return BitVector(self.width, self.value & other.value)
 
     def __str__(self) -> str:
         if self.width == 0:
@@ -179,11 +130,6 @@ class BitVector:
 
     def __repr__(self) -> str:
         return f"BitVector({self.width}, 0b{self})" if self.width else "BitVector(0, <empty>)"
-
-
-def meet(r: BitVector, s: BitVector) -> BitVector:
-    """Coordinatewise AND.  Commutative, associative, idempotent."""
-    return r.meet(s)
 
 
 class VectorFamily:
@@ -214,17 +160,6 @@ class VectorFamily:
         self._width = width
         self._values = tuple(sorted(values))
         self._value_set = frozenset(values)
-
-    @classmethod
-    def full(cls, width: int) -> "VectorFamily":
-        """The family of all 2^width vectors; the width follows the width
-        rule, capped at FULL_WIDTH_CAP to keep the member list enumerable."""
-        _check_width(width, FULL_WIDTH_CAP, "full family", "width")
-        return cls(width, range(1 << width))
-
-    @classmethod
-    def empty(cls, width: int) -> "VectorFamily":
-        return cls(width, ())
 
     @property
     def width(self) -> int:

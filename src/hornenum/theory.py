@@ -78,10 +78,6 @@ class Monomial:
     def of(cls, *indices: int) -> "Monomial":
         return cls(frozenset(indices), False)
 
-    @property
-    def is_one(self) -> bool:
-        return not self.is_zero and not self.vars
-
     def sort_key(self) -> tuple:
         """Total order: 0 first, then products by (size, variable indices)."""
         return self._key

@@ -233,7 +233,7 @@ def test_criterion_5_encoder_structure(announce):
                 assert len(instance.ternary_clauses) == expected_pairs
                 for clause in instance.clauses:
                     assert sum(1 for lit in clause if lit > 0) <= 1, clause
-            ones_id = predicate_id(BitVector.all_ones(n))
+            ones_id = predicate_id(BitVector(n, (1 << n) - 1))
             if n >= 1:
                 h01 = encode(n, Variant.H01)
                 assert all(ones_id not in map(abs, clause)

@@ -1,13 +1,18 @@
 """Importing the package or its console script stays light: the
 subprocess machinery is imported only by the external counter, which
 uses it, and no process pool is imported at all.  A second import of
-the package lets the first one's classes be freed."""
+the package lets the first one's classes be freed.  The public surface
+is pinned: `__all__` names what the package holds, and members deleted
+from it stay gone."""
 
 import subprocess
 import sys
 
 import pytest
 from conftest import package_env
+
+import hornenum
+from hornenum import families
 
 LAZY = ("subprocess", "concurrent.futures", "multiprocessing")
 
@@ -41,3 +46,28 @@ print(" ".join(name for name, ref in refs.items() if ref() is not None))
                           text=True, env=package_env(), timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == []
+
+
+def test_all_names_the_public_surface():
+    assert [name for name in hornenum.__all__ if not hasattr(hornenum, name)] == []
+    assert hornenum.__all__ == sorted(set(hornenum.__all__))
+
+
+# members deleted because only their own tests called them: a vector is an
+# int, a meet is `&` on values, and BitVector is left to print vectors and
+# feed the public evaluators
+DELETED = ["hornenum.meet", "families.meet", "families.FULL_WIDTH_CAP",
+           "BitVector.from_string", "BitVector.from_bits", "BitVector.all_ones",
+           "BitVector.all_zeros", "BitVector.bits", "BitVector.is_all_ones",
+           "BitVector.is_all_zeros", "BitVector.meet", "VectorFamily.full",
+           "VectorFamily.empty", "Monomial.is_one", "Variant.requires_all_ones",
+           "Variant.requires_all_zeros"]
+OWNERS = {"hornenum": hornenum, "families": families, "BitVector": hornenum.BitVector,
+          "VectorFamily": hornenum.VectorFamily, "Monomial": hornenum.Monomial,
+          "Variant": hornenum.Variant}
+
+
+@pytest.mark.parametrize("member", DELETED)
+def test_deleted_member_stays_gone(member):
+    owner, name = member.split(".")
+    assert not hasattr(OWNERS[owner], name)
