@@ -5,17 +5,17 @@ coordinatewise AND.  Starting from an arbitrary family, repeatedly adding
 meets reaches the smallest Horn-representable superset.
 """
 
-from hornenum import (BitVector, VectorFamily, Variant, is_meet_closed,
-                      meet_closure, variant_member)
+from hornenum import VectorFamily, Variant, is_meet_closed, meet_closure, variant_member
 
 
 def main():
     a = VectorFamily.parse("0110\n1010\n1101\n")
     print("family:")
     print(a.to_text(), end="")
-    first, second, _ = list(a)
+    first, second, _ = a.values
     # the meet is the coordinatewise AND: `&` on the vectors' values
-    print(f"meet of {first} and {second}:", BitVector(a.width, first.value & second.value))
+    show = a.format_vector
+    print(f"meet of {show(first)} and {show(second)}:", show(first & second))
     print("meet-closed:", is_meet_closed(a))
 
     closed = meet_closure(a)

@@ -24,7 +24,9 @@ def main():
     parser.add_argument("--budget-seconds", type=float, default=30.0,
                         help="0 means run to completion")
     args = parser.parse_args()
-    budget = args.budget_seconds if args.budget_seconds > 0 else None
+    if not args.budget_seconds >= 0:
+        parser.error(f"--budget-seconds must be 0 or more, got {args.budget_seconds}")
+    budget = args.budget_seconds or None
 
     try:
         reports = count_width(6, budget_seconds=budget)

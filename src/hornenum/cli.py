@@ -34,9 +34,11 @@ VARIANT_NAMES = [v.value for v in VARIANTS]
 
 
 def _budget(value: float) -> Optional[float]:
-    """A budget of 0 or less means no budget; NaN goes on to the library,
-    which rejects it."""
-    return None if value <= 0 else value
+    """A budget of 0 means no budget; a negative or NaN one is a usage
+    error, where the library would read it as already spent or reject it."""
+    if not value >= 0:
+        raise ValueError(f"--budget-seconds must be 0 (no budget) or more seconds, got {value}")
+    return value or None
 
 
 def _emit_json(payload: dict) -> None:
@@ -149,7 +151,7 @@ def cmd_check(args: argparse.Namespace) -> int:
             "size": len(family),
             "meet_closed": closed,
             "variants": memberships,
-            "closure": None if closure is None else [str(v) for v in closure],
+            "closure": None if closure is None else [closure.format_vector(v) for v in closure],
         })
     else:
         print(f"{args.family_file}: width {family.width}, {_vectors(len(family))}")
@@ -157,7 +159,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         print("variants: " + ", ".join(f"{name}={'yes' if ok else 'no'}"
                                        for name, ok in memberships.items()))
         if closure is not None:
-            added = [v for v in closure if v not in family]
+            added = [closure.format_vector(v) for v in closure if v not in family]
             print(f"closure adds {_vectors(len(added))}:")
             print(*added, sep="\n")
     return EXIT_OK
@@ -204,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     budget.add_argument("--threads", type=int, default=1,
                         help="must be >= 1; every count runs in one process")
     budget.add_argument("--budget-seconds", type=float, default=DEFAULT_BUDGET_SECONDS,
-                        help="wall-clock budget for the whole run; 0 disables")
+                        help="wall-clock budget for the whole run, >= 0; 0 disables")
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("--out", default=None, help="output path (default stdout)")
 

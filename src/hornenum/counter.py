@@ -886,6 +886,11 @@ def run_external_counter(instance: CnfInstance, command: Optional[str] = None,
         os.unlink(path)
 
 
+#: The order in which count_width counts the variants of a width: after
+#: h01, the other three come from its component cache.
+_WIDTH_ORDER = (Variant.H01, Variant.H1, Variant.H0, Variant.H)
+
+
 def count_width(n: int, *, threads: int = 1,
                 budget_seconds: Optional[float] = DEFAULT_BUDGET_SECONDS
                 ) -> dict[Variant, CountReport]:
@@ -899,8 +904,7 @@ def count_width(n: int, *, threads: int = 1,
     at n = 5 and n = 6 in one node each.  threads must be >= 1 and is
     otherwise unused: every count runs in this process.
     """
-    return _count_width(n, (Variant.H01, Variant.H1, Variant.H0, Variant.H),
-                        _deadline(threads, budget_seconds))
+    return _count_width(n, _WIDTH_ORDER, _deadline(threads, budget_seconds))
 
 
 def count_variant(n: int, variant: Variant, method: str = "dpll", *,

@@ -1,8 +1,9 @@
 """CNF generation: one predicate per bit vector, clauses assert meet closure.
 
-For width n there are 2^n predicates P_mu, one per vector mu; a truth
-assignment picks the set {mu : P_mu true}, and the clauses force that set
-to be meet-closed.  Only incomparable pairs need a clause: whenever
+For width n there are 2^n predicates P_mu, one per vector mu, and the
+1-based id of P_mu is mu's int value plus one; a truth assignment picks
+the set {mu : P_mu true}, and the clauses force that set to be
+meet-closed.  Only incomparable pairs need a clause: whenever
 u = meet(r, s) equals r or s the constraint is a tautology and is skipped,
 which also keeps the ternary clause count below 4^n.  Variant endpoint
 requirements enter as unit clauses, so the predicate id map is the same
@@ -17,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .families import BitVector, Variant, _check_width, _is_int
+from .families import Variant, _check_width
 
 #: Widest n encoded; 2^n predicates and ~4^n/2 pair probes.
 ENCODE_CAP = 6
@@ -46,20 +47,6 @@ class CnfInstance:
         return iter(self.clauses)
 
 
-def predicate_id(mu: BitVector) -> int:
-    """1-based id of a vector's predicate: its integer value plus one."""
-    return mu.value + 1
-
-
-def vector_of(pid: int, n: int) -> BitVector:
-    """Inverse of predicate_id for width n; a pid that is not an int (a
-    bool is not one) is out of range."""
-    _check_width(n)
-    if not _is_int(pid) or not 1 <= pid <= (1 << n):
-        raise ValueError(f"predicate id {pid!r} out of range [1, {1 << n}] for n={n}")
-    return BitVector(n, pid - 1)
-
-
 def encode(n: int, variant: Variant) -> CnfInstance:
     """Build the meet-closure instance for width n under a variant.
 
@@ -84,9 +71,10 @@ def encode(n: int, variant: Variant) -> CnfInstance:
 
 
 def endpoint_units(n: int, variant: Variant) -> tuple[int, ...]:
-    """The predicate ids that a variant's unit clauses pin true: those of
-    Variant.required_vectors, in its order (all-ones, then all-zeros, one
-    id at n = 0, where the two coincide)."""
+    """The predicate ids that a variant's unit clauses pin true: each
+    vector of Variant.required_vectors, as its value plus one, in that
+    order (all-ones, then all-zeros, one id at n = 0, where the two
+    coincide)."""
     return tuple(v + 1 for v in variant.required_vectors(n))
 
 

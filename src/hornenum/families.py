@@ -7,13 +7,12 @@ family of such vectors is a candidate Horn set: it is one exactly when it
 is closed under the meet of any two members, the coordinatewise AND, which
 is `&` on their values.  The four counting variants differ only in which of
 the two lattice endpoints (all-ones, all-zeros) the family must contain.
-BitVector is only the type for printing a vector and for the public
-evaluators; the work is done on ints.
+A vector is an int at every entry point; a family prints its own members
+(VectorFamily.format_vector).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
 from typing import Iterable, Iterator, Optional, Union
@@ -94,69 +93,25 @@ def _content_lines(text: str) -> Iterator[tuple[int, str]]:
             yield lineno, line
 
 
-@dataclass(frozen=True)
-class BitVector:
-    """An immutable point of {0,1}^width, packed into a Python int: the
-    type for printing a vector and for the public evaluators.
-
-    Variable x1 occupies the most significant bit of ``value``, so the
-    integer value of a vector equals the number its textual form denotes in
-    binary.  Width 0 is legal and has the single (empty) vector.
-    """
-
-    width: int
-    value: int
-
-    def __post_init__(self):
-        width, value = self.width, self.value
-        if ((type(width) is not int or type(value) is not int)
-                and not (_is_int(width) and _is_int(value))):
-            raise ValueError(f"width and value must be ints, got {width!r} and {value!r}")
-        if not 0 <= width <= MAX_WIDTH:
-            raise ValueError(f"width must be in [0, {MAX_WIDTH}], got {width}")
-        if not 0 <= value < (1 << width):
-            raise ValueError(f"value {value} out of range for width {width}")
-
-    def bit(self, index: int) -> int:
-        """Value of variable x(index+1); index counts from 0."""
-        if not 0 <= index < self.width:
-            raise IndexError(f"variable index {index} out of range for width {self.width}")
-        return (self.value >> (self.width - 1 - index)) & 1
-
-    def __str__(self) -> str:
-        if self.width == 0:
-            return ""
-        return format(self.value, f"0{self.width}b")
-
-    def __repr__(self) -> str:
-        return f"BitVector({self.width}, 0b{self})" if self.width else "BitVector(0, <empty>)"
-
-
 class VectorFamily:
     """An immutable, duplicate-free set of equal-width bit vectors.
 
-    Iteration and ``values`` are always in ascending numeric order, which is
-    the canonical order used everywhere counts or families are compared.
+    Members are ints.  Iteration and ``values`` give them in ascending
+    numeric order, the order used everywhere families are compared.
     """
 
     __slots__ = ("_width", "_values", "_value_set")
 
-    def __init__(self, width: int, members: Iterable[Union[BitVector, int]] = ()):
+    def __init__(self, width: int, members: Iterable[int] = ()):
         if type(width) is not int and not _is_int(width) or not 0 <= width <= MAX_WIDTH:
             raise ValueError(f"width must be an int in [0, {MAX_WIDTH}], got {width!r}")
         values = set()
         for m in members:
-            if isinstance(m, BitVector):
-                if m.width != width:
-                    raise ValueError(f"member width {m.width} does not match family width {width}")
-                values.add(m.value)
-            else:
-                if type(m) is not int and not _is_int(m):
-                    raise ValueError(f"member {m!r} is neither a BitVector nor an int")
-                v = int(m)
-                if not 0 <= v < (1 << width):
-                    raise ValueError(f"member value {v} out of range for width {width}")
-                values.add(v)
+            if type(m) is not int and not _is_int(m):
+                raise ValueError(f"member {m!r} is not an int")
+            if not 0 <= m < (1 << width):
+                raise ValueError(f"member value {m} out of range for width {width}")
+            values.add(int(m))
         self._width = width
         self._values = tuple(sorted(values))
         self._value_set = frozenset(values)
@@ -173,14 +128,11 @@ class VectorFamily:
     def __len__(self) -> int:
         return len(self._values)
 
-    def __iter__(self) -> Iterator[BitVector]:
-        w = self._width
-        return (BitVector(w, v) for v in self._values)
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._values)
 
-    def __contains__(self, item: Union[BitVector, int]) -> bool:
-        if isinstance(item, BitVector):
-            return item.width == self._width and item.value in self._value_set
-        return item in self._value_set
+    def __contains__(self, value: int) -> bool:
+        return value in self._value_set
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, VectorFamily):
@@ -190,8 +142,14 @@ class VectorFamily:
     def __hash__(self) -> int:
         return hash((self._width, self._value_set))
 
+    def format_vector(self, value: int) -> str:
+        """The text of the vector of this family's width that value
+        stands for: one 0/1 character per variable, x1 leftmost, and the
+        empty string at width 0."""
+        return format(value, f"0{self._width}b") if self._width else ""
+
     def __repr__(self) -> str:
-        shown = ", ".join(str(BitVector(self._width, v)) or "<empty>" for v in self._values[:8])
+        shown = ", ".join(self.format_vector(v) or "<empty>" for v in self._values[:8])
         if len(self._values) > 8:
             shown += ", ..."
         return f"VectorFamily(width={self._width}, {{{shown}}})"
@@ -201,7 +159,7 @@ class VectorFamily:
         textual form (an empty line cannot encode the empty vector)."""
         if self._width == 0:
             raise ValueError("width-0 families cannot be written as text")
-        return "".join(f"{BitVector(self._width, v)}\n" for v in self._values)
+        return "".join(f"{self.format_vector(v)}\n" for v in self._values)
 
     @classmethod
     def parse(cls, text: str) -> "VectorFamily":

@@ -42,7 +42,7 @@ from math import factorial
 from operator import and_
 from typing import Iterator, Sequence
 
-from .families import VARIANTS, Variant, VectorFamily, _check_width
+from .families import Variant, VectorFamily, _check_width
 
 #: Widest n the oracle enumerates; n = 5 would pair the 4,960 closed
 #: masks of width 4 with each other, about 24.6M pairs at one AND each,
@@ -192,11 +192,6 @@ def _variant_count(n: int, variant: Variant) -> int:
     required = _required_bits(n, variant)
     return sum(count for endpoints, count in _endpoint_tally(n)
                if endpoints & required == required)
-
-
-def variant_counts(n: int) -> dict:
-    """All four variant counts, one brute_count each, from one tally."""
-    return {variant: brute_count(n, variant) for variant in VARIANTS}
 
 
 def brute_count(n: int, variant: Variant) -> int:

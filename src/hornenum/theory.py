@@ -10,11 +10,9 @@ two systems are equivalent exactly when their model sets coincide.
 
 Each object derives its ascending indices, sort key and (for a monomial)
 largest index once, at construction, so ordering, printing and the width
-check of every evaluation read stored values.  `models()` stays the
-per-point referee: it checks the width once, then runs each constraint's
-private evaluator over the plain-int points of range(2^n).  The public
-evaluators (`eval_monomial`, `holds_at`) apply one fit rule to the
-`BitVector` they are given and then run that same evaluator.
+check of `models()` read stored values.  `models()` is the per-point
+referee: it checks the width once, then runs each constraint's private
+evaluator over the plain-int points of range(2^n).
 
 Variables are 0-indexed in code and rendered as x1..xn in text.
 """
@@ -26,7 +24,7 @@ from dataclasses import dataclass
 from typing import Callable, FrozenSet, Iterable, Iterator, Optional, Union
 
 from .errors import ParseError
-from .families import BitVector, VectorFamily, _check_width, _content_lines, _is_int
+from .families import VectorFamily, _check_width, _content_lines, _is_int
 
 #: Largest n for which model sets are enumerated brute force (2^n points).
 MODEL_ENUM_CAP = 16
@@ -127,9 +125,6 @@ class BinomialEquation:
     def max_index(self) -> int:
         return max(self.lhs._max, self.rhs._max)
 
-    def holds_at(self, v: BitVector) -> bool:
-        return self._holds(v.value, _top(self, v))
-
     def _holds(self, value: int, top: int) -> bool:
         """The evaluator, over a plain-int point as in Monomial._holds."""
         return self.lhs._holds(value, top) == self.rhs._holds(value, top)
@@ -166,9 +161,6 @@ class HornClause:
         top = self._body[-1] if self._body else -1
         return top if self.head is None else max(top, self.head)
 
-    def holds_at(self, v: BitVector) -> bool:
-        return self._holds(v.value, _top(self, v))
-
     def _holds(self, value: int, top: int) -> bool:
         """The evaluator, over a plain-int point as in Monomial._holds."""
         return (not all(value >> (top - i) & 1 for i in self._body)
@@ -183,21 +175,6 @@ class HornClause:
 # quoted, so that typing's cache of Union objects holds no reference to
 # these classes and a fresh import of the package can free the old ones
 Constraint = Union["BinomialEquation", "HornClause"]
-
-
-def _top(item: Union[Monomial, Constraint], v: BitVector) -> int:
-    """The fit rule of the public evaluators: an item that uses x(k) on a
-    point narrower than k is a ValueError.  Gives top = width - 1, the bit
-    of the point's value that holds x1."""
-    if item.max_index() >= v.width:
-        raise ValueError(f"{item} uses x{item.max_index() + 1} but vector has width {v.width}")
-    return v.width - 1
-
-
-def eval_monomial(m: Monomial, v: BitVector) -> bool:
-    """Value of the monomial at a point: 0 is false everywhere, a product is
-    true where all its variables are 1 (so 1 is true everywhere)."""
-    return m._holds(v.value, _top(m, v))
 
 
 def equations_to_horn(equations: Iterable[BinomialEquation]) -> frozenset[HornClause]:
@@ -254,13 +231,6 @@ def models(constraints: Iterable[Constraint], n: int) -> VectorFamily:
     top, evaluators = n - 1, [c._holds for c in constraints]
     return VectorFamily(n, [value for value in range(1 << n)
                             if all(holds(value, top) for holds in evaluators)])
-
-
-def canonical_form(constraints: Iterable[Constraint], n: int) -> VectorFamily:
-    """The canonical representative of a theory: its model set, in the
-    family's canonical ascending order.  Two systems, in either
-    presentation, are equivalent iff their canonical forms are equal."""
-    return models(constraints, n)
 
 
 def _lines(text: str, separator: str, what: str) -> Iterator[tuple[int, str, int, str]]:

@@ -24,8 +24,8 @@ from typing import Callable, Optional
 
 # count_variant is no longer called here, but perfbench/workloads.py wraps
 # it under this module's name for its traced verify5 run.
-from .counter import (DEFAULT_BUDGET_SECONDS, CountReport, _deadline,  # noqa: F401
-                      count_variant, count_width)
+from .counter import (_WIDTH_ORDER, DEFAULT_BUDGET_SECONDS, CountReport,  # noqa: F401
+                      _count_width, _deadline, count_variant)
 from .errors import ResourceLimitError
 from .families import VARIANTS, Variant, _check_width, _is_int
 from .identities import binomial_sum, derive_count, doubling
@@ -130,13 +130,14 @@ def verify_matrix(n_max: int, *, threads: int = 1,
 
     Every check runs the same way: it reads the deadline, then evaluates
     both sides, times them and records its result.  The four dpll counts
-    of a width come from one count_width call, and each census is taken
-    once per run.
+    of a width come from one count, by the code and in the variant order
+    of count_width, and each census is taken once per run.
 
-    budget_seconds bounds the whole run, not each count: every count gets
-    only the time left, and ResourceLimitError is raised by the first
-    check that starts after the deadline, or by the end of a run that
-    overran in its last check.
+    budget_seconds bounds the whole run, not each count: every count runs
+    under the run's one deadline.  A count that passes it, the first
+    check that starts after it, or the end of a run that overran in its
+    last check raises ResourceLimitError "verify budget of Xs exceeded
+    after N checks".
     """
     if not (_is_int(n_max) and 0 <= n_max <= VERIFY_DPLL_CAP):
         raise ValueError(f"n_max must be an int between 0 and the verify cap "
@@ -144,19 +145,20 @@ def verify_matrix(n_max: int, *, threads: int = 1,
     run = VerifyRun(n_max)
     deadline = _deadline(threads, budget_seconds, time.monotonic())
 
-    def time_left() -> Optional[float]:
-        if deadline is None:
-            return None
-        left = deadline - time.monotonic()
-        if left <= 0:
-            raise ResourceLimitError(
-                f"verify budget of {budget_seconds}s exceeded after "
-                f"{len(run.checks)} checks")
-        return left
+    def spent() -> ResourceLimitError:
+        return ResourceLimitError(f"verify budget of {budget_seconds}s exceeded "
+                                  f"after {len(run.checks)} checks")
+
+    def read_deadline() -> None:
+        if deadline is not None and time.monotonic() >= deadline:
+            raise spent()
 
     @functools.cache
     def width(n: int) -> dict[Variant, CountReport]:
-        return count_width(n, threads=threads, budget_seconds=time_left())
+        try:
+            return _count_width(n, _WIDTH_ORDER, deadline)
+        except ResourceLimitError:
+            raise spent() from None
 
     def dpll(variant: Variant, n: int) -> int:
         return width(n)[variant].count
@@ -166,7 +168,7 @@ def verify_matrix(n_max: int, *, threads: int = 1,
 
     def check(name: str, expected: Callable[[], object],
               actual: Callable[[], object], warning: bool = False) -> None:
-        time_left()
+        read_deadline()
         t0 = time.monotonic()
         want, got = expected(), actual()
         result = CheckResult(name, want == got, want, got, warning,
@@ -215,5 +217,5 @@ def verify_matrix(n_max: int, *, threads: int = 1,
                       lambda: prefix[n], lambda: census(variant, n).orbit_count,
                       warning=True)
 
-    time_left()  # a run that overran in its last check still fails
+    read_deadline()  # a run that overran in its last check still fails
     return run

@@ -7,6 +7,7 @@ import pytest
 
 import hornenum.validation as validation
 from hornenum.cli import main
+from hornenum.errors import ResourceLimitError
 
 GOLDEN = Path(__file__).parent / "golden"
 STUB = Path(__file__).parent / "external_stub.py"
@@ -50,6 +51,15 @@ class TestCount:
     def test_zero_budget_disables_limit(self, capsys):
         assert main(["count", "--n", "3", "--variant", "h",
                      "--budget-seconds", "0"]) == 0
+
+    def test_negative_budget_is_usage_error(self, capsys):
+        # the library reads a negative budget as spent, so the CLI does not
+        # read it as no budget
+        assert main(["count", "--n", "5", "--variant", "h",
+                     "--budget-seconds", "-3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--budget-seconds must be 0 (no budget) or more seconds, got -3.0" in captured.err
 
     def test_bruteforce_width_cap_is_resource_error(self, capsys):
         assert main(["count", "--n", "5", "--variant", "h",
@@ -324,6 +334,12 @@ class TestVerify:
         assert captured.out == ""
         assert "nan" in captured.err
 
+    def test_negative_budget_is_usage_error(self, capsys):
+        assert main(["verify", "--n-max", "2", "--budget-seconds", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--budget-seconds must be 0 (no budget) or more seconds, got -1.0" in captured.err
+
     def test_skip_orbits(self, capsys):
         assert main(["verify", "--n-max", "1", "--skip-orbits", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -363,6 +379,18 @@ class TestVerify:
             monotonic=lambda: next(readings, 3600.0)))
         assert main(["verify", "--n-max", "5", "--budget-seconds", "0.01"]) == 3
         assert "resource limit" in capsys.readouterr().err
+
+    def test_budget_spent_inside_a_count_gives_one_message(self, capsys, monkeypatch):
+        def out_at_two(n, variants, deadline):
+            if n == 2:
+                raise ResourceLimitError("count budget exceeded", stats={"nodes": 7})
+            return real(n, variants, deadline)
+
+        real = validation._count_width
+        monkeypatch.setattr(validation, "_count_width", out_at_two)
+        assert main(["verify", "--n-max", "3", "--budget-seconds", "60"]) == 3
+        assert capsys.readouterr().err == (
+            "resource limit: verify budget of 60.0s exceeded after 8 checks\n")
 
 
 class TestUsage:

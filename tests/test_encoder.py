@@ -4,9 +4,9 @@ from pathlib import Path
 import pytest
 
 from hornenum import encoder
-from hornenum.encoder import emit_dimacs, encode, predicate_id, vector_of
+from hornenum.encoder import emit_dimacs, encode, endpoint_units
 from hornenum.errors import ResourceLimitError
-from hornenum.families import BitVector, Variant
+from hornenum.families import Variant
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -102,32 +102,32 @@ class TestEncode:
         assert pair_order == sorted(pair_order)
 
 
+def vectors_of(clause):
+    """The vectors a clause's literals name: a predicate id is the
+    vector's value plus one."""
+    return tuple(abs(lit) - 1 for lit in clause)
+
+
 class TestPredicateIds:
     def test_n2_id_map(self):
-        values = ["00", "01", "10", "11"]
-        for expected, text in enumerate(values, start=1):
-            assert predicate_id(BitVector(len(text), int(text, 2))) == expected
+        # 01 and 10 are the one incomparable pair; their meet is 00
+        assert encode(2, Variant.H01).ternary_clauses == ((-2, -3, 1),)
+        assert endpoint_units(2, Variant.H) == (int("11", 2) + 1, int("00", 2) + 1)
 
     def test_round_trip(self):
+        # each clause reads back as two vectors and their meet
         for n in range(5):
-            for value in range(1 << n):
-                mu = BitVector(n, value)
-                assert vector_of(predicate_id(mu), n) == mu
+            for clause in encode(n, Variant.H01).ternary_clauses:
+                r, s, u = vectors_of(clause)
+                assert u == r & s and u not in (r, s)
 
     def test_empty_vector(self):
-        assert predicate_id(BitVector(0, 0)) == 1
+        assert endpoint_units(0, Variant.H) == (1,)
 
     def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            vector_of(0, 2)
-        with pytest.raises(ValueError):
-            vector_of(5, 2)
-
-    def test_pid_must_be_an_int(self):
-        # True compares equal to 1, and 1.0 lies in [1, 2]; neither is an id
-        for pid in (True, 1.0, "1"):
-            with pytest.raises(ValueError, match="out of range"):
-                vector_of(pid, 1)
+        for n in range(5):
+            instance = encode(n, Variant.H)
+            assert all(0 <= v < 1 << n for clause in instance for v in vectors_of(clause))
 
 
 class TestDimacs:

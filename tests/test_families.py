@@ -9,80 +9,91 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hornenum import (brute_count, canonical_form, count_models, count_variant, count_width,
-                      encode, enumerate_families, models, nonisomorphic_count, orbit_summary,
-                      reference_count, variant_counts, vector_of, verify_matrix)
+from hornenum import (brute_count, count_models, count_variant, count_width, encode,
+                      enumerate_families, models, nonisomorphic_count, orbit_summary,
+                      reference_count, verify_matrix)
 from hornenum import oracle
 from hornenum.errors import ParseError, ResourceLimitError
-from hornenum.families import (MAX_WIDTH, VARIANTS, BitVector, Variant, VectorFamily,
-                               is_meet_closed, meet_closure, variant_member)
+from hornenum.families import (MAX_WIDTH, VARIANTS, Variant, VectorFamily, is_meet_closed,
+                               meet_closure, variant_member)
+from hornenum.theory import HornClause
 
 
-def bv(text):
-    return BitVector(len(text), int(text, 2))
+def show(width, value):
+    return VectorFamily(width).format_vector(value)
 
 
 class TestBitVector:
+    """A vector is an int, x1 its highest bit; a family prints it."""
+
     def test_string_round_trip(self):
         for text in ("0", "1", "0110", "1" * 64):
-            assert str(bv(text)) == text
+            assert show(len(text), int(text, 2)) == text
+            assert VectorFamily.parse(text).to_text() == text + "\n"
 
     def test_msb_is_x1(self):
-        v = bv("100")
-        assert v.bit(0) == 1 and v.bit(1) == 0 and v.bit(2) == 0
-        assert v.value == 4
+        # the models of the clause -> x1 are the vectors whose text starts with 1
+        assert models([HornClause(set(), 0)], 3).values == (4, 5, 6, 7)
+        assert [show(3, v)[0] for v in range(4, 8)] == ["1"] * 4
 
     def test_bits_tuple(self):
-        v = bv("0110")
-        assert tuple(v.bit(i) for i in range(v.width)) == (0, 1, 1, 0)
+        # character i of a vector's text is the value of x(i+1)
+        text = "0110"
+        value = int(text, 2)
+        for i, ch in enumerate(text):
+            assert (value in models([HornClause(set(), i)], 4)) == (ch == "1")
 
     def test_width_zero(self):
         # the single width-0 vector is the empty one
-        v = BitVector(0, 0)
-        assert str(v) == "" and repr(v) == "BitVector(0, <empty>)"
+        assert show(0, 0) == ""
+        assert VectorFamily(0, [0]).values == (0,)
         with pytest.raises(ValueError):
-            BitVector(0, 1)
+            VectorFamily(0, [1])
 
     def test_value_range_checked(self):
         with pytest.raises(ValueError):
-            BitVector(2, 4)
+            VectorFamily(2, [4])
         with pytest.raises(ValueError):
-            BitVector(-1, 0)
+            VectorFamily(2, [-1])
         with pytest.raises(ValueError):
-            BitVector(MAX_WIDTH + 1, 0)
+            VectorFamily(-1, [0])
+        with pytest.raises(ValueError):
+            VectorFamily(MAX_WIDTH + 1, [0])
 
     def test_width_and_value_must_be_ints(self):
         # a float, a bool or a numeric string is not silently read as an
         # int; an int subclass other than bool is one
         for width, value in ((3, 1.5), (True, 1), (3, True), ("3", 1), (3, "1"), (3.0, 1)):
             with pytest.raises(ValueError):
-                BitVector(width, value)
+                VectorFamily(width, [value])
 
         class Count(int):
             pass
 
-        assert str(BitVector(Count(3), Count(5))) == "101"
+        assert show(Count(3), Count(5)) == "101"
 
     def test_bit_index_out_of_range(self):
-        with pytest.raises(IndexError):
-            bv("01").bit(2)
+        # a constraint on x3 has no value on a width-2 vector
+        with pytest.raises(ValueError, match="uses x3 but n = 2"):
+            models([HornClause(set(), 2)], 2)
 
 
 class TestVectorFamily:
     def test_dedupe_and_order(self):
         fam = VectorFamily(2, [3, 1, 3, 0])
         assert fam.values == (0, 1, 3)
-        assert [str(v) for v in fam] == ["00", "01", "11"]
+        assert list(fam) == [0, 1, 3]
+        assert [fam.format_vector(v) for v in fam] == ["00", "01", "11"]
 
     def test_contains(self):
         fam = VectorFamily(2, [0, 3])
-        assert bv("00") in fam and 3 in fam
-        assert bv("01") not in fam
-        assert bv("000") not in fam  # wrong width
+        assert 0 in fam and 3 in fam
+        assert 1 not in fam
+        assert 4 not in fam  # wider than the family
 
     def test_member_width_checked(self):
-        with pytest.raises(ValueError):
-            VectorFamily(2, [bv("011")])
+        with pytest.raises(ValueError, match="out of range for width 2"):
+            VectorFamily(2, [0b011, 4])
         with pytest.raises(ValueError):
             VectorFamily(2, [4])
 
@@ -148,8 +159,8 @@ class TestVectorFamily:
             VectorFamily(0, [0]).to_text()
 
     def test_repr_shows_the_empty_vector(self):
-        # at width 0 the one vector is shown as BitVector shows it, so the
-        # family holding it differs from the empty family
+        # at width 0 the one vector is shown as <empty>, so the family
+        # holding it differs from the empty family
         assert repr(VectorFamily(0, [0])) == "VectorFamily(width=0, {<empty>})"
         assert repr(VectorFamily(0, [])) == "VectorFamily(width=0, {})"
         assert repr(VectorFamily(2, [2, 1])) == "VectorFamily(width=2, {01, 10})"
@@ -164,7 +175,7 @@ class TestVectorFamily:
 
 
 def family(width, *texts):
-    return VectorFamily(width, [bv(t) for t in texts])
+    return VectorFamily(width, [int(t, 2) for t in texts])
 
 
 class TestClosure:
@@ -338,7 +349,6 @@ def axiomatize(fam):
     the meet of all members extending S.  Test-local on purpose: it gives
     the closed-family direction of the clause/family correspondence an
     implementation that the package does not ship."""
-    from hornenum.theory import HornClause
     n = fam.width
     clauses = []
     for s_mask in range(1 << n):
@@ -362,7 +372,6 @@ def test_closed_families_are_exactly_model_sets(width):
     """A family is some clause set's model set iff it is meet-closed: the
     forward direction is the axiomatization above; the reverse (model sets
     are always closed) is checked for every theory it produces."""
-    from hornenum.theory import models
     for subset in range(1 << (1 << width)):
         fam = VectorFamily(width, [v for v in range(1 << width) if (subset >> v) & 1])
         model_set = models(axiomatize(fam), width)
@@ -378,7 +387,6 @@ def test_closed_families_are_exactly_model_sets(width):
 # where the entry point has no cap of its own.
 WIDTH_ENTRY_POINTS = {
     "encode": (lambda n: encode(n, "h"), 7, ResourceLimitError),
-    "vector_of": (lambda n: vector_of(1, n), None, None),
     "count_width": (count_width, 7, ResourceLimitError),
     "count_variant dpll": (lambda n: count_variant(n, "h", "dpll"), 7, ResourceLimitError),
     "count_variant identity": (lambda n: count_variant(n, "h1", "identity"), None, None),
@@ -389,9 +397,7 @@ WIDTH_ENTRY_POINTS = {
     "enumerate_families": (lambda n: enumerate_families(n, "h"), 5, ResourceLimitError),
     "orbit_summary": (lambda n: orbit_summary(n, "h"), 5, ResourceLimitError),
     "nonisomorphic_count": (lambda n: nonisomorphic_count(n, "h"), 5, ResourceLimitError),
-    "variant_counts": (variant_counts, 5, ResourceLimitError),
     "models": (lambda n: models([], n), 17, ResourceLimitError),
-    "canonical_form": (lambda n: canonical_form([], n), 17, ResourceLimitError),
     "verify_matrix": (verify_matrix, 6, ValueError),
     "reference_count": (lambda n: reference_count("h", n), None, None),
 }

@@ -14,8 +14,7 @@ import hornenum.validation as validation
 from hornenum.errors import ResourceLimitError
 from hornenum.families import Variant, VectorFamily, variant_member
 from hornenum.oracle import (OrbitSummary, brute_count, enumerate_families,
-                             nonisomorphic_count, orbit_summary,
-                             variant_counts)
+                             nonisomorphic_count, orbit_summary)
 
 
 def reference_orbit_summary(n, variant):
@@ -143,15 +142,15 @@ class TestBruteCount:
             brute_count(5, Variant.H)
 
     def test_variant_counts_bundle(self):
-        counts = variant_counts(3)
+        counts = {variant: brute_count(3, variant) for variant in Variant}
         assert counts[Variant.H] == 45
         assert counts[Variant.H0] == 90
         assert counts[Variant.H1] == 61
         assert counts[Variant.H01] == 122
 
     def test_variant_counts_width_four(self):
-        assert variant_counts(4) == {Variant.H: 2271, Variant.H0: 4542,
-                                     Variant.H1: 2480, Variant.H01: 4960}
+        assert {variant: brute_count(4, variant) for variant in Variant} == {
+            Variant.H: 2271, Variant.H0: 4542, Variant.H1: 2480, Variant.H01: 4960}
 
 
 class TestEnumerateFamilies:

@@ -8,10 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hornenum.errors import ParseError, ResourceLimitError
-from hornenum.families import BitVector, VectorFamily, is_meet_closed
+from hornenum.families import VectorFamily, is_meet_closed
 from hornenum.theory import (BinomialEquation, HornClause, Monomial,
-                             canonical_form, equations_to_horn, eval_monomial,
-                             format_clauses, format_equations,
+                             equations_to_horn, format_clauses, format_equations,
                              horn_to_equations, models, parse_clauses,
                              parse_equations)
 
@@ -44,31 +43,37 @@ class TestMonomial:
         assert str(Monomial.of(2, 0)) == "x1 x3"
 
 
+def true_at(m, n):
+    """The points of {0,1}^n where the monomial m, not the constant 1
+    itself, is true: the models of m = 1."""
+    return set(models([eq(m, Monomial.one())], n))
+
+
 class TestEvalMonomial:
     def test_one_true_everywhere(self):
-        for value in range(4):
-            assert eval_monomial(Monomial.one(), BitVector(2, value))
+        # 1 is true at every point, so x(i+1) = 1 holds where x(i+1) is 1
+        assert true_at(Monomial.of(0), 2) == {0b10, 0b11}
+        assert true_at(Monomial.of(1), 2) == {0b01, 0b11}
 
     def test_zero_false_everywhere(self):
-        for value in range(4):
-            assert not eval_monomial(Monomial.zero(), BitVector(2, value))
+        assert true_at(Monomial.zero(), 2) == set()
+        # 0 is false at every point, so x1 = 0 holds where x1 is 0
+        assert models([eq(Monomial.of(0), Monomial.zero())], 2).values == (0, 1)
 
     def test_conjunction(self):
-        m = Monomial.of(0, 1)
-        assert eval_monomial(m, BitVector(3, 0b110))
-        assert not eval_monomial(m, BitVector(3, 0b100))
+        assert true_at(Monomial.of(0, 1), 3) == {0b110, 0b111}
 
     def test_width_mismatch(self):
         # the largest index decides, whatever order the set iterates in
         for m in (Monomial.of(3), Monomial.of(3, 0, 1), Monomial.of(1, 3)):
             for width in (2, 3):
-                with pytest.raises(ValueError, match=f"uses x4 but vector has width {width}"):
-                    eval_monomial(m, BitVector(width, 0))
-            assert eval_monomial(m, BitVector(4, (1 << 4) - 1))
+                with pytest.raises(ValueError, match=f"uses x4 but n = {width}"):
+                    true_at(m, width)
+            assert (1 << 4) - 1 in true_at(m, 4)
 
 
-# the one fit rule of the public evaluators: whatever evaluates it, an item
-# that uses x(k) on a vector narrower than k is a ValueError at every point
+# the one fit rule of models(): a constraint that uses x(k) at a width
+# narrower than k is a ValueError (a monomial is checked as m = 1)
 @pytest.mark.parametrize("item, k", [
     (Monomial.of(0, 3), 4),
     (BinomialEquation(Monomial.of(0), Monomial.of(1, 4)), 5),
@@ -77,12 +82,11 @@ class TestEvalMonomial:
     (HornClause({0}, 5), 6),     # a head too wide was read as satisfied
 ], ids=str)
 def test_fit_rule(item, k):
-    evaluate = (lambda v: eval_monomial(item, v)) if isinstance(item, Monomial) else item.holds_at
+    constraint = eq(item, Monomial.one()) if isinstance(item, Monomial) else item
     for width in (0, 2, k - 1):
-        for value in range(1 << width):
-            with pytest.raises(ValueError, match=f"uses x{k} but vector has width {width}$"):
-                evaluate(BitVector(width, value))
-    evaluate(BitVector(k, 0))
+        with pytest.raises(ValueError, match=f"uses x{k} but n = {width}$"):
+            models([constraint], width)
+    models([constraint], k)
 
 
 # the one index rule: an int, not a bool, at least 0; anything else is a
@@ -170,7 +174,7 @@ class TestModels:
 
     def test_absorption_models(self):
         fam = models([eq(Monomial.of(0, 1), Monomial.of(0))], 2)
-        assert [str(v) for v in fam] == ["00", "01", "11"]
+        assert [fam.format_vector(v) for v in fam] == ["00", "01", "11"]
 
     def test_contradiction_has_no_models(self):
         assert len(models([eq(Monomial.one(), Monomial.zero())], 2)) == 0
@@ -185,23 +189,26 @@ class TestModels:
 
     def test_mixed_presentations(self):
         fam = models([HornClause({0}, 1), eq(Monomial.of(1), Monomial.one())], 2)
-        assert [str(v) for v in fam] == ["01", "11"]
+        assert [fam.format_vector(v) for v in fam] == ["01", "11"]
 
 
 class TestCanonicalForm:
+    """A theory's canonical form is its model set: two systems, in either
+    presentation, are equivalent iff models() gives the same family."""
+
     def test_round_trip_agreement(self):
         eqs = [eq(Monomial.of(0, 1), Monomial.of(0))]
-        assert canonical_form(eqs, 2) == canonical_form(equations_to_horn(eqs), 2)
+        assert models(eqs, 2) == models(equations_to_horn(eqs), 2)
 
     def test_equality_split_two_ways(self):
         single = [eq(Monomial.of(0), Monomial.of(1))]
         split = [eq(Monomial.of(0, 1), Monomial.of(0)),
                  eq(Monomial.of(0, 1), Monomial.of(1))]
-        assert canonical_form(single, 2) == canonical_form(split, 2)
-        assert [str(v) for v in canonical_form(single, 2)] == ["00", "11"]
+        assert models(single, 2) == models(split, 2)
+        assert models(single, 2).to_text() == "00\n11\n"
 
     def test_empty_theory(self):
-        assert canonical_form([], 2) == VectorFamily(2, range(1 << 2))
+        assert models([], 2) == VectorFamily(2, range(1 << 2))
 
 
 class TestEquationGrammar:
@@ -335,27 +342,28 @@ def test_model_sets_are_meet_closed(constraints):
     assert is_meet_closed(models(constraints, 4))
 
 
-def reference_holds(c, v):
-    """holds_at and eval_monomial as they were, each bit read through
-    BitVector.bit."""
+def bit(value, n, i):
+    """The value of x(i+1) at the width-n point `value`: character i of
+    its text, read without the package."""
+    return int(format(value, f"0{n}b")[i])
+
+
+def reference_holds(c, value, n):
+    """Whether the constraint holds at the point, each bit read through
+    bit()."""
     if isinstance(c, HornClause):
-        if any(v.bit(i) == 0 for i in c.body):
+        if any(bit(value, n, i) == 0 for i in c.body):
             return True
-        return c.head is not None and v.bit(c.head) == 1
+        return c.head is not None and bit(value, n, c.head) == 1
     def side(m):
-        return not m.is_zero and all(v.bit(i) == 1 for i in m.vars)
+        return not m.is_zero and all(bit(value, n, i) == 1 for i in m.vars)
     return side(c.lhs) == side(c.rhs)
 
 
 def reference_models(constraints, n):
-    """The per-point loop models() used to run: one BitVector per point,
-    each constraint evaluated at it."""
-    satisfying = []
-    for value in range(1 << n):
-        v = BitVector(n, value)
-        if all(reference_holds(c, v) for c in constraints):
-            satisfying.append(value)
-    return VectorFamily(n, satisfying)
+    """The per-point loop: each constraint evaluated at each point."""
+    return VectorFamily(n, [value for value in range(1 << n)
+                            if all(reference_holds(c, value, n) for c in constraints)])
 
 
 def mixed_theories(n):
@@ -377,10 +385,6 @@ def test_models_match_the_per_point_reference(theory):
     cls = [c for c in constraints if isinstance(c, HornClause)]
     for system in (constraints, equations_to_horn(eqs), horn_to_equations(cls)):
         assert models(system, n) == reference_models(system, n)
-    # the public edge runs the same evaluator as models()
-    for value in range(1 << n):
-        v = BitVector(n, value)
-        assert [c.holds_at(v) for c in constraints] == [reference_holds(c, v) for c in constraints]
 
 
 @given(equation_sets)

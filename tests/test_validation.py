@@ -71,32 +71,53 @@ class TestVerifyMatrix:
         assert failure.expected != failure.actual
 
     def test_budget_bounds_the_whole_run(self, monkeypatch):
-        budgets = []
-        real = validation.count_width
+        calls = []
+        real = validation._count_width
 
-        def spy(n, **kwargs):
-            budgets.append(kwargs["budget_seconds"])
-            return real(n, **kwargs)
+        def spy(n, variants, deadline):
+            calls.append((variants, deadline))
+            return real(n, variants, deadline)
 
-        monkeypatch.setattr(validation, "count_width", spy)
+        monkeypatch.setattr(validation, "_count_width", spy)
+        start = time.monotonic()
         assert verify_matrix(3, budget_seconds=60.0).passed
-        # each count gets only what the counts before it left over
-        assert budgets[-1] < budgets[0] <= 60.0
-        assert all(later <= earlier for earlier, later in zip(budgets, budgets[1:]))
+        end = time.monotonic()
+        # every width is counted in count_width's order under the run's
+        # one deadline, not under a budget turned back into seconds
+        assert [variants for variants, _ in calls] == [
+            (Variant.H01, Variant.H1, Variant.H0, Variant.H)] * 4
+        assert len({deadline for _, deadline in calls}) == 1
+        assert start + 60.0 <= calls[0][1] <= end + 60.0
 
     def test_spent_budget_stops_the_run(self, monkeypatch):
         widths = []
-        real = validation.count_width
+        real = validation._count_width
 
-        def spy(n, **kwargs):
+        def spy(n, variants, deadline):
             widths.append(n)
             time.sleep(0.01)  # the first count spends the whole budget
-            return real(n, **kwargs)
+            return real(n, variants, deadline)
 
-        monkeypatch.setattr(validation, "count_width", spy)
-        with pytest.raises(ResourceLimitError):
+        monkeypatch.setattr(validation, "_count_width", spy)
+        with pytest.raises(ResourceLimitError, match=r"verify budget of 0.01s exceeded after 0 checks"):
             verify_matrix(5, budget_seconds=0.01)
         assert widths == [0]
+
+    def test_budget_spent_inside_a_count_names_the_run(self, monkeypatch):
+        # the count of width 2 runs out; the run reports its own budget and
+        # the checks done, not the count's message and partial stats
+        real = validation._count_width
+
+        def out_at_two(n, variants, deadline):
+            if n == 2:
+                raise ResourceLimitError("count budget exceeded", stats={"nodes": 7})
+            return real(n, variants, deadline)
+
+        monkeypatch.setattr(validation, "_count_width", out_at_two)
+        with pytest.raises(ResourceLimitError) as err:
+            verify_matrix(3, budget_seconds=60.0)
+        assert str(err.value) == "verify budget of 60.0s exceeded after 8 checks"
+        assert err.value.stats is None
 
     def test_overrun_after_the_last_check_fails_the_run(self, monkeypatch):
         last = verify_matrix(2).checks[-1].name
@@ -138,7 +159,7 @@ class TestVerifyMatrix:
         def no_count(*args, **kwargs):
             raise AssertionError("counted before n_max was checked")
 
-        monkeypatch.setattr(validation, "count_width", no_count)
+        monkeypatch.setattr(validation, "_count_width", no_count)
         seen = []
         with pytest.raises(ValueError, match=f"verify cap {validation.VERIFY_DPLL_CAP}"):
             verify_matrix(n_max, progress=seen.append)
